@@ -5,6 +5,7 @@ threshold stopping.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -196,10 +197,7 @@ def dependence_family(profile: MixingProfile, q: int) -> NormFamily:
 # -- complexity ------------------------------------------------------------
 
 
-def partitions_into_at_most(items: Sequence[int], max_blocks: int) -> Iterator[Partition]:
-    """All set partitions of ``items`` into at most ``max_blocks`` blocks."""
-    items = list(items)
-
+def _enumerate_partitions(items: tuple[int, ...], max_blocks: int) -> Iterator[Partition]:
     def rec(idx: int, blocks: list[list[int]]) -> Iterator[Partition]:
         if idx == len(items):
             yield _normalize_partition(blocks)
@@ -217,6 +215,42 @@ def partitions_into_at_most(items: Sequence[int], max_blocks: int) -> Iterator[P
     yield from rec(0, [])
 
 
+@functools.lru_cache(maxsize=16)
+def _partition_table(items: tuple[int, ...], max_blocks: int) -> tuple[Partition, ...]:
+    return tuple(_enumerate_partitions(items, max_blocks))
+
+
+def partitions_into_at_most(items: Sequence[int], max_blocks: int) -> Iterator[Partition]:
+    """All set partitions of ``items`` into at most ``max_blocks`` blocks.
+
+    Enumerations over at most EXACT_SEARCH_LIMIT items (at most 4,140
+    partitions) are cached, so repeated searches do not rebuild them.
+    """
+    items = tuple(items)
+    if len(items) <= EXACT_SEARCH_LIMIT:
+        yield from _partition_table(items, max_blocks)
+    else:
+        yield from _enumerate_partitions(items, max_blocks)
+
+
+def _mask(cell: Iterable[int]) -> int:
+    return sum(1 << i for i in cell)
+
+
+def _memo_cell_norm(cls: FunctionClass, family: NormFamily
+                    ) -> Callable[[int, Sequence[int]], float]:
+    """d_level(cell diameter), memoised per (level, cell bitmask) for one call."""
+    memo: dict[tuple[int, int], float] = {}
+
+    def cell_norm(level: int, cell: Sequence[int]) -> float:
+        key = (level, _mask(cell))
+        if key not in memo:
+            memo[key] = family.norm(level, cell_diameter(cls, cell), cls.weights)
+        return memo[key]
+
+    return cell_norm
+
+
 def sequence_value(cls: FunctionClass, family: NormFamily,
                    seq: PartitionSequence) -> float:
     """sqrt(2) * sup_f sum_l 2^(l/2) d_l(diameter of f's level-l cell).
@@ -225,20 +259,22 @@ def sequence_value(cls: FunctionClass, family: NormFamily,
     singleton the remaining terms vanish, so the sum is finite for fully
     separated sequences.
     """
+    return _sequence_value(cls, seq, _memo_cell_norm(cls, family))
+
+
+def _sequence_value(cls: FunctionClass, seq: PartitionSequence,
+                    cell_norm: Callable[[int, Sequence[int]], float]) -> float:
     if not seq.fully_separated():
         raise ChainingError("sequence must reach singleton cells")
     per_member = np.zeros(cls.size)
-    cache: dict[tuple[int, tuple[int, ...]], float] = {}
     for level, part in enumerate(seq.levels):
         coeff = 2.0 ** (level / 2.0)
         for cell in part:
             if len(cell) == 1:
                 continue
-            key = (level, cell)
-            if key not in cache:
-                cache[key] = family.norm(level, cell_diameter(cls, cell), cls.weights)
+            d = cell_norm(level, cell)
             for i in cell:
-                per_member[i] += coeff * cache[key]
+                per_member[i] += coeff * d
     return math.sqrt(2.0) * float(per_member.max())
 
 
@@ -250,6 +286,32 @@ def _separation_level(size: int) -> int:
     return level
 
 
+def _subset_diameters(table: np.ndarray) -> np.ndarray:
+    """Row s is the cell diameter of the members whose bits are set in s.
+
+    Built by doubling: the rows with top bit b extend the rows below 2^b by
+    member b.  max and min are exact, so every row carries the same bits as
+    :func:`cell_diameter` on that cell.  Row 0 (the empty cell) is unused.
+    """
+    size, npts = table.shape
+    hi = np.full((1 << size, npts), -np.inf)
+    lo = np.full((1 << size, npts), np.inf)
+    for b in range(size):
+        np.maximum(hi[: 1 << b], table[b], out=hi[1 << b: 2 << b])
+        np.minimum(lo[: 1 << b], table[b], out=lo[1 << b: 2 << b])
+    return np.subtract(hi, lo, out=hi)
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_masks(parts: tuple[Partition, ...]) -> np.ndarray:
+    """(partitions, LEVEL1_CAP) cell bitmasks, padded with the empty cell 0."""
+    masks = np.zeros((len(parts), LEVEL1_CAP), dtype=np.intp)
+    for r, part in enumerate(parts):
+        masks[r, : len(part)] = [_mask(cell) for cell in part]
+    masks.flags.writeable = False  # shared by every caller through the cache
+    return masks
+
+
 def complexity_exact(cls: FunctionClass, family: NormFamily
                      ) -> tuple[float, PartitionSequence]:
     """Exact infimum of the weighted-diameter functional on a small class.
@@ -257,8 +319,11 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
     Enumerates every admissible nested refinement; for monotone norm
     families nothing is lost by separating fully as soon as the caps allow,
     so only the level-1 partition (cap 4) is a genuine choice for classes
-    of up to eight members.  Classes above the search budget are refused;
-    use :func:`complexity_greedy` there.
+    of up to eight members.  Cells are indexed by member bitmask: every
+    cell diameter comes from one subset table, each multi-member cell's
+    level-1 norm is evaluated once, and the level-1 partitions are scored
+    together; the first minimum wins.  Classes above the search budget are
+    refused; use :func:`complexity_greedy` there.
     """
     size = cls.size
     if size > EXACT_SEARCH_LIMIT:
@@ -272,32 +337,23 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
     if size == 1:
         seq = PartitionSequence(levels=(trivial,))
         return 0.0, seq
-    cache: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def cell_norm(level: int, cell: tuple[int, ...]) -> float:
-        key = (level, cell)
-        if key not in cache:
-            cache[key] = family.norm(level, cell_diameter(cls, cell), cls.weights)
-        return cache[key]
-
-    d0 = cell_norm(0, trivial[0])
-    best_val = math.inf
-    best_p1: Partition | None = None
+    parts = tuple(partitions_into_at_most(indices, LEVEL1_CAP))
+    masks = _cell_masks(parts)
+    diam = _subset_diameters(cls.table)
+    d0 = family.norm(0, diam[-1], cls.weights)
+    d1 = np.zeros(len(diam))
+    for s in np.unique(masks).tolist():
+        if s & (s - 1):  # two or more members
+            d1[s] = family.norm(1, diam[s], cls.weights)
     sqrt2 = math.sqrt(2.0)
-    for p1 in partitions_into_at_most(indices, LEVEL1_CAP):
-        worst = 0.0
-        for cell in p1:
-            if len(cell) > 1:
-                worst = max(worst, cell_norm(1, cell))
-        val = sqrt2 * (d0 + sqrt2 * worst)
-        if val < best_val:
-            best_val, best_p1 = val, p1
-    assert best_p1 is not None
+    vals = sqrt2 * (d0 + sqrt2 * d1[masks].max(axis=1))
+    best = int(np.argmin(vals))
+    best_p1 = parts[best]
     levels: list[Partition] = [trivial, best_p1]
     if any(len(c) > 1 for c in best_p1):
         levels.append(singles)  # cap at level 2 is 16 >= size
     best_seq = PartitionSequence(levels=tuple(levels))
-    return best_val, best_seq
+    return float(vals[best]), best_seq
 
 
 def complexity_greedy(cls: FunctionClass, family: NormFamily,
@@ -307,7 +363,8 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
     At each level the cell with the largest diameter norm is split around
     its two most separated members until the level's cardinality cap is
     reached.  Always at least the exact value; equal on classes of size
-    up to two, where the refinement is forced.
+    up to two, where the refinement is forced.  Norms are memoised per
+    (level, cell); a pair's distance is the norm of its two-member cell.
     """
     size = cls.size
     indices = list(range(size))
@@ -315,18 +372,16 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
         depth = _separation_level(size) + 1
     levels: list[Partition] = [_normalize_partition([indices])]
     current: list[list[int]] = [indices[:]]
+    cell_norm = _memo_cell_norm(cls, family)
 
     def dist(level: int, i: int, j: int) -> float:
-        return family.norm(level, cls.table[i] - cls.table[j], cls.weights)
+        return cell_norm(level, (i, j))
 
     for level in range(1, depth + 1):
         cap = 2 ** (2**level)
         current = [list(c) for c in current]
         while len(current) < min(cap, size):
-            scored = [
-                (family.norm(level, cell_diameter(cls, c), cls.weights), k)
-                for k, c in enumerate(current) if len(c) > 1
-            ]
+            scored = [(cell_norm(level, c), k) for k, c in enumerate(current) if len(c) > 1]
             if not scored:
                 break
             _, k = max(scored)
@@ -345,7 +400,7 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
     seq = PartitionSequence(levels=tuple(levels))
     if not seq.fully_separated():
         raise ChainingError("greedy refinement did not reach singletons; raise depth")
-    return sequence_value(cls, family, seq)
+    return _sequence_value(cls, seq, cell_norm)
 
 
 # -- covering numbers ------------------------------------------------------

@@ -83,6 +83,11 @@ def _require_lattice(n: int, basis_size: int) -> None:
             f"n={n} is not an admissible sample size; nearest member is {suggestion}")
 
 
+def _require_reps(reps: int) -> None:
+    if reps < 2:
+        raise CliError(f"--reps must be >= 2 for a standard error, got {reps}")
+
+
 def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
     head, _, rest = text.partition(":")
     if head == "constant":
@@ -183,6 +188,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, "process", "cls", "n")
+    _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     _require_lattice(args.n, args.basis_size)
@@ -206,6 +212,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_couple(args) -> int:
     _require(args, "process", "cls", "n", "q")
+    _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     _require_lattice(args.n, args.basis_size)
@@ -242,6 +249,7 @@ def cmd_couple(args) -> int:
 
 def cmd_strongapprox(args) -> int:
     _require(args, "process", "cls")
+    _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     n_grid = [int(x) for x in args.n_grid.split(",")]
@@ -297,7 +305,8 @@ def cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (config fields) override every subcommand's."""
     parser = argparse.ArgumentParser(
         prog="mixbound",
         description="block schedules, dependence-adapted norms, chaining "
@@ -375,12 +384,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--reps-scale", type=float, default=1.0)
     p.set_defaults(func=cmd_verify)
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _load_config(args: argparse.Namespace) -> dict:
+    """Config fields as argument names, checked against the chosen subcommand."""
     if not args.config:
-        return
+        return {}
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -388,18 +400,22 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         raise CliError(f"config: {exc}")
     if not isinstance(config, dict):
         raise CliError("config: top level must be a JSON object")
+    fields = {}
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "config", "func") or not hasattr(args, attr):
             raise CliError(f"config: unknown field {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        fields[attr] = value
+    return fields
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    args = _build_parser().parse_args(argv)
+    config = _load_config(args)
+    if config:
+        # Parse again with the config as the subcommands' defaults, so that
+        # it overrides argparse defaults while explicit flags still win.
+        args = _build_parser(config).parse_args(argv)
     if args.seed is None:
         args.seed = int(os.environ.get("MIXBOUND_SEED", DEFAULT_SEED))
     try:

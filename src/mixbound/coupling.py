@@ -245,6 +245,8 @@ def block_independence_test(values: np.ndarray, q: int, parity: str = "even",
     """
     if values.ndim != 2:
         raise CouplingError("values must be a (reps, n) matrix")
+    if parity not in ("even", "odd"):
+        raise CouplingError(f"parity must be 'even' or 'odd', got {parity!r}")
     reps, n = values.shape
     nblocks = n // q
     start = 0 if parity == "even" else 1

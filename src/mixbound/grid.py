@@ -8,6 +8,7 @@ All computation here is exact integer arithmetic.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,18 @@ def lattice_members(basis_size: int = 3, limit: int = 10**6) -> list[int]:
 
 @dataclass(frozen=True)
 class SampleLattice:
-    """Admissible sample sizes up to a limit over a fixed prime basis."""
+    """Admissible sample sizes up to a limit over a fixed prime basis.
+
+    ``members`` is ascending; membership is a binary search.
+    """
 
     prime_basis: tuple[int, ...]
     limit: int
     members: tuple[int, ...]
 
     def __contains__(self, n: int) -> bool:
-        return n in set(self.members)
+        i = bisect.bisect_left(self.members, n)
+        return i < len(self.members) and self.members[i] == n
 
 
 def sample_lattice(basis_size: int = 3, limit: int = 10**6) -> SampleLattice:
@@ -133,7 +138,6 @@ def divisor_chain(n: int, basis_size: int = 3) -> DivisorChain:
 
 def nearest_member(n: int, basis_size: int = 3) -> int:
     """Closest lattice member to n (ties resolved downward)."""
-    lo = 6
     hi = max(12, 4 * n)
     members = lattice_members(basis_size, hi)
     arr = np.asarray(members)
@@ -173,26 +177,33 @@ class BlockSchedule:
         return self.q_seq[k] if k < len(self.q_seq) else 1
 
 
-def _minimal_block(n: int, divisors, profile: MixingProfile, k: int) -> int:
-    target = 2.0 ** (k + 1)
-    for s in divisors:
-        if 0.5 * profile.theta(s) * n <= s * target:
-            return int(s)
-    # Unreachable: s = n always satisfies the inequality since theta <= 1.
-    raise GridError(f"no admissible block length for n={n}, k={k}")
+def _block_lhs(n: int, profile: MixingProfile, basis_size: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The divisors of n, ascending, and 0.5 * theta(divisor) * n over them."""
+    divisors = np.asarray(divisor_chain(n, basis_size).divisors)
+    return divisors, 0.5 * profile.theta(divisors) * n
+
+
+def _minimal_block(n: int, divisors: np.ndarray, lhs: np.ndarray, k: int) -> int:
+    fits = lhs <= divisors * 2.0 ** (k + 1)
+    if not fits.any():
+        # Unreachable: s = n always satisfies the inequality since theta <= 1.
+        raise GridError(f"no admissible block length for n={n}, k={k}")
+    return int(divisors[np.argmax(fits)])
 
 
 def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
                    max_depth: int = 128) -> BlockSchedule:
     """Full block-length schedule for one lattice member.
 
-    Scans the divisor set ascending at every level, so minimality holds by
-    construction.  Monotonicity in the level is verified.
+    theta is evaluated once over the divisor set; each level then takes the
+    first divisor, ascending, that satisfies its inequality, so minimality
+    holds by construction.  Monotonicity in the level is verified.
     """
-    chain = divisor_chain(n, basis_size)
+    divisors, lhs = _block_lhs(n, profile, basis_size)
     seq: list[int] = []
     for k in range(max_depth):
-        q = _minimal_block(n, chain.divisors, profile, k)
+        q = _minimal_block(n, divisors, lhs, k)
         if seq and q > seq[-1]:
             raise GridError("schedule failed to be non-increasing")  # pragma: no cover
         seq.append(q)
@@ -205,5 +216,4 @@ def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
 
 def first_block_length(n: int, profile: MixingProfile, basis_size: int = 3) -> int:
     """Level-zero block length without building the whole schedule."""
-    chain = divisor_chain(n, basis_size)
-    return _minimal_block(n, chain.divisors, profile, 0)
+    return _minimal_block(n, *_block_lhs(n, profile, basis_size), 0)

@@ -38,6 +38,10 @@ class QuantileCurve:
                 raise ValueError("breaks must be strictly increasing within (0, 1]")
             if np.any(v <= 0) or np.any(np.diff(v) >= 0):
                 raise ValueError("values must be strictly decreasing and positive")
+        steps = np.concatenate([v, [0.0]])  # Q on each break interval, then 0
+        b.flags.writeable = steps.flags.writeable = False
+        object.__setattr__(self, "_breaks", b)
+        object.__setattr__(self, "_steps", steps)
 
     # -- constructors ----------------------------------------------------
 
@@ -83,17 +87,13 @@ class QuantileCurve:
     def q_at(self, u):
         """Right-continuous evaluation; vectorized over u."""
         u_arr = np.asarray(u, dtype=float)
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.concatenate([np.asarray(self.values, dtype=float), [0.0]])
-        idx = np.searchsorted(b, u_arr, side="right")
-        out = v[idx]
+        idx = np.searchsorted(self._breaks, u_arr, side="right")
+        out = self._steps[idx]
         return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
     def _segments(self):
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        widths = np.diff(np.concatenate([[0.0], b]))
-        return widths, v
+        widths = np.diff(np.concatenate([[0.0], self._breaks]))
+        return widths, self._steps[:-1]
 
     def lr_norm(self, r: float) -> float:
         """Exact L^r norm of |f|: (sum width * value^r)^(1/r)."""
@@ -139,9 +139,9 @@ def active_lag_count(u: float, q: int, profile: MixingProfile) -> int:
     return int(np.count_nonzero(half >= u))
 
 
-def _mu_on_rights(rights: np.ndarray, q: int, profile: MixingProfile) -> np.ndarray:
+def _mu_on_rights(rights: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Vector of active-lag counts evaluated at interval right endpoints."""
-    half_sorted = np.sort(profile.half_levels(q))
+    half_sorted = np.sort(half)
     # count of half-levels >= u  ==  len - first index with level >= u
     idx = np.searchsorted(half_sorted, rights, side="left")
     return (half_sorted.size - idx).astype(float)
@@ -150,10 +150,10 @@ def _mu_on_rights(rights: np.ndarray, q: int, profile: MixingProfile) -> np.ndar
 def norm_weight_integral(curve: QuantileCurve, q: int, profile: MixingProfile) -> float:
     """Exact value of the step-function integral of count(u) * Q(u)^2 over (0, 1]."""
     half = profile.half_levels(q)
-    cuts = np.unique(np.concatenate([[0.0], half, np.asarray(curve.breaks), [1.0]]))
+    cuts = np.unique(np.concatenate([[0.0], half, curve._breaks, [1.0]]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
     left, right = cuts[:-1], cuts[1:]
-    mu = _mu_on_rights(right, q, profile)
+    mu = _mu_on_rights(right, half)
     qvals = curve.q_at(left)  # right-continuous: value on [left, right)
     return float(((right - left) * mu * qvals**2).sum())
 

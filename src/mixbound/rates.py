@@ -197,6 +197,8 @@ def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
     from .grid import lattice_members
 
     members = [n for n in lattice_members(basis_size, n_max) if n >= n_min]
+    if not members:
+        raise ValueError(f"no lattice member in [{n_min}, {n_max}]")
     return [rate_report(n, r, profile, basis_size) for n in members]
 
 

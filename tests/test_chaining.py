@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +75,110 @@ def test_exact_beats_random_admissible_sequences():
         seq = ch.PartitionSequence(levels=(
             (tuple(idx),), tuple(tuple(b) for b in blocks), tuple((i,) for i in idx)))
         assert best <= ch.sequence_value(cls, fam, seq) + 1e-12
+
+
+def _scan_exact(cls, family):
+    """Reference search: the level-1 partitions scanned in enumeration order
+    with per-cell diameters; a strict < keeps the first minimum."""
+    idx = tuple(range(cls.size))
+    if cls.size == 1:
+        return 0.0, ((idx,),)
+    memo = {}
+
+    def cell_norm(level, cell):
+        if (level, cell) not in memo:
+            memo[level, cell] = family.norm(level, ch.cell_diameter(cls, cell),
+                                            cls.weights)
+        return memo[level, cell]
+
+    d0 = cell_norm(0, idx)
+    best_val, best_p1 = math.inf, None
+    for p1 in ch.partitions_into_at_most(idx, 4):
+        worst = 0.0
+        for cell in p1:
+            if len(cell) > 1:
+                worst = max(worst, cell_norm(1, cell))
+        val = math.sqrt(2.0) * (d0 + math.sqrt(2.0) * worst)
+        if val < best_val:
+            best_val, best_p1 = val, p1
+    levels = ((idx,), best_p1)
+    if any(len(c) > 1 for c in best_p1):
+        levels += (tuple((i,) for i in idx),)
+    return best_val, levels
+
+
+def _tie_heavy_classes(rng, size, npts=10):
+    """Random, duplicate-row/constant-row and integer-valued classes."""
+    weights = rng.dirichlet(np.ones(npts))
+    yield rng.normal(0, 1, (size, npts)), weights
+    dup = rng.normal(0, 1, (size, npts))
+    dup[-1] = dup[0]
+    dup[size // 2] = 1.0
+    yield dup, np.full(npts, 1.0 / npts)
+    yield rng.integers(-2, 3, (size, npts)).astype(float), weights
+
+
+BIT_FAMILIES = [
+    ch.l2_family(),
+    ch.lr_family(4.0),
+    ch.schedule_family(gr.block_schedule(48, mx.exponential_profile(0.7))),
+    ch.dependence_family(mx.polynomial_profile(1.0), 6),
+]
+
+
+@pytest.mark.parametrize("fam", BIT_FAMILIES, ids=lambda f: f.label)
+def test_exact_matches_scalar_scan(fam):
+    # The subset-table search must return the very bits and witness of the
+    # partition-by-partition scan, ties included.
+    rng = np.random.default_rng(14)
+    for size in range(1, 9):
+        for table, weights in _tie_heavy_classes(rng, size):
+            cls = ch.FunctionClass(table=table, weights=weights)
+            value, witness = ch.complexity_exact(cls, fam)
+            ref_value, ref_levels = _scan_exact(cls, fam)
+            assert value == ref_value
+            assert witness.levels == ref_levels
+
+
+def _unmemoised_greedy(cls, family, depth):
+    """Reference refinement: every norm evaluated afresh, pairs measured
+    by |f_i - f_j|."""
+    idx = list(range(cls.size))
+    levels, current = [(tuple(idx),)], [idx]
+
+    def dist(level, i, j):
+        return family.norm(level, cls.table[i] - cls.table[j], cls.weights)
+
+    for level in range(1, depth + 1):
+        current = [list(c) for c in current]
+        while len(current) < min(2 ** (2**level), cls.size):
+            scored = [(family.norm(level, ch.cell_diameter(cls, c), cls.weights), k)
+                      for k, c in enumerate(current) if len(c) > 1]
+            if not scored:
+                break
+            _, k = max(scored)
+            cell = current[k]
+            si, sj = max(itertools.combinations(cell, 2), key=lambda p: dist(level, *p))
+            a, b = [si], [sj]
+            for x in cell:
+                if x not in (si, sj):
+                    (a if dist(level, x, si) <= dist(level, x, sj) else b).append(x)
+            current[k] = a
+            current.append(b)
+        levels.append(tuple(sorted(tuple(sorted(c)) for c in current)))
+        if all(len(c) == 1 for c in current):
+            break
+    return ch.sequence_value(cls, family, ch.PartitionSequence(levels=tuple(levels)))
+
+
+@pytest.mark.parametrize("fam", BIT_FAMILIES, ids=lambda f: f.label)
+def test_greedy_matches_unmemoised_refinement(fam):
+    rng = np.random.default_rng(15)
+    for size in (2, 3, 5, 8, 12):
+        for table, weights in _tie_heavy_classes(rng, size):
+            cls = ch.FunctionClass(table=table, weights=weights)
+            expected = _unmemoised_greedy(cls, fam, depth=3)
+            assert ch.complexity_greedy(cls, fam, depth=3) == expected
 
 
 def test_exact_refuses_large_class():

@@ -45,6 +45,57 @@ def test_config_provides_defaults(capsys, tmp_path):
     assert json.loads(out)["q_seq"][0] == 2
 
 
+def test_config_overrides_argparse_default(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"reps": 40}')
+    rows = tmp_path / "sims.csv"
+    code, out = run_cli(capsys, "--config", str(cfg), "simulate", "--process", "iid",
+                        "--class", "lipschitz5", "--n", "96", "--output", str(rows))
+    assert code == 0
+    assert json.loads(out)["reps"] == 40
+    assert len(list(csv.DictReader(rows.open()))) == 40
+
+
+def test_explicit_flag_beats_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"reps": 40, "seed": 3}')
+    code, out = run_cli(capsys, "--config", str(cfg), "simulate", "--process", "iid",
+                        "--class", "lipschitz5", "--n", "96", "--reps", "30",
+                        "--seed", "5", "--output", str(tmp_path / "sims.csv"))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["reps"], summary["seed"]) == (30, 5)
+
+
+def test_config_cannot_replace_the_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"func": 3}')
+    with pytest.raises(SystemExit, match="func"):
+        cli.main(["--config", str(cfg), "schedule", "--n", "12", "--profile", "iid"])
+
+
+def test_rates_rejects_empty_range(capsys):
+    with pytest.raises(SystemExit, match="no lattice member"):
+        cli.main(["rates", "--profile", "iid", "--n-min", "5000", "--n-max", "100"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "iid", "--class", "halfpair", "--n", "96"],
+    ["couple", "--process", "ma:m=3", "--class", "lipschitz5", "--n", "96", "--q", "6"],
+    ["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4", "--n-grid", "384"],
+])
+def test_single_rep_rejected_before_simulating(argv, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting --reps 1")
+
+    monkeypatch.setattr(cli.pr, "simulate_many", no_simulation)
+    monkeypatch.setattr(cli.cp, "gap_samples", no_simulation)
+    monkeypatch.setattr(cli.cp, "strong_approx_experiment", no_simulation)
+    with pytest.raises(SystemExit, match="--reps must be >= 2"):
+        cli.main(argv + ["--reps", "1"])
+
+
 def test_rates_csv_regimes(capsys):
     code, out = run_cli(capsys, "rates", "--profile", "poly:m=0.5", "--r", "4",
                         "--n-min", "1000", "--n-max", "20000")

@@ -99,6 +99,12 @@ def test_block_independence_needs_enough_blocks():
         cp.block_independence_test(vals, 12, "even")
 
 
+def test_block_independence_rejects_unknown_parity():
+    vals = np.zeros((40, 96))
+    with pytest.raises(cp.CouplingError, match="parity"):
+        cp.block_independence_test(vals, 8, "Even")
+
+
 def test_bernstein_inapplicable_guard():
     model = pr.iid_model()
     member = fc.ClassMember(name="big", func=lambda x: 50 * np.sign(x),

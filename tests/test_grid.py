@@ -106,3 +106,52 @@ def test_nearest_divisor():
     assert grid.nearest_divisor(384, 384**0.5) == 16
     assert grid.nearest_divisor(1536, 1536**0.5) == 32
     assert grid.nearest_divisor(6144, 6144**0.5) == 64
+
+
+def _scalar_schedule(n, divisors, theta):
+    """Reference scan: ascending divisors, scalar theta, one pass per level."""
+    seq = []
+    for k in range(128):
+        target = 2.0 ** (k + 1)
+        q = next(s for s in divisors if 0.5 * theta(s) * n <= s * target)
+        seq.append(q)
+        if q == 1:
+            return tuple(seq)
+    raise AssertionError("scalar scan did not reach 1")
+
+
+SCHEDULE_PROFILES = [
+    mixing.iid_profile(),
+    mixing.m_dependent_profile(3),
+    mixing.m_dependent_profile(250),
+    mixing.polynomial_profile(0.5),
+    mixing.polynomial_profile(2.0),
+    mixing.exponential_profile(0.7),
+    mixing.exponential_profile(0.99),
+    mixing.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1], tail="zero"),
+    mixing.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1], tail="hold"),
+]
+
+
+@pytest.mark.parametrize("prof", SCHEDULE_PROFILES, ids=lambda p: p.spec())
+def test_schedule_matches_scalar_scan(prof):
+    # One vectorised theta per schedule must pick bit for bit the divisors the
+    # scalar scan picks, at every lattice member up to 1e7.
+    thetas = {}
+
+    def theta(s):
+        if s not in thetas:
+            thetas[s] = prof.theta(s)
+        return thetas[s]
+
+    for n in grid.lattice_members(3, 10**7):
+        divisors = grid.divisor_chain(n).divisors
+        expected = _scalar_schedule(n, divisors, theta)
+        assert grid.block_schedule(n, prof).q_seq == expected, n
+        assert grid.first_block_length(n, prof) == expected[0], n
+
+
+def test_sample_lattice_contains():
+    lat = grid.sample_lattice(3, 1000)
+    assert all(n in lat for n in lat.members)
+    assert all(n not in lat for n in (0, 1, 5, 7, 10, 1001, 1002, 10**6))
