@@ -3,16 +3,15 @@ check returning a pass/fail result with its measured quantities.
 
 The suite is what ``mixbound verify`` runs; the pytest acceptance module
 drives the same functions.  Criteria are grouped into the suites grid,
-norms, rates, chaining and coupling.  Parallel execution distributes whole
-criteria across workers with per-criterion derived seeds, so reports are
-identical for any worker count.
+norms, rates, chaining and coupling.  Each criterion runs with a seed
+derived from (seed, criterion id), so a report depends only on its seed
+and suite, and identical runs give identical reports.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,8 +453,7 @@ def criterion_block_independence(seed: int, scale: float = 1.0) -> CriterionResu
     s = _derive_seed(seed, 11)
     reps = _reps(200, scale)
     model = pr.ar1_model(0.9)
-    vals, innov, _ = pr.simulate_many(model, 384, reps, s)
-    replica = cp.replicate_many(model, vals, innov, 8, s)
+    vals, replica = cp.coupled_paths(model, 384, 8, reps, s, tag=0)
     even = cp.block_independence_test(replica, 8, "even")
     odd = cp.block_independence_test(replica, 8, "odd")
     raw = cp.block_independence_test(vals, 2, "even")
@@ -604,25 +602,14 @@ SUITES = {
 SUITES["all"] = tuple(CRITERIA)
 
 
-def run_criteria(cids, seed: int, scale: float = 1.0,
-                 workers: int = 1) -> list[CriterionResult]:
-    """Run criteria with per-criterion derived seeds.
+def run_criteria(cids, seed: int, scale: float = 1.0) -> list[CriterionResult]:
+    """Run criteria in registry order with per-criterion derived seeds.
 
-    Each criterion's seed depends only on (seed, criterion id), and results
-    are assembled in registry order, so output does not depend on the
-    worker count.
+    Each criterion's seed depends only on (seed, criterion id), so its
+    result does not depend on which other criteria run.
     """
     cids = list(cids)
-    ordered = [cid for cid in CRITERIA if cid in cids]
-
-    def one(cid: str) -> CriterionResult:
-        return CRITERIA[cid](seed=seed, scale=scale)
-
-    if workers <= 1:
-        return [one(cid) for cid in ordered]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {cid: pool.submit(one, cid) for cid in ordered}
-        return [futures[cid].result() for cid in ordered]
+    return [CRITERIA[cid](seed=seed, scale=scale) for cid in CRITERIA if cid in cids]
 
 
 def suite_criteria(name: str) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ A JSON config file supplies defaults field by field; explicit flags win.
 The default seed is 7, overridable by the MIXBOUND_SEED environment
 variable and then by --seed.  Reports serialize with sorted keys and
 12-significant-digit floats, so identical configurations produce identical
-bytes at any worker count.
+bytes.
 """
 from __future__ import annotations
 
@@ -217,9 +217,11 @@ def cmd_couple(args) -> int:
     members = fc.make_class(args.cls, model).members
     _require_lattice(args.n, args.basis_size)
     t0 = time.perf_counter()
-    sups = cp.gap_samples(model, members, args.n, args.q, args.reps, args.seed)
-    vals, innov, _ = pr.simulate_many(model, args.n, args.reps, args.seed, tag=args.q)
-    replica = cp.replicate_many(model, vals, innov, args.q, args.seed, tag=args.q)
+    # One draw, tagged as gap_samples tags it, serves the gaps and the
+    # independence test.
+    vals, replica = cp.coupled_paths(model, args.n, args.q, args.reps, args.seed,
+                                     tag=args.q)
+    sups = cp.sup_gaps(vals, replica, members)
     even = cp.block_independence_test(replica, args.q, "even")
     gap_mean = float(sups.mean())
     results = {
@@ -285,8 +287,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         raise CliError(str(exc))
     t0 = time.perf_counter()
-    results = ac.run_criteria(cids, seed=args.seed, scale=args.reps_scale,
-                              workers=args.workers)
+    results = ac.run_criteria(cids, seed=args.seed, scale=args.reps_scale)
     for res in results:
         sys.stderr.write(res.line() + "\n")
     report = ExperimentReport(
@@ -381,7 +382,6 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", default="all",
                    choices=sorted(ac.SUITES))
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--reps-scale", type=float, default=1.0)
     p.set_defaults(func=cmd_verify)
     for p in sub.choices.values():

@@ -18,13 +18,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import beta as _beta
 from scipy.stats import norm as _norm
 
 from .grid import divisor_chain
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, _gaussian_linear_sigma2, dependence_norm
-from .processes import (PathBundle, ProcessModel, simulate_many, _seed_seq)
+from .processes import (PathBundle, ProcessModel, simulate_many, _ma_sum,
+                        _recurse, _seed_seq)
+from .rates import ls_slope
 
 
 class CouplingError(ValueError):
@@ -50,14 +53,11 @@ def _replicate_ar1_like(model: ProcessModel, values: np.ndarray,
     out = np.empty((reps, n))
     out[:, :q] = values[:, :q]  # block zero: no lead-in room, copy the path
     state0 = model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
-    for j in range(1, nblocks):
-        state = state0[:, j]
-        # Lead-in: one full block starting at time q(j-1), then block j itself.
-        for u in range(q):
-            state = model.step(state, innovations[:, q * (j - 1) + u])
-        for u in range(q):
-            state = model.step(state, innovations[:, q * j + u])
-            out[:, q * j + u] = state
+    blocks = innovations.reshape(reps, nblocks, q)
+    # Every block j >= 1 at once: a lead-in through block j-1 from a fresh
+    # stationary start, then block j itself.
+    state = _recurse(model, state0[:, 1:], blocks[:, :-1])
+    _recurse(model, state, blocks[:, 1:], out.reshape(reps, nblocks, q)[:, 1:])
     return out
 
 
@@ -67,28 +67,17 @@ def _replicate_ma(model: ProcessModel, innovations: np.ndarray, q: int,
     reps, total = innovations.shape
     m = model.m
     n = total - m
-    w = np.asarray(model.weights)
     nblocks = n // q
-    out = np.empty((reps, n))
-    for j in range(nblocks):
-        # Innovation times needed for block j: (qj + 1 - m) .. (qj + q).
-        lo_t, hi_t = q * j + 1 - m, q * j + q
-        cols = np.arange(lo_t, hi_t + 1) + m - 1   # column of time s is s + m - 1
-        window = innovations[:, cols].copy()
-        # Times before block j-1 are replaced by fresh noise so block j is
-        # independent of blocks <= j-2; block zero keeps its true prehistory.
-        cutoff = q * (j - 1)
-        fresh_mask = (np.arange(lo_t, hi_t + 1) <= cutoff) if j >= 1 \
-            else np.zeros(hi_t - lo_t + 1, dtype=bool)
-        if fresh_mask.any():
-            window[:, fresh_mask] = model.sigma * rng.standard_normal(
-                (reps, int(fresh_mask.sum())))
-        # Same summation order as the simulator so exact cases match bit for bit.
-        vals = np.zeros((reps, q))
-        for jj in range(m + 1):
-            vals += w[jj] * window[:, m - jj: m - jj + q]
-        out[:, q * j: q * j + q] = vals
-    return out
+    # Block j reads innovation columns qj .. qj + q + m - 1 (times qj+1-m .. qj+q).
+    windows = sliding_window_view(innovations, q + m, axis=1)[:, ::q].copy()
+    # Times at or before q(j-1), the first k columns of block j >= 1, are
+    # replaced by fresh noise so block j is independent of blocks <= j-2;
+    # block zero keeps its true prehistory.
+    k = max(0, m - q)
+    if k and nblocks > 1:
+        fresh = model.sigma * rng.standard_normal((nblocks - 1, reps, k))
+        windows[:, 1:, :k] = fresh.transpose(1, 0, 2)
+    return _ma_sum(model.weights, windows, q).reshape(reps, n)
 
 
 def replicate_many(model: ProcessModel, values: np.ndarray,
@@ -179,18 +168,27 @@ def tau_for_class(model: ProcessModel, members, q: int, outer: int, inner: int,
     return est.value, est.std_error
 
 
+def coupled_paths(model: ProcessModel, n: int, q: int, reps: int, seed: int,
+                  tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, replicas): ``reps`` stationary paths and their block-q replicas."""
+    _check_block_length(n, q)
+    vals, innov, _ = simulate_many(model, n, reps, seed, tag=tag)
+    return vals, replicate_many(model, vals, innov, q, seed, tag=tag)
+
+
+def sup_gaps(values: np.ndarray, replica: np.ndarray, members) -> np.ndarray:
+    """(reps,) sup over the class of the scaled gap between paths and replicas."""
+    g = np.stack([
+        np.abs(mem.func(values).sum(axis=1) - mem.func(replica).sum(axis=1))
+        for mem in members
+    ]) / math.sqrt(values.shape[1])
+    return g.max(axis=0)
+
+
 def gap_samples(model: ProcessModel, members, n: int, q: int, reps: int,
                 seed: int) -> np.ndarray:
     """(reps,) sup-gaps between paths and their replicas (vectorized)."""
-    _check_block_length(n, q)
-    vals, innov, _ = simulate_many(model, n, reps, seed, tag=q)
-    reps_vals = replicate_many(model, vals, innov, q, seed, tag=q)
-    members = list(members)
-    g = np.stack([
-        np.abs(mem.func(vals).sum(axis=1) - mem.func(reps_vals).sum(axis=1))
-        for mem in members
-    ]) / math.sqrt(n)
-    return g.max(axis=0)
+    return sup_gaps(*coupled_paths(model, n, q, reps, seed, tag=q), members)
 
 
 @dataclass(frozen=True)
@@ -209,10 +207,7 @@ def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
         sups = gap_samples(model, members, n, q, reps, seed)
         means.append(float(sups.mean()))
         ses.append(float(sups.std(ddof=1) / math.sqrt(reps)))
-    x = np.asarray(qs, dtype=float)
-    y = np.log(np.asarray(means))
-    xc = x - x.mean()
-    slope = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+    slope = ls_slope(np.asarray(qs, dtype=float), np.log(np.asarray(means)))
     return GapSweep(qs=tuple(int(q) for q in qs), means=tuple(means),
                     std_errors=tuple(ses), log_slope=slope)
 
@@ -327,8 +322,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
             n=n, q=q, k=k, reps=reps, b=b, sup_bound=float(member.sup_bound),
             points=(),
         )
-    vals, innov, _ = simulate_many(model, n, reps, seed, tag=0xBE00 + k)
-    replica = replicate_many(model, vals, innov, q, seed, tag=0xBE00 + k)
+    _, replica = coupled_paths(model, n, q, reps, seed, tag=0xBE00 + k)
     gstar = (member.func(replica).sum(axis=1) - n * member.mean) / math.sqrt(n)
     points = []
     for u in u_values:
@@ -445,9 +439,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
     points = []
     for n in n_grid:
         q = q_choice(n) if q_choice is not None else _sqrt_divisor(n)
-        _check_block_length(n, q)
-        vals, innov, _ = simulate_many(model, n, reps, seed, tag=n)
-        replica = replicate_many(model, vals, innov, q, seed, tag=n)
+        vals, replica = coupled_paths(model, n, q, reps, seed, tag=n)
         rng_pool = np.random.default_rng(_seed_seq(seed, 0x900, n))
         pool_paths = model.sample_blocks(q, pool_size, rng_pool)
         gaps = np.zeros((len(members), reps))
@@ -529,9 +521,7 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
                              pool_size: int = 20000) -> TailSlopeReport:
     """Slope test: deviations between coupled partial sums decay at least
     polynomially of order gamma on the observed range."""
-    _check_block_length(n, q)
-    vals, innov, _ = simulate_many(model, n, reps, seed, tag=0x59)
-    replica = replicate_many(model, vals, innov, q, seed, tag=0x59)
+    _, replica = coupled_paths(model, n, q, reps, seed, tag=0x59)
     rng_pool = np.random.default_rng(_seed_seq(seed, 0x59AA))
     pool_paths = model.sample_blocks(q, pool_size, rng_pool)
     pool_sums = (member.func(pool_paths).sum(axis=1) - q * member.mean) / math.sqrt(q)
@@ -546,9 +536,7 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
     t_grid = np.quantile(dev, 1.0 - levels)
     surv = np.array([(dev >= t).mean() for t in t_grid])
     ok = (t_grid > 0) & (surv > 0)
-    x, y = np.log(t_grid[ok]), np.log(surv[ok])
-    xc = x - x.mean()
-    slope = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+    slope = ls_slope(np.log(t_grid[ok]), np.log(surv[ok]))
     return TailSlopeReport(gamma=gamma, t_grid=tuple(map(float, t_grid)),
                            survival=tuple(map(float, surv)), slope=slope,
                            passed=slope <= -gamma)

@@ -69,11 +69,6 @@ class ProcessModel:
     def is_markov(self) -> bool:
         return self.kind in ("iid", "ar1", "lazy_renewal")
 
-    @property
-    def memory(self) -> int:
-        """Innovation look-back needed to evaluate X_t (finite-memory kinds)."""
-        return self.m if self.kind == "ma" else 0
-
     def marginal_sd(self) -> float:
         if self.kind == "iid":
             return self.scale
@@ -128,7 +123,8 @@ class ProcessModel:
             return out
         raise ModelError("the moving average is not sampled pointwise; simulate a path")
 
-    def draw_innovations(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def draw_innovations(self, size: int | tuple[int, ...],
+                         rng: np.random.Generator) -> np.ndarray:
         if self.kind == "lazy_renewal":
             return rng.random(size)
         return self.sigma * rng.standard_normal(size) if self.kind != "iid" \
@@ -209,54 +205,56 @@ class PathBundle:
     start: float
 
 
+def _recurse(model: ProcessModel, state: np.ndarray, innov: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Step ``model.step`` from ``state`` along the last axis of ``innov``.
+
+    ``state`` has the shape of ``innov`` without its last axis; each step's
+    state is written to ``out`` when given.  Returns the final state.
+    """
+    for t in range(innov.shape[-1]):
+        state = model.step(state, innov[..., t])
+        if out is not None:
+            out[..., t] = state
+    return state
+
+
+def _ma_sum(weights, innov: np.ndarray, length: int) -> np.ndarray:
+    """(m+1)-tap moving average over the last axis of ``innov``.
+
+    ``innov`` carries m leading innovations before the first output time.
+    The taps are added in a fixed order, so every caller gets the same bits.
+    """
+    w = np.asarray(weights)
+    m = w.size - 1
+    vals = np.zeros(innov.shape[:-1] + (length,))
+    for j in range(m + 1):
+        vals += w[j] * innov[..., m - j: m - j + length]
+    return vals
+
+
 def _simulate_core(model: ProcessModel, n: int, reps: int,
                    rng: np.random.Generator):
     """(values, innovations, starts) for ``reps`` independent paths."""
     if model.kind == "iid":
-        innov = model.scale * rng.standard_normal((reps, n))
+        innov = model.draw_innovations((reps, n), rng)
         return innov.copy(), innov, np.zeros(reps)
-    if model.kind == "ar1":
-        starts = model.marginal_sd() * rng.standard_normal(reps)
-        innov = model.sigma * rng.standard_normal((reps, n))
-        vals = np.empty((reps, n))
-        state = starts.copy()
-        for t in range(n):
-            state = model.rho * state + innov[:, t]
-            vals[:, t] = state
-        return vals, innov, starts
     if model.kind == "ma":
-        m = model.m
-        w = np.asarray(model.weights)
-        innov = model.sigma * rng.standard_normal((reps, n + m))
-        vals = np.zeros((reps, n))
-        for j in range(m + 1):
-            vals += w[j] * innov[:, m - j: m - j + n]
-        return vals, innov, np.zeros(reps)
-    # lazy renewal
+        innov = model.draw_innovations((reps, n + model.m), rng)
+        return _ma_sum(model.weights, innov, n), innov, np.zeros(reps)
     starts = model.stationary_sample(reps, rng)
-    innov = rng.random((reps, n))
+    innov = model.draw_innovations((reps, n), rng)
     vals = np.empty((reps, n))
-    state = starts.astype(float).copy()
-    for t in range(n):
-        state = model.step(state, innov[:, t])
-        vals[:, t] = state
+    _recurse(model, starts, innov, vals)
     return vals, innov, starts
 
 
-def simulate(model: ProcessModel, n: int, seed: int, burn_in: int = 0) -> PathBundle:
-    """One stationary path of length n, reproducible from (model, n, seed).
-
-    All four kinds start exactly stationary, so ``burn_in`` is accepted for
-    interface compatibility but never needed; a positive value simply
-    shifts the window.
-    """
+def simulate(model: ProcessModel, n: int, seed: int) -> PathBundle:
+    """One stationary path of length n, reproducible from (model, n, seed)."""
     if n < 1:
         raise ModelError("n must be >= 1")
     rng = np.random.default_rng(_seed_seq(seed, 0x51A7))
-    vals, innov, starts = _simulate_core(model, n + burn_in, 1, rng)
-    if burn_in:
-        vals = vals[:, burn_in:]
-        innov = innov[:, burn_in:] if model.kind != "ma" else innov[:, burn_in:]
+    vals, innov, starts = _simulate_core(model, n, 1, rng)
     return PathBundle(model=model, n=n, seed=seed, values=vals[0],
                       innovations=innov[0], start=float(starts[0]))
 

@@ -202,9 +202,13 @@ def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
     return [rate_report(n, r, profile, basis_size) for n in members]
 
 
+def ls_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x (centred normal equation)."""
+    xc = x - x.mean()
+    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+
+
 def loglog_slope(ns, values) -> float:
     """Least-squares slope of log(values) against log(ns)."""
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    x = x - x.mean()
-    return float((x * (y - y.mean())).sum() / (x * x).sum())
+    return ls_slope(np.log(np.asarray(ns, dtype=float)),
+                    np.log(np.asarray(values, dtype=float)))

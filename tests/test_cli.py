@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixbound import cli
-from mixbound import grid, mixing, norms
+from mixbound import grid, mixing, norms, processes
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +94,28 @@ def test_single_rep_rejected_before_simulating(argv, monkeypatch):
     monkeypatch.setattr(cli.cp, "strong_approx_experiment", no_simulation)
     with pytest.raises(SystemExit, match="--reps must be >= 2"):
         cli.main(argv + ["--reps", "1"])
+
+
+def test_couple_simulates_once(monkeypatch, capsys):
+    calls = []
+    core = processes._simulate_core
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(processes, "_simulate_core", counting)
+    code, out = run_cli(capsys, "couple", "--process", "ma:m=3", "--class",
+                        "lipschitz5", "--n", "96", "--q", "6", "--reps", "30")
+    assert code == 0 and json.loads(out)["command"] == "couple"
+    assert len(calls) == 1
+
+
+def test_verify_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "grid", "--workers", "2"])
+    assert exc.value.code != 0
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_rates_csv_regimes(capsys):

@@ -32,6 +32,61 @@ def test_replica_ma_exact_when_block_covers_memory():
     assert not np.array_equal(rep.values, path.values)
 
 
+def _reference_replica(model, values, innovations, q, rng):
+    """Per-block, per-step replica loops: the reference for replicate_many."""
+    if model.kind == "iid":
+        return values.copy()
+    if model.kind == "ma":
+        reps, total = innovations.shape
+        m = model.m
+        n = total - m
+        w = np.asarray(model.weights)
+        out = np.empty((reps, n))
+        for j in range(n // q):
+            lo_t, hi_t = q * j + 1 - m, q * j + q
+            window = innovations[:, np.arange(lo_t, hi_t + 1) + m - 1].copy()
+            fresh = (np.arange(lo_t, hi_t + 1) <= q * (j - 1)) if j >= 1 \
+                else np.zeros(hi_t - lo_t + 1, dtype=bool)
+            if fresh.any():
+                window[:, fresh] = model.sigma * rng.standard_normal(
+                    (reps, int(fresh.sum())))
+            vals = np.zeros((reps, q))
+            for jj in range(m + 1):
+                vals += w[jj] * window[:, m - jj: m - jj + q]
+            out[:, q * j: q * j + q] = vals
+        return out
+    reps, n = innovations.shape
+    nblocks = n // q
+    out = np.empty((reps, n))
+    out[:, :q] = values[:, :q]
+    state0 = model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
+    for j in range(1, nblocks):
+        state = state0[:, j]
+        for u in range(q):
+            state = model.step(state, innovations[:, q * (j - 1) + u])
+        for u in range(q):
+            state = model.step(state, innovations[:, q * j + u])
+            out[:, q * j + u] = state
+    return out
+
+
+@pytest.mark.parametrize("model", [
+    pr.iid_model(1.3), pr.ar1_model(0.9, sigma=0.7), pr.lazy_renewal_model(1.5),
+    pr.ma_model(3), pr.ma_model(7, sigma=1.2),
+], ids=lambda m: m.spec())
+def test_replicate_many_matches_per_block_loops(model):
+    # The memory reaches past one block (fresh noise) at q = 1 for both moving
+    # averages and at q = 4 for MA(7); q = 12 and q = n cover it.
+    n = 96
+    for reps in (1, 40):
+        vals, innov, _ = pr.simulate_many(model, n, reps, seed=reps)
+        for q in (1, 4, 12, n):
+            got = cp.replicate_many(model, vals, innov, q, seed=3, tag=q)
+            rng = np.random.default_rng(pr._seed_seq(3, 0xC0FF, q))
+            want = _reference_replica(model, vals, innov, q, rng)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_replica_marginal_law_ks():
     model = pr.ar1_model(0.8)
     vals, innov, _ = pr.simulate_many(model, 768, 800, seed=4)
@@ -91,6 +146,17 @@ def test_block_independence_replica_passes_raw_fails():
     assert cp.block_independence_test(replica, 8, "even").passed
     assert cp.block_independence_test(replica, 8, "odd").passed
     assert not cp.block_independence_test(vals, 2, "even").passed
+
+
+def test_block_independence_ma_memory_beyond_block():
+    # MA(7) with q = 4: each replica block draws fresh noise for the part of
+    # its window that reaches back past the previous block.
+    model = pr.ma_model(7)
+    vals, replica = cp.coupled_paths(model, 384, 4, 200, seed=1, tag=0)
+    assert cp.block_independence_test(replica, 4, "even").passed
+    assert cp.block_independence_test(replica, 4, "odd").passed
+    assert not cp.block_independence_test(vals, 4, "even").passed
+    assert not cp.block_independence_test(vals, 4, "odd").passed
 
 
 def test_block_independence_needs_enough_blocks():

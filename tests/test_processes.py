@@ -37,6 +37,57 @@ def test_simulate_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+MODELS = {
+    "iid": pr.iid_model(1.3),
+    "ar1": pr.ar1_model(0.9, sigma=0.7),
+    "ma3": pr.ma_model(3),
+    "ma7": pr.ma_model(7, sigma=1.2),
+    "lazy": pr.lazy_renewal_model(1.5),
+}
+
+
+def _reference_core(model, n, reps, rng):
+    """Per-step simulation loops: the reference the shared kernels must match."""
+    if model.kind == "iid":
+        innov = model.scale * rng.standard_normal((reps, n))
+        return innov.copy(), innov, np.zeros(reps)
+    if model.kind == "ma":
+        m = model.m
+        w = np.asarray(model.weights)
+        innov = model.sigma * rng.standard_normal((reps, n + m))
+        vals = np.zeros((reps, n))
+        for j in range(m + 1):
+            vals += w[j] * innov[:, m - j: m - j + n]
+        return vals, innov, np.zeros(reps)
+    if model.kind == "ar1":
+        starts = model.marginal_sd() * rng.standard_normal(reps)
+        innov = model.sigma * rng.standard_normal((reps, n))
+    else:
+        starts = model.stationary_sample(reps, rng)
+        innov = rng.random((reps, n))
+    vals = np.empty((reps, n))
+    state = starts.copy()
+    for t in range(n):
+        if model.kind == "ar1":
+            state = model.rho * state + innov[:, t]
+        else:
+            state = model.step(state, innov[:, t])
+        vals[:, t] = state
+    return vals, innov, starts
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_simulate_core_matches_per_step_loops(kind):
+    model = MODELS[kind]
+    for n in (1, 36, 384):
+        for reps in (1, 40):
+            seq = pr._seed_seq(n, reps)
+            got = pr._simulate_core(model, n, reps, np.random.default_rng(seq))
+            want = _reference_core(model, n, reps, np.random.default_rng(seq))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_iid_moments():
     vals, _, _ = pr.simulate_many(pr.iid_model(), 4, 40000, seed=1)
     assert abs(vals.mean()) < 0.02
