@@ -9,7 +9,7 @@ from .mixing import (MixingEstimate, MixingProfile, estimate_alpha, estimate_tau
                      monotone_envelope, parse_profile, polynomial_profile,
                      tabulated_profile)
 from .norms import (BlockMoment, QuantileCurve, active_lag_count, block_moment,
-                    dependence_norm, holder_factor)
+                    dependence_norm, dependence_norms, holder_factor)
 from .rates import (RateReport, UniversalConstants, closed_form_envelopes,
                     effective_sample_size, maximal_bound, rate_factor,
                     rate_report, rate_table, regime_classify, strong_approx_rate,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import BlockSchedule, block_schedule
 from .mixing import MixingProfile
-from .norms import QuantileCurve, dependence_norm
+from .norms import QuantileCurve, dependence_norm, dependence_norms
 
 EXACT_SEARCH_LIMIT = 8
 LEVEL1_CAP = 4  # cardinality cap 2^(2^l) at l = 1
@@ -52,6 +52,8 @@ class FunctionClass:
             raise ChainingError("table must be a non-empty (members, points) array")
         if w.shape != (t.shape[1],):
             raise ChainingError("weights must match the number of grid points")
+        if not (np.isfinite(t).all() and np.isfinite(w).all()):
+            raise ChainingError("table and weights must be finite")
         if np.any(w < 0) or not math.isclose(float(w.sum()), 1.0, rel_tol=1e-9):
             raise ChainingError("weights must be non-negative and sum to 1")
         object.__setattr__(self, "table", t)
@@ -143,20 +145,27 @@ NormFn = Callable[[np.ndarray, np.ndarray], float]
 class NormFamily:
     """Per-level seminorm evaluators d_0, d_1, ... applied to |vectors|.
 
-    Every evaluator must be monotone under pointwise domination of absolute
-    values (all families built here are); the exact partition search relies
-    on that to force full separation as soon as the cardinality caps allow.
+    ``evaluator(level, rows, weights)`` scores every row of a (rows, points)
+    array of absolute values at once.  Every evaluator must be monotone
+    under pointwise domination of absolute values (all families built here
+    are); the exact partition search relies on that to force full
+    separation as soon as the cardinality caps allow.
     """
 
-    evaluator: Callable[[int, np.ndarray, np.ndarray], float]
+    evaluator: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     label: str
 
+    def norms(self, level: int, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return np.asarray(self.evaluator(level, np.abs(rows), weights), dtype=float)
+
     def norm(self, level: int, vec: np.ndarray, weights: np.ndarray) -> float:
-        return float(self.evaluator(level, np.abs(vec), weights))
+        return float(self.norms(level, np.reshape(vec, (1, -1)), weights)[0])
 
 
 def constant_family(norm_fn: NormFn, label: str) -> NormFamily:
-    return NormFamily(evaluator=lambda level, v, w: norm_fn(v, w), label=label)
+    """A family whose every level is the scalar ``norm_fn``, applied per row."""
+    return NormFamily(evaluator=lambda level, rows, w: [norm_fn(v, w) for v in rows],
+                      label=label)
 
 
 def l2_family() -> NormFamily:
@@ -174,11 +183,8 @@ def lr_family(r: float) -> NormFamily:
 def schedule_family(schedule: BlockSchedule) -> NormFamily:
     """Level l evaluates the dependence norm at the level-l block length."""
 
-    def ev(level: int, v: np.ndarray, w: np.ndarray) -> float:
-        if not np.any(v > 0):
-            return 0.0
-        curve = QuantileCurve.from_discrete(v, w)
-        return dependence_norm(curve, schedule.q_at(level), schedule.profile)
+    def ev(level: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return dependence_norms(rows, w, schedule.q_at(level), schedule.profile)
 
     return NormFamily(evaluator=ev, label=f"schedule:n={schedule.n}")
 
@@ -186,10 +192,8 @@ def schedule_family(schedule: BlockSchedule) -> NormFamily:
 def dependence_family(profile: MixingProfile, q: int) -> NormFamily:
     """A constant family pinned at one block length."""
 
-    def ev(level: int, v: np.ndarray, w: np.ndarray) -> float:
-        if not np.any(v > 0):
-            return 0.0
-        return dependence_norm(QuantileCurve.from_discrete(v, w), q, profile)
+    def ev(level: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return dependence_norms(rows, w, q, profile)
 
     return NormFamily(evaluator=ev, label=f"dependence:q={q}")
 
@@ -237,18 +241,23 @@ def _mask(cell: Iterable[int]) -> int:
     return sum(1 << i for i in cell)
 
 
-def _memo_cell_norm(cls: FunctionClass, family: NormFamily
-                    ) -> Callable[[int, Sequence[int]], float]:
-    """d_level(cell diameter), memoised per (level, cell bitmask) for one call."""
+CellNorms = Callable[[int, Sequence[Sequence[int]]], list[float]]
+
+
+def _memo_cell_norms(cls: FunctionClass, family: NormFamily) -> CellNorms:
+    """d_level(cell diameter) per cell, memoised per (level, cell bitmask) for
+    one call; the cells a request misses are scored in one ``norms`` call."""
     memo: dict[tuple[int, int], float] = {}
 
-    def cell_norm(level: int, cell: Sequence[int]) -> float:
-        key = (level, _mask(cell))
-        if key not in memo:
-            memo[key] = family.norm(level, cell_diameter(cls, cell), cls.weights)
-        return memo[key]
+    def cell_norms(level: int, cells: Sequence[Sequence[int]]) -> list[float]:
+        keys = [(level, _mask(cell)) for cell in cells]
+        missing = {key: cell for key, cell in zip(keys, cells) if key not in memo}
+        if missing:
+            rows = np.array([cell_diameter(cls, cell) for cell in missing.values()])
+            memo.update(zip(missing, family.norms(level, rows, cls.weights).tolist()))
+        return [memo[key] for key in keys]
 
-    return cell_norm
+    return cell_norms
 
 
 def sequence_value(cls: FunctionClass, family: NormFamily,
@@ -259,20 +268,18 @@ def sequence_value(cls: FunctionClass, family: NormFamily,
     singleton the remaining terms vanish, so the sum is finite for fully
     separated sequences.
     """
-    return _sequence_value(cls, seq, _memo_cell_norm(cls, family))
+    return _sequence_value(cls, seq, _memo_cell_norms(cls, family))
 
 
 def _sequence_value(cls: FunctionClass, seq: PartitionSequence,
-                    cell_norm: Callable[[int, Sequence[int]], float]) -> float:
+                    cell_norms: CellNorms) -> float:
     if not seq.fully_separated():
         raise ChainingError("sequence must reach singleton cells")
     per_member = np.zeros(cls.size)
     for level, part in enumerate(seq.levels):
         coeff = 2.0 ** (level / 2.0)
-        for cell in part:
-            if len(cell) == 1:
-                continue
-            d = cell_norm(level, cell)
+        cells = [cell for cell in part if len(cell) > 1]
+        for cell, d in zip(cells, cell_norms(level, cells)):
             for i in cell:
                 per_member[i] += coeff * d
     return math.sqrt(2.0) * float(per_member.max())
@@ -320,10 +327,10 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
     families nothing is lost by separating fully as soon as the caps allow,
     so only the level-1 partition (cap 4) is a genuine choice for classes
     of up to eight members.  Cells are indexed by member bitmask: every
-    cell diameter comes from one subset table, each multi-member cell's
-    level-1 norm is evaluated once, and the level-1 partitions are scored
-    together; the first minimum wins.  Classes above the search budget are
-    refused; use :func:`complexity_greedy` there.
+    cell diameter comes from one subset table, every multi-member cell's
+    level-1 norm comes from one ``norms`` call, and the level-1 partitions
+    are scored together; the first minimum wins.  Classes above the search
+    budget are refused; use :func:`complexity_greedy` there.
     """
     size = cls.size
     if size > EXACT_SEARCH_LIMIT:
@@ -342,9 +349,9 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
     diam = _subset_diameters(cls.table)
     d0 = family.norm(0, diam[-1], cls.weights)
     d1 = np.zeros(len(diam))
-    for s in np.unique(masks).tolist():
-        if s & (s - 1):  # two or more members
-            d1[s] = family.norm(1, diam[s], cls.weights)
+    cells = np.unique(masks)
+    cells = cells[(cells & (cells - 1)) != 0]  # two or more members
+    d1[cells] = family.norms(1, diam[cells], cls.weights)
     sqrt2 = math.sqrt(2.0)
     vals = sqrt2 * (d0 + sqrt2 * d1[masks].max(axis=1))
     best = int(np.argmin(vals))
@@ -364,7 +371,8 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
     its two most separated members until the level's cardinality cap is
     reached.  Always at least the exact value; equal on classes of size
     up to two, where the refinement is forced.  Norms are memoised per
-    (level, cell); a pair's distance is the norm of its two-member cell.
+    (level, cell); a pair's distance is the norm of its two-member cell, and
+    the pairs of the cell being split are scored in one ``norms`` call.
     """
     size = cls.size
     indices = list(range(size))
@@ -372,21 +380,23 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
         depth = _separation_level(size) + 1
     levels: list[Partition] = [_normalize_partition([indices])]
     current: list[list[int]] = [indices[:]]
-    cell_norm = _memo_cell_norm(cls, family)
+    cell_norms = _memo_cell_norms(cls, family)
 
     def dist(level: int, i: int, j: int) -> float:
-        return cell_norm(level, (i, j))
+        return cell_norms(level, [(i, j)])[0]
 
     for level in range(1, depth + 1):
         cap = 2 ** (2**level)
         current = [list(c) for c in current]
         while len(current) < min(cap, size):
-            scored = [(cell_norm(level, c), k) for k, c in enumerate(current) if len(c) > 1]
-            if not scored:
+            multi = [k for k, c in enumerate(current) if len(c) > 1]
+            if not multi:
                 break
-            _, k = max(scored)
+            _, k = max(zip(cell_norms(level, [current[k] for k in multi]), multi))
             cell = current[k]
-            si, sj = max(combinations(cell, 2), key=lambda p: dist(level, *p))
+            pairs = list(combinations(cell, 2))
+            cell_norms(level, pairs)  # fills the memo in one call
+            si, sj = max(pairs, key=lambda p: dist(level, *p))
             a, b = [si], [sj]
             for x in cell:
                 if x in (si, sj):
@@ -400,7 +410,7 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
     seq = PartitionSequence(levels=tuple(levels))
     if not seq.fully_separated():
         raise ChainingError("greedy refinement did not reach singletons; raise depth")
-    return _sequence_value(cls, seq, cell_norm)
+    return _sequence_value(cls, seq, cell_norms)
 
 
 # -- covering numbers ------------------------------------------------------

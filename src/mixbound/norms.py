@@ -50,20 +50,9 @@ class QuantileCurve:
         """Exact curve of |f| under a finite discrete distribution."""
         v = np.abs(np.asarray(values, dtype=float).ravel())
         p = np.asarray(probs, dtype=float).ravel()
-        if v.shape != p.shape or v.size == 0:
-            raise ValueError("values and probs must be equal-length and non-empty")
-        if np.any(p < 0) or not math.isclose(p.sum(), 1.0, rel_tol=1e-9):
-            raise ValueError("probs must be non-negative and sum to 1")
-        uniq, inv = np.unique(v, return_inverse=True)
-        mass = np.zeros_like(uniq)
-        np.add.at(mass, inv, p)
-        keep = (uniq > 0) & (mass > 0)
-        uniq, mass = uniq[keep][::-1], mass[keep][::-1]  # descending values
-        cum = np.minimum(np.cumsum(mass), 1.0)  # cumsum can overshoot 1 by 1 ulp
-        # Masses below float resolution leave the cumulative unchanged; drop them.
-        strict = np.diff(np.concatenate([[0.0], cum])) > 0
-        return cls(breaks=tuple(float(c) for c in cum[strict]),
-                   values=tuple(float(x) for x in uniq[strict]))
+        _check_discrete(v, p)
+        breaks, steps = _discrete_curves(v[None], p)
+        return cls(breaks=tuple(breaks[0].tolist()), values=tuple(steps[0, :-1].tolist()))
 
     @classmethod
     def from_sample(cls, sample) -> "QuantileCurve":
@@ -139,23 +128,112 @@ def active_lag_count(u: float, q: int, profile: MixingProfile) -> int:
     return int(np.count_nonzero(half >= u))
 
 
-def _mu_on_rights(rights: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Vector of active-lag counts evaluated at interval right endpoints."""
+def _check_discrete(v: np.ndarray, p: np.ndarray) -> None:
+    """Validate |values| (one row or a (rows, points) array) and their probs."""
+    if v.shape[-1:] != p.shape or v.size == 0:
+        raise ValueError("values and probs must be equal-length and non-empty")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    if (p < 0).any() or not math.isclose(p.sum(), 1.0, rel_tol=1e-9):
+        raise ValueError("probs must be non-negative and sum to 1")
+
+
+def _discrete_curves(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1: the quantile curve of every row of ``a`` (= |f|) under ``p``.
+
+    Returns ``(breaks, steps)``: row r's curve has the entries of
+    ``breaks[r]`` up to 1 as its breaks (the padding is 2, past every cut)
+    and ``steps[r]`` as Q on each break interval followed by zeros.  Tie
+    masses are accumulated with ``np.add.at`` in index order and cumulated
+    along the row, so every curve carries the bits of the one-row build.
+    """
+    rows, pts = a.shape
+    row = np.arange(rows)[:, None]
+    order = a.argsort(axis=1)
+    srt = a[row, order]
+    group = np.ones(a.shape, dtype=np.intp)
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=group[:, 1:], casting="unsafe")
+    group.cumsum(axis=1, out=group)
+    np.subtract(group[:, -1:], group, out=group)  # 0 = largest distinct value
+    value = np.zeros(a.shape)
+    value[row, group] = srt
+    gid = np.empty_like(group)
+    gid[row, order] = group + row * pts
+    mass = np.zeros(a.shape)
+    np.add.at(mass.ravel(), gid.ravel(), np.tile(p, rows))  # index order within each row
+    # Groups are dropped below for zero mass, which adds exactly 0.0 to the
+    # running sum, or for the value 0, which comes last; so the kept groups'
+    # cumulative masses are those of a sum over the kept groups alone.
+    cum = np.minimum(mass.cumsum(axis=1), 1.0)   # cumsum can overshoot 1 by 1 ulp
+    # Masses below float resolution leave the cumulative unchanged; drop them.
+    strict = (value > 0) & (mass > 0)
+    strict[:, 0] &= cum[:, 0] > 0
+    strict[:, 1:] &= cum[:, 1:] > cum[:, :-1]
+    col = strict.cumsum(axis=1)[strict] - 1
+    r = strict.nonzero()[0]
+    width = int(col.max()) + 1 if col.size else 0
+    breaks = np.full((rows, width), 2.0)
+    breaks[r, col] = cum[strict]
+    steps = np.zeros((rows, width + 1))
+    steps[r, col] = value[strict]
+    return breaks, steps
+
+
+def _merged_cuts(breaks: np.ndarray, half: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's cuts: its breaks merged with 0, the half-levels and 1.
+
+    Returns ``(cuts, below, nterms)``: row r's distinct cuts within [0, 1]
+    in increasing order fill ``cuts[r, :nterms[r] + 1]``, and ``below`` holds
+    the number of the row's breaks at or below each cut.  Breaks sort before
+    equal common cuts, so that count, taken at a cut's first occurrence,
+    includes a break equal to the cut.
+    """
+    rows, width = breaks.shape
+    row = np.arange(rows)[:, None]
+    cuts = np.empty((rows, width + half.size + 2))
+    cuts[:, :width] = breaks
+    cuts[:, width:] = np.concatenate(([0.0], half, [1.0]))
+    order = cuts.argsort(axis=1, kind="stable")
+    cuts = cuts[row, order]
+    below = np.cumsum(order < width, axis=1, out=order)
+    keep = (cuts >= 0.0) & (cuts <= 1.0)
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    nterms = keep.sum(axis=1) - 1
+    front = (~keep).argsort(axis=1, kind="stable")[:, : nterms.max() + 1]
+    cuts = cuts[row, front]
+    return cuts, below[row, front], nterms
+
+
+def _weight_integrals(breaks: np.ndarray, steps: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Stage 2: integral of count(u) * Q(u)^2 over (0, 1] for every curve.
+
+    ``breaks`` and ``steps`` are as :func:`_discrete_curves` returns them.
+    Each row is summed over exactly its own intervals, so it carries the
+    bits of the one-curve sum.
+    """
+    cuts, below, nterms = _merged_cuts(breaks, half)
+    left, right = cuts[:, :-1], cuts[:, 1:]
     half_sorted = np.sort(half)
     # count of half-levels >= u  ==  len - first index with level >= u
-    idx = np.searchsorted(half_sorted, rights, side="left")
-    return (half_sorted.size - idx).astype(float)
+    mu = np.searchsorted(half_sorted, right, side="left")
+    mu = np.subtract(half_sorted.size, mu, out=mu).astype(float)
+    # right-continuous: the value on [left, right)
+    qvals = np.take_along_axis(steps, below[:, :-1], axis=1)
+    terms = right - left                         # (right - left) * mu * qvals**2,
+    terms *= mu                                  # in place: a row can hold a
+    terms *= np.square(qvals, out=qvals)         # 1e5-point curve
+    out = np.empty(len(terms))
+    for n in set(nterms.tolist()):
+        sel = nterms == n
+        out[sel] = terms[sel, :n].sum(axis=1)
+    return out
 
 
 def norm_weight_integral(curve: QuantileCurve, q: int, profile: MixingProfile) -> float:
     """Exact value of the step-function integral of count(u) * Q(u)^2 over (0, 1]."""
-    half = profile.half_levels(q)
-    cuts = np.unique(np.concatenate([[0.0], half, curve._breaks, [1.0]]))
-    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-    left, right = cuts[:-1], cuts[1:]
-    mu = _mu_on_rights(right, half)
-    qvals = curve.q_at(left)  # right-continuous: value on [left, right)
-    return float(((right - left) * mu * qvals**2).sum())
+    return float(_weight_integrals(curve._breaks[None], curve._steps[None],
+                                   profile.half_levels(q))[0])
 
 
 def dependence_norm(curve: QuantileCurve, q: int, profile: MixingProfile) -> float:
@@ -165,6 +243,22 @@ def dependence_norm(curve: QuantileCurve, q: int, profile: MixingProfile) -> flo
     lag zero, and grows with q at the rate the profile's tail dictates.
     """
     return math.sqrt(2.0 * norm_weight_integral(curve, q, profile))
+
+
+def dependence_norms(rows, weights, q: int, profile: MixingProfile) -> np.ndarray:
+    """dependence_norm of the discrete curve of |row| under ``weights``, per row.
+
+    Bit for bit the same as ``dependence_norm(QuantileCurve.from_discrete(
+    row, weights), q, profile)`` for every row of the (rows, points) array,
+    and 0.0 for an all-zero row; the half-levels are computed once.
+    """
+    a = np.abs(np.asarray(rows, dtype=float))
+    p = np.asarray(weights, dtype=float).ravel()
+    if a.ndim != 2:
+        raise ValueError("rows must be a (rows, points) array")
+    _check_discrete(a, p)
+    integrals = _weight_integrals(*_discrete_curves(a, p), profile.half_levels(q))
+    return np.sqrt(2.0 * integrals)
 
 
 def holder_factor(q: int, r: float, profile: MixingProfile) -> float:

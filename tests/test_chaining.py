@@ -354,3 +354,27 @@ def test_center_offset_dominated_by_diameter():
         for level in range(1, seq.depth + 1):
             diam = ch.cell_diameter(cls, seq.cell_of(level, f))
             assert np.all(np.abs(dec.xis[level]) <= diam + 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_function_class_rejects_non_finite(bad):
+    table = np.array([[0.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(ch.ChainingError, match="finite"):
+        ch.FunctionClass(table=np.where(table == 2.0, bad, table),
+                         weights=np.array([0.5, 0.5]))
+    with pytest.raises(ch.ChainingError, match="finite"):
+        ch.FunctionClass(table=table, weights=np.array([bad, 0.5]))
+
+
+@pytest.mark.parametrize("family", FAMILIES + [
+    ch.schedule_family(gr.block_schedule(48, mx.polynomial_profile(1.0)))],
+    ids=lambda fam: fam.label)
+def test_norms_is_the_batched_norm(family):
+    rng = np.random.default_rng(8)
+    rows = rng.normal(0, 1, (7, 12))
+    rows[3] = 0.0
+    w = rng.dirichlet(np.ones(12))
+    for level in (0, 1, 2):
+        got = family.norms(level, rows, w)
+        assert got.tolist() == [family.norm(level, row, w) for row in rows]
+        assert got[3] == 0.0

@@ -149,6 +149,28 @@ def test_norms_json(capsys, tmp_path):
     assert payload["mu_breakpoints"] == sorted(payload["mu_breakpoints"])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_norms_rejects_non_finite_sample(capsys, tmp_path, bad):
+    curve_file = tmp_path / "curve.csv"
+    curve_file.write_text(f"1.0\n{bad}\n2.0\n")
+    with pytest.raises(SystemExit, match="values must be finite"):
+        cli.main(["norms", "--profile", "poly:m=1.5", "--q", "8",
+                  "--curve", str(curve_file)])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("family", ["constant:l2", "schedule:n=384,profile=poly:m=1"])
+@pytest.mark.parametrize("field", ["table", "weights"])
+def test_gamma_rejects_non_finite_class(capsys, tmp_path, family, field):
+    payload = {"table": [[0.0, 1.0], [1.0, 2.0]], "weights": [0.5, 0.5]}
+    payload[field][-1] = [math.nan, 2.0] if field == "table" else math.nan
+    class_file = tmp_path / "cls.json"
+    class_file.write_text(json.dumps(payload))  # json writes NaN, and reads it back
+    with pytest.raises(SystemExit, match="must be finite"):
+        cli.main(["gamma", "--class-file", str(class_file), "--norms", family])
+    assert capsys.readouterr().out == ""
+
+
 def test_gamma_subcommand(capsys, tmp_path):
     rng = np.random.default_rng(1)
     class_file = tmp_path / "cls.json"

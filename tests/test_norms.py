@@ -189,3 +189,113 @@ def test_tail_truncation_bound():
         assert lhs <= rhs * (1 + 1e-12)
         tested += 1
     assert tested >= 60
+
+
+# -- the batched kernel against the former scalar code -------------------------
+
+
+def _reference_from_discrete(values, probs):
+    """The former one-row curve build: (breaks, values) of |f| under probs."""
+    v = np.abs(np.asarray(values, dtype=float).ravel())
+    p = np.asarray(probs, dtype=float).ravel()
+    uniq, inv = np.unique(v, return_inverse=True)
+    mass = np.zeros_like(uniq)
+    np.add.at(mass, inv, p)
+    keep = (uniq > 0) & (mass > 0)
+    uniq, mass = uniq[keep][::-1], mass[keep][::-1]
+    cum = np.minimum(np.cumsum(mass), 1.0)
+    strict = np.diff(np.concatenate([[0.0], cum])) > 0
+    return tuple(float(c) for c in cum[strict]), tuple(float(x) for x in uniq[strict])
+
+
+def _reference_norm(breaks, values, q, profile):
+    """The former one-curve integral over the merged cuts, as a norm."""
+    b = np.asarray(breaks, dtype=float)
+    steps = np.concatenate([np.asarray(values, dtype=float), [0.0]])
+    half = profile.half_levels(q)
+    cuts = np.unique(np.concatenate([[0.0], half, b, [1.0]]))
+    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+    left, right = cuts[:-1], cuts[1:]
+    half_sorted = np.sort(half)
+    mu = (half_sorted.size - np.searchsorted(half_sorted, right, side="left")).astype(float)
+    qvals = steps[np.searchsorted(b, left, side="right")]
+    return math.sqrt(2.0 * float(((right - left) * mu * qvals**2).sum()))
+
+
+KERNEL_PROFILES = {
+    "iid": mx.iid_profile(),
+    "poly": mx.polynomial_profile(1.5),
+    "expo": mx.exponential_profile(0.8),
+    "table-zero": mx.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1]),
+    "table-hold": mx.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1], tail="hold"),
+}
+
+
+def _kernel_cases(rng, points):
+    """Random, integer-valued (heavy ties) and rounded rows, with zero rows."""
+    rows = rng.normal(0, 1, (5, points))
+    yield rows, rng.dirichlet(np.ones(points))
+    ties = rng.integers(-3, 4, (6, points)).astype(float)
+    ties[2] = 0.0
+    yield ties, np.full(points, 1.0 / points)
+    rounded = np.round(rng.standard_t(3, (4, points)), 1)
+    weights = rng.dirichlet(np.ones(points))
+    if points > 2:  # some points carry no weight
+        weights[: points // 2] = 0.0
+        weights /= weights.sum()
+    yield rounded, weights
+    yield np.zeros((3, points)), np.full(points, 1.0 / points)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PROFILES))
+def test_dependence_norms_match_scalar_reference(name):
+    prof = KERNEL_PROFILES[name]
+    rng = np.random.default_rng(11)
+    for points in (1, 2, 7, 24, 150):
+        for rows, weights in _kernel_cases(rng, points):
+            for q in (0, 1, 6, 40):
+                got = nm.dependence_norms(rows, weights, q, prof)
+                assert got.shape == (rows.shape[0],)
+                for row, value in zip(rows, got):
+                    breaks, vals = _reference_from_discrete(row, weights)
+                    expect = _reference_norm(breaks, vals, q, prof)
+                    if not np.any(row != 0):
+                        assert value == 0.0
+                    assert value == expect
+                    # The one-row view: the curve build and the integral.
+                    if breaks:
+                        curve = nm.QuantileCurve.from_discrete(row, weights)
+                        assert (curve.breaks, curve.values) == (breaks, vals)
+                        assert nm.dependence_norm(curve, q, prof) == expect
+
+
+def test_dependence_norms_large_sample_curve():
+    # The shape of the ``norms`` subcommand: an empirical t(5) curve.
+    rng = np.random.default_rng(5)
+    x = rng.standard_t(5, 10**5)
+    prof = mx.polynomial_profile(1.5)
+    breaks, vals = _reference_from_discrete(x, np.full(x.size, 1.0 / x.size))
+    expect = _reference_norm(breaks, vals, 1000, prof)
+    curve = nm.QuantileCurve.from_sample(x)
+    assert (curve.breaks, curve.values) == (breaks, vals)
+    assert nm.dependence_norm(curve, 1000, prof) == expect
+    assert nm.dependence_norms(x[None], np.full(x.size, 1.0 / x.size), 1000,
+                               prof).tolist() == [expect]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_discrete_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        nm.QuantileCurve.from_discrete([1.0, bad, 2.0], [1 / 3, 1 / 3, 1 / 3])
+    with pytest.raises(ValueError, match="finite"):
+        nm.QuantileCurve.from_sample([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        nm.dependence_norms([[1.0, 2.0, 3.0], [1.0, bad, 2.0]], [1 / 3, 1 / 3, 1 / 3],
+                            4, mx.iid_profile())
+
+
+def test_dependence_norms_validates_weights():
+    with pytest.raises(ValueError, match="sum to 1"):
+        nm.dependence_norms([[1.0, 2.0]], [0.5, 0.6], 3, mx.iid_profile())
+    with pytest.raises(ValueError, match="equal-length"):
+        nm.dependence_norms([[1.0, 2.0]], [1.0], 3, mx.iid_profile())

@@ -1,0 +1,34 @@
+"""Smoke tests for the sweep scripts: each runs as a user runs it, at a small
+size, and must exit 0 and print its summary line."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("name, args, summary", [
+    ("rate_sweep.py", ["--n-max", "100000"],
+     r"^m= 0\.500 regime=slow +fitted slope=[+-]\d\.\d{4} predicted growth n\^\+0\.5000"),
+    ("coupling_gap_sweep.py", ["--reps", "50"],
+     r"^log-gap slope [+-]\d\.\d{4} vs log\(rho\) -0\.1054$"),
+    ("strong_approx_grid.py", ["--reps", "50"],
+     r"^monotone non-increasing: (True|False); below bound everywhere: (True|False)$"),
+])
+def test_script_runs(name, args, summary):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(summary, proc.stdout, re.MULTILINE), proc.stdout
