@@ -9,10 +9,12 @@ and suite, and identical runs give identical reports.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -50,11 +52,32 @@ def _reps(base: int, scale: float, floor: int = 30) -> int:
     return max(int(round(base * scale)), floor)
 
 
+CRITERIA: dict[str, Callable[..., CriterionResult]] = {}
+
+
+def _criterion(cid: str, title: str):
+    """Register a check as criterion ``cid`` in ``CRITERIA``, in definition order.
+
+    The check takes (seed, scale) and returns (passed, details); the
+    registered function times it and wraps the pair in a CriterionResult.
+    """
+    def register(check):
+        @functools.wraps(check)
+        def run(seed: int, scale: float = 1.0) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = check(seed, scale)
+            return CriterionResult(cid=cid, title=title, passed=bool(passed),
+                                   seconds=time.perf_counter() - t0, details=details)
+        CRITERIA[cid] = run
+        return run
+    return register
+
+
 # -- A1: divisor gaps --------------------------------------------------------
 
 
-def criterion_divisor_gap(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A1", "consecutive divisor gap at most two on the full lattice")
+def criterion_divisor_gap(seed: int, scale: float) -> tuple[bool, dict]:
     worst = 0.0
     count = 0
     ok = True
@@ -65,11 +88,7 @@ def criterion_divisor_gap(seed: int, scale: float = 1.0) -> CriterionResult:
             worst = max(worst, chain.max_ratio)
             ok &= chain.gap_ok
             count += 1
-    return CriterionResult(
-        cid="A1", title="consecutive divisor gap at most two on the full lattice",
-        passed=ok, seconds=time.perf_counter() - t0,
-        details={"members_checked": count, "worst_ratio": worst},
-    )
+    return ok, {"members_checked": count, "worst_ratio": worst}
 
 
 # -- A2: schedule closed forms -------------------------------------------------
@@ -82,8 +101,9 @@ def _smallest_divisor_at_least(n: int, x: float) -> int:
     raise AssertionError("n itself always qualifies")  # pragma: no cover
 
 
-def criterion_schedule_forms(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A2", "block schedules: unit under independence, n/4 divisor "
+            "under long memory, non-increasing levels")
+def criterion_schedule_forms(seed: int, scale: float) -> tuple[bool, dict]:
     members = gr.lattice_members(3, 2500)[:50]
     rng = np.random.default_rng(_derive_seed(seed, 2))
     iid = mx.iid_profile()
@@ -106,19 +126,14 @@ def criterion_schedule_forms(seed: int, scale: float = 1.0) -> CriterionResult:
             seq = gr.block_schedule(n, prof).q_seq
             if any(a < b for a, b in zip(seq, seq[1:])):
                 failures.append(("monotone", n, prof.spec()))
-    return CriterionResult(
-        cid="A2", title="block schedules: unit under independence, n/4 divisor "
-        "under long memory, non-increasing levels",
-        passed=not failures, seconds=time.perf_counter() - t0,
-        details={"n_checked": len(members), "failures": failures[:10]},
-    )
+    return not failures, {"n_checked": len(members), "failures": failures[:10]}
 
 
 # -- A3: count sandwich --------------------------------------------------------
 
 
-def criterion_count_sandwich(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A3", "integer count squeezed by the generalized inverse")
+def criterion_count_sandwich(seed: int, scale: float) -> tuple[bool, dict]:
     profiles = [mx.iid_profile(), mx.m_dependent_profile(7),
                 mx.polynomial_profile(1.5), mx.exponential_profile(0.8)]
     # Open interval (0, 1/2): at u exactly 1/2 a profile flat at one makes the
@@ -133,18 +148,14 @@ def criterion_count_sandwich(seed: int, scale: float = 1.0) -> CriterionResult:
                 inv = prof.inverse(2.0 * float(u))
                 if not (min(inv, q + 1) <= mu <= min(inv + 1, q + 1)):
                     bad += 1
-    return CriterionResult(
-        cid="A3", title="integer count squeezed by the generalized inverse",
-        passed=bad == 0, seconds=time.perf_counter() - t0,
-        details={"grid_points": us.size, "violations": bad},
-    )
+    return bad == 0, {"grid_points": us.size, "violations": bad}
 
 
 # -- A4: closed-form envelopes ---------------------------------------------------
 
 
-def criterion_envelopes(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A4", "exact comparison factor inside its closed-form envelopes")
+def criterion_envelopes(seed: int, scale: float) -> tuple[bool, dict]:
     qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
     cases = [
         (1, 7.0, 4.0, mx.m_dependent_profile(7)),
@@ -163,19 +174,15 @@ def criterion_envelopes(seed: int, scale: float = 1.0) -> CriterionResult:
             if not (lo * (1 - REL_GUARD) <= b <= hi * (1 + REL_GUARD)):
                 violations.append({"case": case, "q": q, "lo": lo, "b": b, "hi": hi})
         margins[f"case{case}"] = worst
-    return CriterionResult(
-        cid="A4", title="exact comparison factor inside its closed-form envelopes",
-        passed=not violations, seconds=time.perf_counter() - t0,
-        details={"q_grid": len(qs), "min_margins": margins,
-                 "violations": violations[:5]},
-    )
+    return not violations, {"q_grid": len(qs), "min_margins": margins,
+                            "violations": violations[:5]}
 
 
 # -- A5: rate regimes -------------------------------------------------------------
 
 
-def criterion_rate_regimes(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A5", "rate-factor growth matches the predicted regime exponents")
+def criterion_rate_regimes(seed: int, scale: float) -> tuple[bool, dict]:
     r = 4.0
     members = [n for n in gr.lattice_members(3, 10**7) if n >= 10**3]
     ns = np.asarray(members, dtype=float)
@@ -206,18 +213,14 @@ def criterion_rate_regimes(seed: int, scale: float = 1.0) -> CriterionResult:
         rt.loglog_slope(ns[-40:], eff[-40:]) > 0.2
     checks["effective_n_growing"] = growing
     ok &= growing
-    return CriterionResult(
-        cid="A5", title="rate-factor growth matches the predicted regime exponents",
-        passed=bool(ok), seconds=time.perf_counter() - t0,
-        details={"lattice_points": len(members), **checks},
-    )
+    return ok, {"lattice_points": len(members), **checks}
 
 
 # -- A6: independence norm identity ------------------------------------------------
 
 
-def criterion_iid_norm(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A6", "independence collapses the norm to the plain second moment")
+def criterion_iid_norm(seed: int, scale: float) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 6))
     iid = mx.iid_profile()
     worst_flat = 0.0
@@ -239,12 +242,8 @@ def criterion_iid_norm(seed: int, scale: float = 1.0) -> CriterionResult:
         ratio = nm.dependence_norm(curve, int(rng.integers(0, 100)), iid) / curve.l2_norm()
         worst_ratio = (min(worst_ratio[0], ratio), max(worst_ratio[1], ratio))
         ok &= 1.0 - 1e-12 <= ratio <= math.sqrt(2.0) * (1 + 1e-12)
-    return CriterionResult(
-        cid="A6", title="independence collapses the norm to the plain second moment",
-        passed=bool(ok), seconds=time.perf_counter() - t0,
-        details={"flat_curve_worst_rel_err": worst_flat,
-                 "general_curve_ratio_range": worst_ratio},
-    )
+    return ok, {"flat_curve_worst_rel_err": worst_flat,
+                "general_curve_ratio_range": worst_ratio}
 
 
 # -- A7: complexity against the brute-force oracle -----------------------------------
@@ -314,8 +313,9 @@ def _random_classes(rng, size, count, npts=24):
         yield ch.FunctionClass(table=table, weights=weights)
 
 
-def criterion_complexity_oracle(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A7", "exact partition search equals brute-force enumeration; "
+            "greedy never beats it")
+def criterion_complexity_oracle(seed: int, scale: float) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 7))
     families = [ch.l2_family(), ch.lr_family(4.0),
                 ch.schedule_family(gr.block_schedule(36, mx.polynomial_profile(1.0))),
@@ -336,21 +336,15 @@ def criterion_complexity_oracle(seed: int, scale: float = 1.0) -> CriterionResul
         exact, _ = ch.complexity_exact(cls, fam)
         if ch.complexity_greedy(cls, fam) < exact:
             greedy_violations += 1
-    passed = not mismatches and greedy_violations == 0
-    return CriterionResult(
-        cid="A7", title="exact partition search equals brute-force enumeration; "
-        "greedy never beats it",
-        passed=passed, seconds=time.perf_counter() - t0,
-        details={"oracle_mismatches": mismatches[:5],
-                 "greedy_violations": greedy_violations},
-    )
+    return not mismatches and greedy_violations == 0, {
+        "oracle_mismatches": mismatches[:5], "greedy_violations": greedy_violations}
 
 
 # -- A8: chain identity ------------------------------------------------------------
 
 
-def criterion_chain_identity(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A8", "telescoping identity with stopping thresholds holds pointwise")
+def criterion_chain_identity(seed: int, scale: float) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 8))
     profiles = [mx.polynomial_profile(0.7), mx.exponential_profile(0.9),
                 mx.iid_profile(), mx.m_dependent_profile(4)]
@@ -378,39 +372,31 @@ def criterion_chain_identity(seed: int, scale: float = 1.0) -> CriterionResult:
                                      seq, profiles[t % len(profiles)], n)
         worst = max(worst, dec.residual)
         binding += dec.binding
-    passed = worst < 1e-12 and binding >= 5
-    return CriterionResult(
-        cid="A8", title="telescoping identity with stopping thresholds holds pointwise",
-        passed=bool(passed), seconds=time.perf_counter() - t0,
-        details={"max_residual": worst, "binding_cases": binding, "tuples": 100},
-    )
+    return worst < 1e-12 and binding >= 5, {
+        "max_residual": worst, "binding_cases": binding, "tuples": 100}
 
 
 # -- A9: half-normal calibration ------------------------------------------------------
 
 
-def criterion_half_normal(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A9", "mean absolute scaled average matches the half-normal value")
+def criterion_half_normal(seed: int, scale: float) -> tuple[bool, dict]:
     reps = _reps(2000, scale)
     model = pr.iid_model()
     member = fc.make_class("identity", model).members[0]
     vals, _, _ = pr.simulate_many(model, 384, reps, _derive_seed(seed, 9))
-    g = np.abs(vals.sum(axis=1) - 384 * member.mean) / math.sqrt(384)
-    est, se = float(g.mean()), float(g.std(ddof=1) / math.sqrt(reps))
+    est, se = pr.mean_se(np.abs(pr.centered_sums(member, vals)))
     target = math.sqrt(2.0 / math.pi)
-    passed = abs(est - target) <= 3.0 * se
-    return CriterionResult(
-        cid="A9", title="mean absolute scaled average matches the half-normal value",
-        passed=bool(passed), seconds=time.perf_counter() - t0,
-        details={"estimate": est, "std_error": se, "target": target, "reps": reps},
-    )
+    return abs(est - target) <= 3.0 * se, {
+        "estimate": est, "std_error": se, "target": target, "reps": reps}
 
 
 # -- A10: coupling exactness and contraction ------------------------------------------
 
 
-def criterion_coupling_exactness(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A10", "replica gap vanishes for memoryless cases and contracts "
+            "geometrically for the autoregression")
+def criterion_coupling_exactness(seed: int, scale: float) -> tuple[bool, dict]:
     s = _derive_seed(seed, 10)
     reps = _reps(200, scale)
     details: dict = {}
@@ -438,18 +424,15 @@ def criterion_coupling_exactness(seed: int, scale: float = 1.0) -> CriterionResu
     details["ar1_slope_band"] = [1.3 * target, 0.7 * target]
     ok &= all(a > b for a, b in zip(sweep.means, sweep.means[1:]))
     ok &= 1.3 * target <= sweep.log_slope <= 0.7 * target
-    return CriterionResult(
-        cid="A10", title="replica gap vanishes for memoryless cases and contracts "
-        "geometrically for the autoregression",
-        passed=bool(ok), seconds=time.perf_counter() - t0, details=details,
-    )
+    return ok, details
 
 
 # -- A11: block independence ------------------------------------------------------------
 
 
-def criterion_block_independence(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A11", "replica same-parity blocks uncorrelated; raw short blocks "
+            "fail the same test")
+def criterion_block_independence(seed: int, scale: float) -> tuple[bool, dict]:
     s = _derive_seed(seed, 11)
     reps = _reps(200, scale)
     model = pr.ar1_model(0.9)
@@ -457,24 +440,19 @@ def criterion_block_independence(seed: int, scale: float = 1.0) -> CriterionResu
     even = cp.block_independence_test(replica, 8, "even")
     odd = cp.block_independence_test(replica, 8, "odd")
     raw = cp.block_independence_test(vals, 2, "even")
-    passed = even.passed and odd.passed and not raw.passed
-    return CriterionResult(
-        cid="A11", title="replica same-parity blocks uncorrelated; raw short blocks "
-        "fail the same test",
-        passed=bool(passed), seconds=time.perf_counter() - t0,
-        details={
-            "replica_even_corr": even.pooled_corr, "replica_odd_corr": odd.pooled_corr,
-            "threshold": even.threshold,
-            "raw_q2_corr": raw.pooled_corr, "raw_threshold": raw.threshold,
-        },
-    )
+    return even.passed and odd.passed and not raw.passed, {
+        "replica_even_corr": even.pooled_corr, "replica_odd_corr": odd.pooled_corr,
+        "threshold": even.threshold,
+        "raw_q2_corr": raw.pooled_corr, "raw_threshold": raw.threshold,
+    }
 
 
 # -- A12: block-sum tails ---------------------------------------------------------------
 
 
-def criterion_bernstein_tails(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A12", "replica tail frequencies consistent with the block exponential "
+            "bound")
+def criterion_bernstein_tails(seed: int, scale: float) -> tuple[bool, dict]:
     s = _derive_seed(seed, 12)
     reps = _reps(5000, scale, floor=500)
     runs = []
@@ -498,11 +476,7 @@ def criterion_bernstein_tails(seed: int, scale: float = 1.0) -> CriterionResult:
                      "passed": p.passed} for p in rep.points
                 ],
             })
-    return CriterionResult(
-        cid="A12", title="replica tail frequencies consistent with the block "
-        "exponential bound", passed=bool(ok),
-        seconds=time.perf_counter() - t0, details={"reps": reps, "runs": runs},
-    )
+    return ok, {"reps": reps, "runs": runs}
 
 
 # -- A13: variance bound ------------------------------------------------------------------
@@ -525,8 +499,8 @@ def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile,
     return 2.0 * float(((b - a) * mu_right * q_right**2).sum())
 
 
-def criterion_variance_bound(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A13", "analytic block variance below twice the squared dependence norm")
+def criterion_variance_bound(seed: int, scale: float) -> tuple[bool, dict]:
     rows = []
     ok = True
     for rho in (0.5, 0.9):
@@ -539,18 +513,15 @@ def criterion_variance_bound(seed: int, scale: float = 1.0) -> CriterionResult:
             rows.append({"rho": rho, "q": q, "sigma2_sq": sigma2_sq,
                          "twice_norm_sq_lower": bound})
             ok &= sigma2_sq <= bound
-    return CriterionResult(
-        cid="A13", title="analytic block variance below twice the squared "
-        "dependence norm", passed=bool(ok),
-        seconds=time.perf_counter() - t0, details={"rows": rows},
-    )
+    return ok, {"rows": rows}
 
 
 # -- A14: strong approximation trend -------------------------------------------------------
 
 
-def criterion_strong_approx(seed: int, scale: float = 1.0) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("A14", "Gaussian coupling gap non-increasing in n and below "
+            "the assembled bound")
+def criterion_strong_approx(seed: int, scale: float) -> tuple[bool, dict]:
     s = _derive_seed(seed, 14)
     reps = _reps(400, scale)
     pool = _reps(20000, scale, floor=2000)
@@ -563,34 +534,12 @@ def criterion_strong_approx(seed: int, scale: float = 1.0) -> CriterionResult:
         "bound": p.bound, "implied_ratio": p.implied_ratio,
         "tau_hat": p.tau_hat,
     } for p in rep.points]
-    passed = rep.monotone and rep.within_bound
-    return CriterionResult(
-        cid="A14", title="Gaussian coupling gap non-increasing in n and below the "
-        "assembled bound", passed=bool(passed),
-        seconds=time.perf_counter() - t0,
-        details={"reps": reps, "points": points, "monotone": rep.monotone,
-                 "within_bound": rep.within_bound},
-    )
+    return rep.monotone and rep.within_bound, {
+        "reps": reps, "points": points, "monotone": rep.monotone,
+        "within_bound": rep.within_bound}
 
 
 # -- registry and runner --------------------------------------------------------------------
-
-CRITERIA = {
-    "A1": criterion_divisor_gap,
-    "A2": criterion_schedule_forms,
-    "A3": criterion_count_sandwich,
-    "A4": criterion_envelopes,
-    "A5": criterion_rate_regimes,
-    "A6": criterion_iid_norm,
-    "A7": criterion_complexity_oracle,
-    "A8": criterion_chain_identity,
-    "A9": criterion_half_normal,
-    "A10": criterion_coupling_exactness,
-    "A11": criterion_block_independence,
-    "A12": criterion_bernstein_tails,
-    "A13": criterion_variance_bound,
-    "A14": criterion_strong_approx,
-}
 
 SUITES = {
     "grid": ("A1", "A2"),

@@ -91,18 +91,15 @@ def _require_reps(reps: int) -> None:
 def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
     head, _, rest = text.partition(":")
     if head == "constant":
-        parts = rest.split(",")
-        if parts[0] == "l2":
+        name, _, fields = rest.partition(",")
+        if name == "l2":
+            mx._parse_kv(fields)  # takes no fields
             return ch.l2_family()
-        if parts[0] == "lr":
-            kv = dict(p.split("=", 1) for p in parts[1:])
-            return ch.lr_family(float(kv["r"]))
-        raise CliError(f"unknown constant norm {parts[0]!r}")
+        if name == "lr":
+            return ch.lr_family(float(mx._parse_kv(fields, ("r",))["r"]))
+        raise CliError(f"unknown constant norm {name!r}")
     if head == "schedule":
-        kv: dict[str, str] = {}
-        for part in rest.split(","):
-            k, _, v = part.partition("=")
-            kv[k.strip()] = v.strip()
+        kv = mx._parse_kv(rest, ("n", "profile"), last="profile")
         n = int(kv["n"])
         _require_lattice(n, basis_size)
         profile = mx.parse_profile(kv["profile"])
@@ -194,6 +191,7 @@ def cmd_simulate(args) -> int:
     _require_lattice(args.n, args.basis_size)
     vals, _, _ = pr.simulate_many(model, args.n, args.reps, args.seed)
     sups = pr.empirical_process_many(vals, members)
+    mean_sup, std_error = pr.mean_se(sups)
     csv_text = _csv_text(("rep", "sup_value"),
                          [(i, _fmt(float(s))) for i, s in enumerate(sups)])
     if args.output:
@@ -201,8 +199,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "process": model.spec(), "class": args.cls, "n": args.n,
         "reps": args.reps, "seed": args.seed,
-        "mean_sup": float(sups.mean()),
-        "std_error": float(sups.std(ddof=1) / math.sqrt(args.reps)),
+        "mean_sup": mean_sup, "std_error": std_error,
     }
     sys.stdout.write(dumps_canonical(summary) + "\n")
     if not args.output:
@@ -223,10 +220,10 @@ def cmd_couple(args) -> int:
                                      tag=args.q)
     sups = cp.sup_gaps(vals, replica, members)
     even = cp.block_independence_test(replica, args.q, "even")
-    gap_mean = float(sups.mean())
+    gap_mean, gap_se = pr.mean_se(sups)
     results = {
         "gap_mean": gap_mean,
-        "gap_se": float(sups.std(ddof=1) / math.sqrt(args.reps)),
+        "gap_se": gap_se,
         "gap_max": float(sups.max()),
         "even_block_corr": even.pooled_corr,
         "even_block_threshold": even.threshold,
@@ -286,6 +283,8 @@ def cmd_verify(args) -> int:
         cids = ac.suite_criteria(args.suite)
     except KeyError as exc:
         raise CliError(str(exc))
+    if not (math.isfinite(args.reps_scale) and args.reps_scale > 0):
+        raise CliError(f"--reps-scale must be finite and > 0, got {args.reps_scale:g}")
     t0 = time.perf_counter()
     results = ac.run_criteria(cids, seed=args.seed, scale=args.reps_scale)
     for res in results:
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
         args.seed = int(os.environ.get("MIXBOUND_SEED", DEFAULT_SEED))
     try:
         return args.func(args)
-    except ValueError as exc:  # GridError, ProfileError etc. are ValueErrors
+    except (OSError, ValueError) as exc:  # GridError, ProfileError etc. are ValueErrors
         raise CliError(str(exc))
 
 

@@ -24,9 +24,9 @@ from scipy.stats import norm as _norm
 
 from .grid import divisor_chain
 from .mixing import MixingProfile, estimate_tau
-from .norms import QuantileCurve, _gaussian_linear_sigma2, dependence_norm
-from .processes import (PathBundle, ProcessModel, simulate_many, _ma_sum,
-                        _recurse, _seed_seq)
+from .norms import QuantileCurve, dependence_norm
+from .processes import (PathBundle, ProcessModel, centered_sums, mean_se,
+                        seeded_rng, simulate_many, _ma_sum, _recurse)
 from .rates import ls_slope
 
 
@@ -84,7 +84,7 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
                    innovations: np.ndarray, q: int, seed: int,
                    tag: int = 0) -> np.ndarray:
     """Vectorized replica paths from stored paths and innovations (internal)."""
-    rng = np.random.default_rng(_seed_seq(seed, 0xC0FF, tag))
+    rng = seeded_rng(seed, 0xC0FF, tag)
     if model.kind == "iid":
         return values.copy()
     if model.kind == "ma":
@@ -131,20 +131,22 @@ class GapReport:
     ratio: float | None
 
 
+def _member_gap(member, values: np.ndarray, replica: np.ndarray) -> np.ndarray:
+    """|G_n f(paths) - G_n f(replicas)| along the last axis; the centering cancels."""
+    diff = member.func(values).sum(axis=-1) - member.func(replica).sum(axis=-1)
+    return np.abs(diff) / math.sqrt(values.shape[-1])
+
+
 def coupling_gap(path: PathBundle, replica: ReplicaPath, members,
                  tau_estimate: float | None = None) -> GapReport:
     """Sup over the class of the empirical-process gap path vs replica.
 
-    Centering means cancel, so the gap is the scaled difference of member
-    sums.  When a tau estimate at the replica's block length is supplied
-    the report carries the ratio gap / (sqrt(n) * tau).
+    When a tau estimate at the replica's block length is supplied the
+    report carries the ratio gap / (sqrt(n) * tau).
     """
-    members = list(members)
     n = path.n
-    gaps = {}
-    for mem in members:
-        g = (mem.func(path.values).sum() - mem.func(replica.values).sum()) / math.sqrt(n)
-        gaps[mem.name] = abs(float(g))
+    gaps = {mem.name: float(_member_gap(mem, path.values, replica.values))
+            for mem in members}
     sup_gap = max(gaps.values())
     tau_scaled = ratio = None
     if tau_estimate is not None:
@@ -178,11 +180,7 @@ def coupled_paths(model: ProcessModel, n: int, q: int, reps: int, seed: int,
 
 def sup_gaps(values: np.ndarray, replica: np.ndarray, members) -> np.ndarray:
     """(reps,) sup over the class of the scaled gap between paths and replicas."""
-    g = np.stack([
-        np.abs(mem.func(values).sum(axis=1) - mem.func(replica).sum(axis=1))
-        for mem in members
-    ]) / math.sqrt(values.shape[1])
-    return g.max(axis=0)
+    return np.stack([_member_gap(mem, values, replica) for mem in members]).max(axis=0)
 
 
 def gap_samples(model: ProcessModel, members, n: int, q: int, reps: int,
@@ -202,14 +200,11 @@ class GapSweep:
 def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
                        seed: int) -> GapSweep:
     """Mean sup-gap against block length with the fitted log-linear slope."""
-    means, ses = [], []
-    for q in qs:
-        sups = gap_samples(model, members, n, q, reps, seed)
-        means.append(float(sups.mean()))
-        ses.append(float(sups.std(ddof=1) / math.sqrt(reps)))
+    means, ses = zip(*(mean_se(gap_samples(model, members, n, q, reps, seed))
+                       for q in qs))
     slope = ls_slope(np.asarray(qs, dtype=float), np.log(np.asarray(means)))
-    return GapSweep(qs=tuple(int(q) for q in qs), means=tuple(means),
-                    std_errors=tuple(ses), log_slope=slope)
+    return GapSweep(qs=tuple(int(q) for q in qs), means=means, std_errors=ses,
+                    log_slope=slope)
 
 
 # -- block independence -------------------------------------------------------
@@ -323,7 +318,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
             points=(),
         )
     _, replica = coupled_paths(model, n, q, reps, seed, tag=0xBE00 + k)
-    gstar = (member.func(replica).sum(axis=1) - n * member.mean) / math.sqrt(n)
+    gstar = centered_sums(member, replica)
     points = []
     for u in u_values:
         threshold = u * math.sqrt(2.0**k) * b * (16.0 / 3.0)
@@ -349,20 +344,29 @@ class GaussianCouple:
 
     member: str
     q: int
-    sigma2: float
+    sd: float
     z_blocks: np.ndarray
-    z_total: np.ndarray   # sigma2-scaled, block-count normalized sums
+    z_total: np.ndarray   # sd-scaled, block-count normalized sums
 
 
 def block_sums(values: np.ndarray, member, q: int) -> np.ndarray:
     """(reps, blocks) centered block sums of f scaled by sqrt(q)."""
-    reps, n = values.shape
-    nblocks = n // q
-    fv = member.func(values[:, : nblocks * q]).reshape(reps, nblocks, q)
-    return (fv.sum(axis=2) - q * member.mean) / math.sqrt(q)
+    nblocks = values.shape[1] // q
+    blocks = values[:, : nblocks * q].reshape(len(values), nblocks, q)
+    return centered_sums(member, blocks)
 
 
-def gaussian_couple(sums: np.ndarray, member_name: str, q: int, sigma2: float,
+def _centered_pool(member, pool_paths: np.ndarray) -> np.ndarray:
+    """Block sums of a reference pool of independent stationary blocks, centered.
+
+    The block sums have exact mean zero; centering the pool removes the
+    transform's first-order location error, which would otherwise
+    accumulate across blocks."""
+    sums = centered_sums(member, pool_paths)
+    return sums - sums.mean()
+
+
+def gaussian_couple(sums: np.ndarray, member_name: str, q: int, sd: float,
                     pool: np.ndarray | None = None) -> GaussianCouple:
     """Per-block comonotone Gaussianization of block sums.
 
@@ -370,21 +374,21 @@ def gaussian_couple(sums: np.ndarray, member_name: str, q: int, sigma2: float,
     block sums) each sum is pushed through the smoothed empirical
     distribution and the standard normal quantile; without it the block
     law is taken to be exactly Gaussian (valid for linear functions of
-    Gaussian models) and the transform reduces to division by sigma2.
+    Gaussian models) and the transform reduces to division by sd.
     The coupled process is the scaled, block-count-normalized total.
     """
-    if sigma2 <= 0:
-        raise CouplingError("sigma2 must be > 0")
+    if sd <= 0:
+        raise CouplingError("sd must be > 0")
     if pool is None:
-        z = sums / sigma2
+        z = sums / sd
     else:
         srt = np.sort(pool)
         ranks = np.searchsorted(srt, sums, side="right")
         grid = (ranks + 0.5) / (srt.size + 1.0)
         z = _norm.ppf(grid)
     nblocks = sums.shape[-1]
-    total = sigma2 * z.sum(axis=-1) / math.sqrt(nblocks)
-    return GaussianCouple(member=member_name, q=q, sigma2=sigma2,
+    total = sd * z.sum(axis=-1) / math.sqrt(nblocks)
+    return GaussianCouple(member=member_name, q=q, sd=sd,
                           z_blocks=z, z_total=total)
 
 
@@ -400,7 +404,7 @@ class StrongApproxPoint:
     coupling_term: float
     bound: float
     implied_ratio: float
-    sigma2: dict[str, float]
+    sd: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -440,33 +444,28 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
     for n in n_grid:
         q = q_choice(n) if q_choice is not None else _sqrt_divisor(n)
         vals, replica = coupled_paths(model, n, q, reps, seed, tag=n)
-        rng_pool = np.random.default_rng(_seed_seq(seed, 0x900, n))
-        pool_paths = model.sample_blocks(q, pool_size, rng_pool)
+        pool_paths = model.sample_blocks(q, pool_size, seeded_rng(seed, 0x900, n))
         gaps = np.zeros((len(members), reps))
-        sigma2 = {}
+        sds = {}
         sig_gamma_sum = 0.0
         for i, mem in enumerate(members):
-            pool_sums = (mem.func(pool_paths).sum(axis=1) - q * mem.mean) / math.sqrt(q)
-            # The block sums have exact mean zero; centering the reference
-            # pool removes the transform's first-order location error, which
-            # would otherwise accumulate across blocks.
-            pool_sums = pool_sums - pool_sums.mean()
-            linear_gaussian = (model.kind in ("iid", "ar1", "ma")
+            pool_sums = _centered_pool(mem, pool_paths)
+            linear_gaussian = (model.is_gaussian_linear
                                and mem.name in ("identity", "negated"))
             if linear_gaussian:
                 # Block sums are exactly Gaussian: analytic scale, identity
                 # transform, no pool noise in the coupling.
-                s2 = math.sqrt(_gaussian_linear_sigma2(model, q))
+                sd = math.sqrt(model.block_variance(q))
             else:
-                s2 = float(pool_sums.std(ddof=1))
-            sigma2[mem.name] = s2
-            gn = (mem.func(vals).sum(axis=1) - n * mem.mean) / math.sqrt(n)
-            if s2 == 0.0:
+                sd = float(pool_sums.std(ddof=1))
+            sds[mem.name] = sd
+            gn = centered_sums(mem, vals)
+            if sd == 0.0:
                 # Degenerate member: the matching Gaussian has variance zero.
                 gaps[i] = np.abs(gn)
             else:
                 sums = block_sums(replica, mem, q)
-                couple = gaussian_couple(sums, mem.name, q, s2,
+                couple = gaussian_couple(sums, mem.name, q, sd,
                                          pool=None if linear_gaussian else pool_sums)
                 gaps[i] = np.abs(gn - couple.z_total)
             if gamma_order == math.inf:
@@ -476,9 +475,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             else:
                 sig_gamma_sum += float(
                     (np.abs(pool_sums) ** gamma_order).mean() ** (1.0 / gamma_order))
-        sup_gaps = gaps.max(axis=0)
-        gap_mean = float(sup_gaps.mean())
-        gap_se = float(sup_gaps.std(ddof=1) / math.sqrt(reps))
+        gap_mean, gap_se = mean_se(gaps.max(axis=0))
         tau_hat, tau_se = tau_for_class(model, members, q, tau_reps[0],
                                         tau_reps[1], seed=seed + n)
         exponent = 0.5 if gamma_order == math.inf else \
@@ -491,7 +488,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             tau_hat=tau_hat, tau_se=tau_se,
             finite_dim_term=finite_dim, coupling_term=coupling_term,
             bound=bound, implied_ratio=gap_mean / bound if bound > 0 else math.inf,
-            sigma2=sigma2,
+            sd=sds,
         ))
     # Ordering certified at 95 percent: one-sided z-test on each adjacent
     # difference of means (exact ties, e.g. identically zero gaps, pass).
@@ -522,14 +519,12 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
     """Slope test: deviations between coupled partial sums decay at least
     polynomially of order gamma on the observed range."""
     _, replica = coupled_paths(model, n, q, reps, seed, tag=0x59)
-    rng_pool = np.random.default_rng(_seed_seq(seed, 0x59AA))
-    pool_paths = model.sample_blocks(q, pool_size, rng_pool)
-    pool_sums = (member.func(pool_paths).sum(axis=1) - q * member.mean) / math.sqrt(q)
-    pool_sums = pool_sums - pool_sums.mean()
-    s2 = float(pool_sums.std(ddof=1))
+    pool_paths = model.sample_blocks(q, pool_size, seeded_rng(seed, 0x59AA))
+    pool_sums = _centered_pool(member, pool_paths)
+    sd = float(pool_sums.std(ddof=1))
     sums = block_sums(replica, member, q)
-    couple = gaussian_couple(sums, member.name, q, s2, pool=pool_sums)
-    dev = np.abs((sums - s2 * couple.z_blocks).sum(axis=1))
+    couple = gaussian_couple(sums, member.name, q, sd, pool=pool_sums)
+    dev = np.abs((sums - sd * couple.z_blocks).sum(axis=1))
     # Survival levels anchored in the tail; the bulk of the distribution
     # carries no information about the polynomial decay order.
     levels = np.array([0.2, 0.1, 0.05, 0.02])

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .chaining import FunctionClass
-from .processes import ProcessModel
+from .processes import ProcessModel, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def make_class(name: str, model: ProcessModel) -> ProcessClass:
     chain build a custom class with Monte Carlo means instead.
     """
     if name not in _CATALOG:
-        raise KeyError(f"unknown class {name!r}; available: {', '.join(catalog_names())}")
+        raise ValueError(f"unknown class {name!r}; available: {', '.join(catalog_names())}")
     if model.kind == "lazy_renewal":
         raise ValueError("built-in means are analytic for Gaussian marginals only")
     means = _gaussian_means(model)
@@ -127,7 +127,7 @@ def make_class(name: str, model: ProcessModel) -> ProcessClass:
 def mc_means(members, model: ProcessModel, draws: int = 10**7,
              seed: int = 0) -> tuple[ClassMember, ...]:
     """Replace member means by a high-precision stationary Monte Carlo pass."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAEA5]))
+    rng = seeded_rng(seed, 0xAEA5)
     if model.kind == "ma":
         sample = model.sample_blocks(max(1, draws // 10**4), 10**4, rng).ravel()
     else:

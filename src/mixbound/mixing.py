@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .processes import mean_se, seeded_rng
+
 
 class ProfileError(ValueError):
     """Invalid profile parameters or an undefined profile operation."""
@@ -203,34 +205,40 @@ def parse_profile(text: str) -> MixingProfile:
         return iid_profile()
     head, _, rest = text.partition(":")
     if head == "mdep":
-        kv = _parse_kv(rest)
-        return m_dependent_profile(int(kv["m"]))
+        return m_dependent_profile(int(_parse_kv(rest, ("m",))["m"]))
     if head == "poly":
-        kv = _parse_kv(rest)
-        return polynomial_profile(float(kv["m"]))
+        return polynomial_profile(float(_parse_kv(rest, ("m",))["m"]))
     if head == "expo":
-        kv = _parse_kv(rest)
-        return exponential_profile(float(kv["l"]))
+        return exponential_profile(float(_parse_kv(rest, ("l",))["l"]))
     if head == "table":
-        parts = rest.split(",")
-        path = parts[0]
-        tail = "zero"
-        for p in parts[1:]:
-            k, _, v = p.partition("=")
-            if k.strip() == "tail":
-                tail = v.strip()
+        path, _, fields = rest.partition(",")
+        tail = _parse_kv(fields, optional=("tail",)).get("tail", "zero")
         values = np.loadtxt(path, delimiter=",", ndmin=1)
         return tabulated_profile(np.atleast_1d(values), tail=tail)
     raise ProfileError(f"cannot parse profile spec {text!r}")
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def _parse_kv(text: str, required=(), optional=(), last=None) -> dict[str, str]:
+    """The key=value fields of a comma-separated spec: every ``required`` key,
+    others only from ``optional``, and the ``last`` key's value runs to the end
+    of the text.  Raises ValueError naming a missing or unknown key."""
+    parts = text.split(",")
     out: dict[str, str] = {}
-    for part in text.split(","):
+    for i, part in enumerate(parts):
         if not part:
             continue
-        k, _, v = part.partition("=")
-        out[k.strip()] = v.strip()
+        key, _, value = part.partition("=")
+        key = key.strip()
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {key!r} in {text!r}; expected "
+                             f"{', '.join(required + optional) or 'no keys'}")
+        if key == last:
+            out[key] = ",".join([value] + parts[i + 1:]).strip()
+            break
+        out[key] = value.strip()
+    missing = [key for key in required if key not in out]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in {text!r}")
     return out
 
 
@@ -304,7 +312,7 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
         scale = max(float(s) for s in sups)
         if scale == 0.0:
             return MixingEstimate(q=q, value=0.0, std_error=0.0, method="tau_nested_mc")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A11]))
+    rng = seeded_rng(seed, 0x7A11)
     starts = model.stationary_sample(outer_reps, rng)            # (outer,)
     states = np.repeat(starts, inner_reps)                        # (outer*inner,)
     for _ in range(q):
@@ -317,6 +325,5 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
         per_member[i] = vals.mean(axis=1) - mem.mean
     np.max(np.abs(per_member), axis=0, out=gaps)
     gaps /= scale
-    value = float(gaps.mean())
-    se = float(gaps.std(ddof=1) / math.sqrt(outer_reps)) if outer_reps > 1 else 0.0
+    value, se = mean_se(gaps)
     return MixingEstimate(q=q, value=value, std_error=se, method="tau_nested_mc")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixing import MixingProfile
+from .processes import centered_sums, mean_se, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -297,16 +298,6 @@ class BlockMoment:
     std_error: float = 0.0
 
 
-def _gaussian_linear_sigma2(model, q: int) -> float:
-    """Exact block variance for the identity under Gaussian linear models."""
-    gammas = model.autocovariances(q)  # gamma_0 .. gamma_{q-1}
-    k = np.arange(1, q)
-    total = gammas[0]
-    if q > 1:
-        total += 2.0 * float(((1.0 - k / q) * gammas[1:q]).sum())
-    return float(total)
-
-
 def block_moment(model, member, q: int, order: float = 2.0,
                  reps: int = 0, seed: int = 0) -> BlockMoment:
     """Moment of the centered, sqrt(q)-normalized block sum of f.
@@ -327,18 +318,14 @@ def block_moment(model, member, q: int, order: float = 2.0,
                            method="sup_rule")
     if order < 2:
         raise ValueError("order must be in [2, inf]")
-    if order == 2.0 and member.name == "identity" and model.kind in ("iid", "ar1", "ma"):
+    if order == 2.0 and member.name == "identity" and model.is_gaussian_linear:
         return BlockMoment(member=member.name, q=q, order=2.0,
-                           value=math.sqrt(_gaussian_linear_sigma2(model, q)),
+                           value=math.sqrt(model.block_variance(q)),
                            method="analytic")
     if reps < 2:
         raise ValueError("Monte Carlo block moments need reps >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5167]))
-    blocks = model.sample_blocks(q, reps, rng)                    # (reps, q)
-    sums = (member.func(blocks).sum(axis=1) - q * member.mean) / math.sqrt(q)
-    pw = np.abs(sums) ** order
-    m_hat = float(pw.mean())
-    se_m = float(pw.std(ddof=1) / math.sqrt(reps))
+    blocks = model.sample_blocks(q, reps, seeded_rng(seed, 0x5167))   # (reps, q)
+    m_hat, se_m = mean_se(np.abs(centered_sums(member, blocks)) ** order)
     value = m_hat ** (1.0 / order)
     # delta method: d(m^(1/order))/dm = m^(1/order - 1) / order
     se = se_m * value / (order * m_hat) if m_hat > 0 else 0.0

@@ -19,8 +19,24 @@ class ModelError(ValueError):
     pass
 
 
-def _seed_seq(seed: int, *tags: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed)] + [int(t) & 0xFFFFFFFF for t in tags])
+def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
+    """The generator of the stream named by (seed, *tags); tags are taken mod 2^32."""
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed)] + [int(t) & 0xFFFFFFFF for t in tags]))
+
+
+def mean_se(x) -> tuple[float, float]:
+    """Sample mean and its standard error s / sqrt(size); 0.0 for one sample."""
+    x = np.asarray(x)
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(x.mean()), se
+
+
+def centered_sums(member, values: np.ndarray) -> np.ndarray:
+    """Centered, sqrt(length)-scaled sums of ``member`` over the last axis:
+    n^{-1/2} sum (f(X_t) - E f) for each length-n row of ``values``."""
+    length = values.shape[-1]
+    return (member.func(values).sum(axis=-1) - length * member.mean) / math.sqrt(length)
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,11 @@ class ProcessModel:
     def is_markov(self) -> bool:
         return self.kind in ("iid", "ar1", "lazy_renewal")
 
+    @property
+    def is_gaussian_linear(self) -> bool:
+        """Linear in Gaussian noise: linear functionals have Gaussian block sums."""
+        return self.kind in ("iid", "ar1", "ma")
+
     def marginal_sd(self) -> float:
         if self.kind == "iid":
             return self.scale
@@ -96,6 +117,12 @@ class ProcessModel:
                 g[lag] = self.sigma**2 * float((w[: len(w) - lag] * w[lag:]).sum())
             return g
         raise ModelError("autocovariances are not analytic for the renewal chain")
+
+    def block_variance(self, q: int) -> float:
+        """Exact variance of the sqrt(q)-normalized block sum of the identity."""
+        gammas = self.autocovariances(q)  # gamma_0 .. gamma_{q-1}
+        k = np.arange(1, q)
+        return float(gammas[0] + 2.0 * float(((1.0 - k / q) * gammas[1:q]).sum()))
 
     def spec(self) -> str:
         if self.kind == "iid":
@@ -167,21 +194,23 @@ def lazy_renewal_model(tail_m: float) -> ProcessModel:
 
 
 def parse_model(text: str) -> ProcessModel:
+    """Parse the CLI grammar: iid[:scale=<float>] | ar1:rho=<float>[,sigma=<float>]
+    | ma:m=<int>[,sigma=<float>] | lazy:m=<float>."""
+    from .mixing import _parse_kv  # mixing imports this module
+
     text = text.strip()
     head, _, rest = text.partition(":")
-    kv: dict[str, str] = {}
-    for part in rest.split(","):
-        if part:
-            k, _, v = part.partition("=")
-            kv[k.strip()] = v.strip()
     if head == "iid":
+        kv = _parse_kv(rest, optional=("scale",))
         return iid_model(scale=float(kv.get("scale", 1.0)))
     if head == "ar1":
+        kv = _parse_kv(rest, ("rho",), ("sigma",))
         return ar1_model(rho=float(kv["rho"]), sigma=float(kv.get("sigma", 1.0)))
     if head == "ma":
+        kv = _parse_kv(rest, ("m",), ("sigma",))
         return ma_model(m=int(kv["m"]), sigma=float(kv.get("sigma", 1.0)))
     if head == "lazy":
-        return lazy_renewal_model(tail_m=float(kv["m"]))
+        return lazy_renewal_model(tail_m=float(_parse_kv(rest, ("m",))["m"]))
     raise ModelError(f"cannot parse model spec {text!r}")
 
 
@@ -253,16 +282,14 @@ def simulate(model: ProcessModel, n: int, seed: int) -> PathBundle:
     """One stationary path of length n, reproducible from (model, n, seed)."""
     if n < 1:
         raise ModelError("n must be >= 1")
-    rng = np.random.default_rng(_seed_seq(seed, 0x51A7))
-    vals, innov, starts = _simulate_core(model, n, 1, rng)
+    vals, innov, starts = _simulate_core(model, n, 1, seeded_rng(seed, 0x51A7))
     return PathBundle(model=model, n=n, seed=seed, values=vals[0],
                       innovations=innov[0], start=float(starts[0]))
 
 
 def simulate_many(model: ProcessModel, n: int, reps: int, seed: int, tag: int = 0):
     """(reps, n) stationary paths plus innovations and starts (vectorized)."""
-    rng = np.random.default_rng(_seed_seq(seed, 0x51A7, tag))
-    return _simulate_core(model, n, reps, rng)
+    return _simulate_core(model, n, reps, seeded_rng(seed, 0x51A7, tag))
 
 
 # -- empirical process --------------------------------------------------------
@@ -273,11 +300,6 @@ class EmpiricalResult:
     names: tuple[str, ...]
     values: np.ndarray        # per-member centered scaled averages
     sup_pairs: float          # sup over member pairs of the absolute gap
-
-
-def _member_matrix(members, values: np.ndarray) -> np.ndarray:
-    """(members, ...) evaluations of each test function on a value array."""
-    return np.stack([mem.func(values) for mem in members])
 
 
 def empirical_process(path: PathBundle, members) -> EmpiricalResult:
@@ -294,11 +316,7 @@ def empirical_process(path: PathBundle, members) -> EmpiricalResult:
             f"members {missing} have no stationary mean; build the class with "
             f"means attached (see function_classes.make_class)"
         )
-    n = path.n
-    g = np.array([
-        (mem.func(path.values).sum() - n * mem.mean) / math.sqrt(n)
-        for mem in members
-    ])
+    g = np.array([centered_sums(mem, path.values) for mem in members])
     return EmpiricalResult(
         names=tuple(m.name for m in members),
         values=g,
@@ -308,12 +326,7 @@ def empirical_process(path: PathBundle, members) -> EmpiricalResult:
 
 def empirical_process_many(values: np.ndarray, members) -> np.ndarray:
     """(reps,) sup over member pairs for a (reps, n) path matrix."""
-    members = list(members)
-    n = values.shape[1]
-    g = np.stack([
-        (mem.func(values).sum(axis=1) - n * mem.mean) / math.sqrt(n)
-        for mem in members
-    ])
+    g = np.stack([centered_sums(mem, values) for mem in members])
     return g.max(axis=0) - g.min(axis=0)
 
 
@@ -328,7 +341,4 @@ def mc_expected_sup(model: ProcessModel, members, n: int, reps: int,
     if reps < 30:
         raise ModelError("reps must be >= 30")
     vals, _, _ = simulate_many(model, n, reps, seed, tag=0xE5)
-    sups = empirical_process_many(vals, members)
-    est = float(sups.mean())
-    se = float(sups.std(ddof=1) / math.sqrt(reps))
-    return est, se
+    return mean_se(empirical_process_many(vals, members))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixbound import cli
-from mixbound import grid, mixing, norms, processes
+from mixbound import chaining, grid, mixing, norms, processes
 
 
 def run_cli(capsys, *argv):
@@ -232,3 +232,69 @@ def test_env_seed_override(capsys, monkeypatch, tmp_path):
               "--n", "96", "--reps", "30", "--output", str(f1)])
     out = capsys.readouterr().out
     assert json.loads(out)["seed"] == 99
+
+
+def _class_file(tmp_path):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({"table": rng.normal(0, 1, (4, 12)).tolist(),
+                                "weights": (np.ones(12) / 12).tolist()}))
+    return str(path)
+
+
+SIM = ["simulate", "--class", "halfpair", "--n", "96", "--reps", "30", "--process"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SIM + ["ar1"], "missing key 'rho'"),
+    (["schedule", "--n", "12", "--profile", "mdep"], "missing key 'm'"),
+    (["gamma", "--class-file", "{cls}", "--norms", "constant:lr"], "missing key 'r'"),
+    (["gamma", "--class-file", "{cls}", "--norms", "schedule:n=384"],
+     "missing key 'profile'"),
+    (["simulate", "--process", "iid", "--class", "nosuch", "--n", "96"],
+     "unknown class 'nosuch'"),
+    (["gamma", "--class-file", "{tmp}/absent.json", "--norms", "constant:l2"],
+     "absent.json"),
+    (["norms", "--profile", "poly:m=1", "--q", "4", "--curve", "{tmp}/absent.csv"],
+     "absent.csv"),
+    (["schedule", "--n", "12", "--profile", "table:{tmp}/absent.csv"], "absent.csv"),
+    (SIM + ["ar1:rho=0.5,foo=1"], "unknown key 'foo'"),
+    (["schedule", "--n", "12", "--profile", "poly:m=1,l=3"], "unknown key 'l'"),
+], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
+        "schedule-missing-profile", "unknown-class", "missing-class-file",
+        "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key"])
+def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
+    argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert str(exc.value.code).startswith("mixbound: error: ")
+    assert message in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
+def test_schedule_norms_keep_the_table_tail(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("1\n0.5\n0.3\n")
+    cls = _class_file(tmp_path)
+    gammas = {}
+    for tail in ("zero", "hold"):
+        code, out = run_cli(capsys, "gamma", "--class-file", cls, "--norms",
+                            f"schedule:n=384,profile=table:{table},tail={tail}")
+        assert code == 0
+        gammas[tail] = json.loads(out)["gamma"]
+        sched = grid.block_schedule(384, mixing.tabulated_profile([1, 0.5, 0.3], tail))
+        want, _ = chaining.complexity_exact(cli._load_class_file(cls),
+                                            chaining.schedule_family(sched))
+        assert gammas[tail] == float(f"{want:.12g}")
+    assert gammas["hold"] != gammas["zero"]
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_bad_reps_scale(monkeypatch, capsys, scale):
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("ran criteria before rejecting --reps-scale")
+
+    monkeypatch.setattr(cli.ac, "run_criteria", no_criteria)
+    with pytest.raises(SystemExit, match="--reps-scale must be finite and > 0"):
+        cli.main(["verify", "--suite", "coupling", f"--reps-scale={scale}"])
+    assert capsys.readouterr().out == ""

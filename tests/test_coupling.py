@@ -82,7 +82,7 @@ def test_replicate_many_matches_per_block_loops(model):
         vals, innov, _ = pr.simulate_many(model, n, reps, seed=reps)
         for q in (1, 4, 12, n):
             got = cp.replicate_many(model, vals, innov, q, seed=3, tag=q)
-            rng = np.random.default_rng(pr._seed_seq(3, 0xC0FF, q))
+            rng = pr.seeded_rng(3, 0xC0FF, q)
             want = _reference_replica(model, vals, innov, q, rng)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -214,7 +214,7 @@ def test_gaussian_couple_moments():
 
 def test_gaussian_couple_analytic_route():
     sums = np.array([[0.5, -1.0, 2.0]])
-    couple = cp.gaussian_couple(sums, "id", 4, sigma2=2.0)
+    couple = cp.gaussian_couple(sums, "id", 4, sd=2.0)
     assert np.allclose(couple.z_blocks, sums / 2.0)
 
 

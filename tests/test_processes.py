@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixbound import coupling as cp
 from mixbound import function_classes as fc
 from mixbound import mixing as mx
 from mixbound import processes as pr
@@ -81,11 +82,91 @@ def test_simulate_core_matches_per_step_loops(kind):
     model = MODELS[kind]
     for n in (1, 36, 384):
         for reps in (1, 40):
-            seq = pr._seed_seq(n, reps)
-            got = pr._simulate_core(model, n, reps, np.random.default_rng(seq))
-            want = _reference_core(model, n, reps, np.random.default_rng(seq))
+            got = pr._simulate_core(model, n, reps, pr.seeded_rng(n, reps))
+            want = _reference_core(model, n, reps, pr.seeded_rng(n, reps))
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- shared conventions: centered sums, mean +- SE, seeded streams ------------
+
+SUM_MEMBERS = (fc.make_class("lipschitz5", pr.iid_model()).members
+               + fc.make_class("halfpair", pr.iid_model()).members
+               + fc.make_class("indicator", pr.ar1_model(0.9)).members)
+
+
+def _former_path_sum(mem, values):
+    n = values.size
+    return (mem.func(values).sum() - n * mem.mean) / math.sqrt(n)
+
+
+def _former_rep_sums(mem, values):
+    n = values.shape[1]
+    return (mem.func(values).sum(axis=1) - n * mem.mean) / math.sqrt(n)
+
+
+def _former_block_sums(mem, values, q):
+    reps, n = values.shape
+    nblocks = n // q
+    fv = mem.func(values[:, : nblocks * q]).reshape(reps, nblocks, q)
+    return (fv.sum(axis=2) - q * mem.mean) / math.sqrt(q)
+
+
+@pytest.mark.parametrize("kind", ["iid", "ar1", "ma7"])
+def test_centered_sums_match_former_inline_forms(kind):
+    model = MODELS[kind]
+    for n in (1, 96, 384):
+        for reps in (1, 40):
+            vals, _, _ = pr.simulate_many(model, n, reps, seed=n + reps)
+            for mem in SUM_MEMBERS:
+                for row in vals[:2]:                                  # (n,)
+                    got = pr.centered_sums(mem, row)
+                    assert got.tobytes() == _former_path_sum(mem, row).tobytes()
+                got = pr.centered_sums(mem, vals)                     # (reps, n)
+                assert got.tobytes() == _former_rep_sums(mem, vals).tobytes()
+                for q in {1, 7, 12, n}:                               # (reps, n/q, q)
+                    nblocks = n // q
+                    blocks = vals[:, : nblocks * q].reshape(reps, nblocks, q)
+                    want = _former_block_sums(mem, vals, q)
+                    assert pr.centered_sums(mem, blocks).tobytes() == want.tobytes()
+                    assert cp.block_sums(vals, mem, q).tobytes() == want.tobytes()
+
+
+def test_mean_se_matches_former_inline_form():
+    rng = np.random.default_rng(3)
+    for size in (2, 3, 40, 1001):
+        x = rng.standard_normal(size)
+        assert pr.mean_se(x) == (float(x.mean()),
+                                 float(x.std(ddof=1) / math.sqrt(size)))
+        assert all(type(v) is float for v in pr.mean_se(x))
+    mean, se = pr.mean_se(np.array([2.5]))
+    assert (mean, se) == (2.5, 0.0) and type(se) is float
+
+
+@pytest.mark.parametrize("tags", [(), (0x51A7,), (0x51A7, 0xE5), (0xC0FF, 12, 3)])
+def test_seeded_rng_is_the_named_stream(tags):
+    want = np.random.default_rng(np.random.SeedSequence([7, *tags])).random(16)
+    assert pr.seeded_rng(7, *tags).random(16).tobytes() == want.tobytes()
+    if tags:  # tags are taken mod 2^32
+        wrapped = pr.seeded_rng(7, *tags[:-1], tags[-1] + 2**32).random(16)
+        assert wrapped.tobytes() == want.tobytes()
+
+
+def test_block_variance_matches_former_form():
+    def former(model, q):
+        gammas = model.autocovariances(q)
+        k = np.arange(1, q)
+        total = gammas[0]
+        if q > 1:
+            total += 2.0 * float(((1.0 - k / q) * gammas[1:q]).sum())
+        return float(total)
+
+    for kind in ("iid", "ar1", "ma3", "ma7"):
+        model = MODELS[kind]
+        assert model.is_gaussian_linear
+        for q in range(1, 41):
+            assert model.block_variance(q) == former(model, q)
+    assert not MODELS["lazy"].is_gaussian_linear
 
 
 def test_iid_moments():
