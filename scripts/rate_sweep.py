@@ -24,7 +24,7 @@ def main() -> None:
     for m in (2 * crit, crit, 0.25 * crit):
         profile = mixing.polynomial_profile(m)
         regime, predicted = rates.regime_classify(m, args.r)
-        factors = [rates.rate_factor(n, args.r, profile) for n in members]
+        factors = rates.rate_factors(members, args.r, profile)
         slope = rates.loglog_slope(members, factors)
         eff = members[-1] / factors[-1]
         target = "(log n)^{%.3g}" % predicted if regime == "critical" \
@@ -32,9 +32,8 @@ def main() -> None:
         print(f"m={m:6.3f} regime={regime:8s} fitted slope={slope:+.4f} "
               f"predicted growth {target}  effective n at top={eff:,.0f}")
         if regime == "critical":
-            tail = [n for n in members if n >= args.n_max / 100]
-            ratio = [rates.rate_factor(n, args.r, profile) / np.log(n) ** (1 / m)
-                     for n in tail]
+            ratio = [f / np.log(n) ** (1 / m) for n, f in zip(members, factors)
+                     if n >= args.n_max / 100]
             print(f"         critical ratio band: [{min(ratio):.3f}, {max(ratio):.3f}]")
 
 

@@ -2,18 +2,18 @@
 and Monte Carlo validation of concentration bounds for mixing processes."""
 
 from .grid import (BlockSchedule, DivisorChain, SampleLattice, block_schedule,
-                   divisor_chain, first_block_length, lattice_members,
-                   nearest_divisor, sample_lattice)
+                   divisor_chain, first_block_length, first_block_lengths,
+                   lattice_members, nearest_divisor, sample_lattice)
 from .mixing import (MixingEstimate, MixingProfile, estimate_alpha, estimate_tau,
                      exponential_profile, iid_profile, m_dependent_profile,
                      monotone_envelope, parse_profile, polynomial_profile,
                      tabulated_profile)
 from .norms import (BlockMoment, QuantileCurve, active_lag_count, block_moment,
-                    dependence_norm, dependence_norms, holder_factor)
+                    dependence_norm, dependence_norms, holder_factor, holder_factors)
 from .rates import (RateReport, UniversalConstants, closed_form_envelopes,
                     effective_sample_size, maximal_bound, rate_factor,
-                    rate_report, rate_table, regime_classify, strong_approx_rate,
-                    universal_constants)
+                    rate_factors, rate_report, rate_table, regime_classify,
+                    strong_approx_rate, universal_constants)
 from .chaining import (FunctionClass, NormFamily, PartitionSequence,
                        cell_diameter, chain_decomposition, complexity_exact,
                        complexity_greedy, covering_number, entropy_integral,

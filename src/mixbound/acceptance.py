@@ -142,10 +142,9 @@ def criterion_count_sandwich(seed: int, scale: float) -> tuple[bool, dict]:
     us = (2.0 * np.arange(1, 1001) - 1.0) / 4000.0
     bad = 0
     for prof in profiles:
+        invs = [prof.inverse(2.0 * u) for u in us.tolist()]   # scalar, independent
         for q in (1, 10, 100, 1000):
-            for u in us:
-                mu = nm.active_lag_count(float(u), q, prof)
-                inv = prof.inverse(2.0 * float(u))
+            for mu, inv in zip(nm.active_lag_count(us, q, prof).tolist(), invs):
                 if not (min(inv, q + 1) <= mu <= min(inv + 1, q + 1)):
                     bad += 1
     return bad == 0, {"grid_points": us.size, "violations": bad}
@@ -167,8 +166,7 @@ def criterion_envelopes(seed: int, scale: float) -> tuple[bool, dict]:
     margins = {}
     for case, m, r, prof in cases:
         worst = math.inf
-        for q in qs:
-            b = nm.holder_factor(q, r, prof)
+        for q, b in zip(qs, nm.holder_factors(qs, r, prof).tolist()):
             lo, hi = rt.closed_form_envelopes(q, m, r, case)
             worst = min(worst, b - lo, hi - b)
             if not (lo * (1 - REL_GUARD) <= b <= hi * (1 + REL_GUARD)):
@@ -188,12 +186,12 @@ def criterion_rate_regimes(seed: int, scale: float) -> tuple[bool, dict]:
     ns = np.asarray(members, dtype=float)
     checks = {}
 
-    fast = [rt.rate_factor(n, r, mx.polynomial_profile(3.0)) for n in members]
+    fast = rt.rate_factors(members, r, mx.polynomial_profile(3.0))
     slope_fast = rt.loglog_slope(ns, fast)
     checks["fast_slope"] = slope_fast
     ok = abs(slope_fast) <= 0.05
 
-    slow = [rt.rate_factor(n, r, mx.polynomial_profile(0.5)) for n in members]
+    slow = rt.rate_factors(members, r, mx.polynomial_profile(0.5)).tolist()
     slope_slow = rt.loglog_slope(ns, slow)
     _, predicted = rt.regime_classify(0.5, r)
     checks["slow_slope"] = slope_slow
@@ -201,13 +199,13 @@ def criterion_rate_regimes(seed: int, scale: float) -> tuple[bool, dict]:
     ok &= abs(slope_slow - predicted) <= 0.05
 
     tail = [n for n in members if n >= 10**5]
-    crit_ratio = [rt.rate_factor(n, r, mx.polynomial_profile(2.0)) / math.log(n) ** 0.5
-                  for n in tail]
+    crit = rt.rate_factors(tail, r, mx.polynomial_profile(2.0)).tolist()
+    crit_ratio = [f / math.log(n) ** 0.5 for n, f in zip(tail, crit)]
     band = max(crit_ratio) / min(crit_ratio)
     checks["critical_band"] = band
     ok &= band <= 3.0
 
-    eff = [rt.effective_sample_size(n, r, mx.polynomial_profile(0.5)) for n in members]
+    eff = [n / f for n, f in zip(members, slow)]   # the effective sample sizes
     tail_eff = eff[-20:]
     growing = all(b > a for a, b in zip(tail_eff, tail_eff[1:])) or \
         rt.loglog_slope(ns[-40:], eff[-40:]) > 0.2
@@ -493,8 +491,7 @@ def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile,
     half = profile.half_levels(q)
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_points), half]))
     a, b = grid[:-1], grid[1:]
-    halfs = np.sort(half)
-    mu_right = (halfs.size - np.searchsorted(halfs, b, side="left")).astype(float)
+    mu_right = nm.active_lag_count(b, q, profile).astype(float)
     q_right = np.clip(sd * _norm.ppf(1.0 - np.minimum(b, 1.0) / 2.0), 0.0, None)
     return 2.0 * float(((b - a) * mu_right * q_right**2).sum())
 

@@ -110,6 +110,11 @@ def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
 def _load_class_file(path: str) -> ch.FunctionClass:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"class file {path}: top level must be a JSON object")
+    for key in ("table", "weights"):
+        if key not in payload:
+            raise ValueError(f"class file {path}: missing key {key!r}")
     return ch.FunctionClass(
         table=np.asarray(payload["table"], dtype=float),
         weights=np.asarray(payload["weights"], dtype=float),

@@ -199,9 +199,17 @@ class GapSweep:
 
 def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
                        seed: int) -> GapSweep:
-    """Mean sup-gap against block length with the fitted log-linear slope."""
+    """Mean sup-gap against block length with the fitted log-linear slope.
+
+    Raises ValueError where a mean gap is 0, as it is at every q when the
+    replica is exact (iid, or MA(m) with q >= m): the log slope is undefined.
+    """
     means, ses = zip(*(mean_se(gap_samples(model, members, n, q, reps, seed))
                        for q in qs))
+    exact = [int(q) for q, mean in zip(qs, means) if mean <= 0.0]
+    if exact:
+        raise CouplingError(f"the replica of {model.spec()} is exact at q = {exact}: "
+                            f"its mean gap is 0, so the log slope is undefined")
     slope = ls_slope(np.asarray(qs, dtype=float), np.log(np.asarray(means)))
     return GapSweep(qs=tuple(int(q) for q in qs), means=means, std_errors=ses,
                     log_slope=slope)

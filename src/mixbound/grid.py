@@ -31,32 +31,33 @@ def first_primes(count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+def _smooth_numbers(basis_size: int, limit: int) -> list[int]:
+    """Every product of powers of the first ``basis_size`` primes up to
+    ``limit``, 1 included, sorted ascending."""
+    nums = [1]
+    for p in first_primes(basis_size):
+        grown = []
+        for v in nums:
+            while v <= limit:
+                grown.append(v)
+                v *= p
+        nums = grown
+    return sorted(nums)
+
+
 def lattice_members(basis_size: int = 3, limit: int = 10**6) -> list[int]:
     """All admissible sample sizes up to ``limit``, sorted ascending.
 
     A member is a product of powers of the first ``basis_size`` primes with
-    the exponents of 2 and 3 each >= 1.  ``basis_size`` must be at least 2;
-    a limit below 6 admits no member and is rejected.
+    the exponents of 2 and 3 each >= 1, i.e. 6 times a smooth number.
+    ``basis_size`` must be at least 2; a limit below 6 admits no member and
+    is rejected.
     """
     if basis_size < 2:
         raise GridError("basis_size must be >= 2")
     if limit < 6:
         raise GridError("limit < 6 admits no sample size (members are divisible by 6)")
-    primes = first_primes(basis_size)
-    members: list[int] = []
-
-    def extend(idx: int, value: int) -> None:
-        if idx == len(primes):
-            members.append(value)
-            return
-        p = primes[idx]
-        v = value * p if idx < 2 else value  # exponents of 2 and 3 start at 1
-        while v <= limit:
-            extend(idx + 1, v)
-            v *= p
-
-    extend(0, 1)
-    return sorted(members)
+    return [6 * v for v in _smooth_numbers(basis_size, limit // 6)]
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,17 @@ def in_lattice(n: int, basis_size: int = 3) -> bool:
     return exps is not None and exps[2] >= 1 and exps[3] >= 1
 
 
+def _member_exponents(n: int, basis_size: int) -> dict[int, int]:
+    """Exponent map of a lattice member; GridError for a non-member."""
+    exps = factor_over_basis(n, basis_size)
+    if exps is None or exps[2] < 1 or exps[3] < 1:
+        raise GridError(
+            f"n={n} is not in the lattice over the first {basis_size} primes "
+            f"(needs factors 2 and 3 only over the basis)"
+        )
+    return exps
+
+
 @dataclass(frozen=True)
 class DivisorChain:
     """Sorted divisor set of an admissible n with its checked gap ratio."""
@@ -120,13 +132,7 @@ def divisor_chain(n: int, basis_size: int = 3) -> DivisorChain:
     Non-members are rejected: the factor-two gap property is only
     guaranteed on the admissible lattice.
     """
-    exps = factor_over_basis(n, basis_size)
-    if exps is None or exps[2] < 1 or exps[3] < 1:
-        raise GridError(
-            f"n={n} is not in the lattice over the first {basis_size} primes "
-            f"(needs factors 2 and 3 only over the basis)"
-        )
-    factors = [(p, e) for p, e in exps.items() if e > 0]
+    factors = [(p, e) for p, e in _member_exponents(n, basis_size).items() if e > 0]
     divisors = [1]
     for p, e in factors:
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
@@ -177,21 +183,6 @@ class BlockSchedule:
         return self.q_seq[k] if k < len(self.q_seq) else 1
 
 
-def _block_lhs(n: int, profile: MixingProfile, basis_size: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The divisors of n, ascending, and 0.5 * theta(divisor) * n over them."""
-    divisors = np.asarray(divisor_chain(n, basis_size).divisors)
-    return divisors, 0.5 * profile.theta(divisors) * n
-
-
-def _minimal_block(n: int, divisors: np.ndarray, lhs: np.ndarray, k: int) -> int:
-    fits = lhs <= divisors * 2.0 ** (k + 1)
-    if not fits.any():
-        # Unreachable: s = n always satisfies the inequality since theta <= 1.
-        raise GridError(f"no admissible block length for n={n}, k={k}")
-    return int(divisors[np.argmax(fits)])
-
-
 def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
                    max_depth: int = 128) -> BlockSchedule:
     """Full block-length schedule for one lattice member.
@@ -200,10 +191,12 @@ def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
     first divisor, ascending, that satisfies its inequality, so minimality
     holds by construction.  Monotonicity in the level is verified.
     """
-    divisors, lhs = _block_lhs(n, profile, basis_size)
+    divisors = np.asarray(divisor_chain(n, basis_size).divisors)
+    lhs = 0.5 * profile.theta(divisors) * n
     seq: list[int] = []
     for k in range(max_depth):
-        q = _minimal_block(n, divisors, lhs, k)
+        # s = n always fits since theta <= 1, so argmax finds a divisor
+        q = int(divisors[np.argmax(lhs <= divisors * 2.0 ** (k + 1))])
         if seq and q > seq[-1]:
             raise GridError("schedule failed to be non-increasing")  # pragma: no cover
         seq.append(q)
@@ -216,4 +209,22 @@ def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
 
 def first_block_length(n: int, profile: MixingProfile, basis_size: int = 3) -> int:
     """Level-zero block length without building the whole schedule."""
-    return _minimal_block(n, *_block_lhs(n, profile, basis_size), 0)
+    return int(first_block_lengths([n], profile, basis_size)[0])
+
+
+def first_block_lengths(ns, profile: MixingProfile, basis_size: int = 3) -> np.ndarray:
+    """first_block_length of every lattice member in ``ns``, bit for bit.
+
+    Every divisor of a member is a smooth number, so theta is evaluated once
+    over the smooth numbers up to max(ns); each n takes the first of them
+    that divides it and meets the level-zero inequality of block_schedule.
+    """
+    ns = [int(n) for n in ns]
+    for n in ns:
+        _member_exponents(n, basis_size)
+    smooth = np.asarray(_smooth_numbers(basis_size, max(ns, default=1)))
+    half, twice = 0.5 * profile.theta(smooth), smooth * 2.0
+    out = np.empty(len(ns), dtype=np.int64)
+    for i, n in enumerate(ns):
+        out[i] = smooth[np.argmax((half * n <= twice) & (n % smooth == 0))]
+    return out

@@ -221,7 +221,7 @@ def parse_profile(text: str) -> MixingProfile:
 def _parse_kv(text: str, required=(), optional=(), last=None) -> dict[str, str]:
     """The key=value fields of a comma-separated spec: every ``required`` key,
     others only from ``optional``, and the ``last`` key's value runs to the end
-    of the text.  Raises ValueError naming a missing or unknown key."""
+    of the text.  Raises ValueError naming a missing, unknown or repeated key."""
     parts = text.split(",")
     out: dict[str, str] = {}
     for i, part in enumerate(parts):
@@ -232,6 +232,8 @@ def _parse_kv(text: str, required=(), optional=(), last=None) -> dict[str, str]:
         if key not in required and key not in optional:
             raise ValueError(f"unknown key {key!r} in {text!r}; expected "
                              f"{', '.join(required + optional) or 'no keys'}")
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in {text!r}")
         if key == last:
             out[key] = ",".join([value] + parts[i + 1:]).strip()
             break

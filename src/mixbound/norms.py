@@ -115,18 +115,33 @@ class QuantileCurve:
                              values=tuple(c * x for x in self.values))
 
 
-def active_lag_count(u: float, q: int, profile: MixingProfile) -> int:
+def active_lag_count(u, q: int, profile: MixingProfile):
     """Number of lags i in 0..q whose halved dependence level still covers u.
 
     Integer-valued, non-increasing in u and non-decreasing in q; zero as
-    soon as u exceeds 1/2 because theta is capped at 1.
+    soon as u exceeds 1/2 because theta is capped at 1.  Vectorized over u:
+    the half-levels are built once, and a scalar u gives an ``int``.
     """
-    if u <= 0:
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr <= 0):
         raise ValueError("u must be > 0 (the u = 0 endpoint is handled by limits)")
     if q < 0:
         raise ValueError("q must be >= 0")
-    half = profile.half_levels(q)
-    return int(np.count_nonzero(half >= u))
+    counts = _lag_counts(profile.half_levels(q), u_arr)
+    return int(counts) if u_arr.ndim == 0 else counts
+
+
+def _lag_counts(half: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of half-levels >= u, for every entry of u.
+
+    The levels are ascending once reversed, since theta is non-increasing by
+    formula or by validation; float ``pow`` is not guaranteed monotone, so
+    the order is checked, and the levels are sorted should it ever fail.
+    """
+    asc = half[::-1]
+    if not (asc[:-1] <= asc[1:]).all():
+        asc = np.sort(half)
+    return asc.size - np.searchsorted(asc, u, side="left")
 
 
 def _check_discrete(v: np.ndarray, p: np.ndarray) -> None:
@@ -215,10 +230,7 @@ def _weight_integrals(breaks: np.ndarray, steps: np.ndarray, half: np.ndarray) -
     """
     cuts, below, nterms = _merged_cuts(breaks, half)
     left, right = cuts[:, :-1], cuts[:, 1:]
-    half_sorted = np.sort(half)
-    # count of half-levels >= u  ==  len - first index with level >= u
-    mu = np.searchsorted(half_sorted, right, side="left")
-    mu = np.subtract(half_sorted.size, mu, out=mu).astype(float)
+    mu = _lag_counts(half, right).astype(float)
     # right-continuous: the value on [left, right)
     qvals = np.take_along_axis(steps, below[:, :-1], axis=1)
     terms = right - left                         # (right - left) * mu * qvals**2,
@@ -269,17 +281,40 @@ def holder_factor(q: int, r: float, profile: MixingProfile) -> float:
     the integrand is a step function with at most q + 2 pieces, so the
     integral is a finite sum.
     """
+    return float(holder_factors([q], r, profile)[0])
+
+
+def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
+    """holder_factor at every q of ``qs``, bit for bit.
+
+    The half-levels and the count powers are built once, at the largest q,
+    and a buffer for the terms; each q reads its q + 1 levels and powers
+    from them and keeps its own sum.
+    """
     if r <= 2:
         raise ValueError("r must be > 2")
-    if q < 0:
+    uniq, inverse = np.unique(np.asarray(qs, dtype=np.int64), return_inverse=True)
+    if uniq.size and uniq[0] < 0:
         raise ValueError("q must be >= 0")
     a = r / (r - 2.0)
-    levels = np.sort(profile.half_levels(q))          # ascending
-    cuts = np.concatenate([[0.0], levels])
-    counts = np.arange(q + 1, 0, -1, dtype=float)     # count on (cuts[j], cuts[j+1]]
-    widths = np.diff(cuts)
-    integral = float((widths * counts**a).sum())
-    return math.sqrt(2.0) * integral ** ((r - 2.0) / (2.0 * r))
+    top = int(uniq[-1]) if uniq.size else 0
+    # half_levels(top) on descending lags, so ascending with no reversed copy;
+    # its suffixes are the ascending prefixes unless float rounding broke the
+    # monotonicity of theta
+    asc = 0.5 * profile.theta(np.arange(top, -1, -1))
+    ordered = (asc[:-1] <= asc[1:]).all()
+    powers = np.arange(top + 1, 0, -1, dtype=float)
+    powers **= a
+    out, terms = np.empty(uniq.size), np.empty(top + 1)
+    for i, q in enumerate(uniq.tolist()):
+        levels = asc[top - q:] if ordered else np.sort(asc[top - q:])
+        # count q + 1 - j on (levels[j - 1], levels[j]], with levels[-1] = 0
+        t = terms[: q + 1]
+        np.subtract(levels[1:], levels[:-1], out=t[1:])
+        t[0] = levels[0]
+        t *= powers[top - q:]
+        out[i] = math.sqrt(2.0) * float(t.sum()) ** ((r - 2.0) / (2.0 * r))
+    return out[inverse]
 
 
 # -- block-average moments -------------------------------------------------

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import first_block_length
+from .grid import first_block_lengths, lattice_members
 from .mixing import MixingProfile
-from .norms import holder_factor
+from .norms import holder_factors
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,22 @@ def rate_factor(n: int, r: float, profile: MixingProfile, basis_size: int = 3) -
     zero block length; its square root multiplies the complexity in the
     L^r-based bound, and n over this factor is the effective sample size.
     """
-    q0 = first_block_length(n, profile, basis_size)
-    return holder_factor(q0, r, profile) ** 2
+    return float(rate_factors([n], r, profile, basis_size)[0])
+
+
+def rate_factors(ns, r: float, profile: MixingProfile, basis_size: int = 3) -> np.ndarray:
+    """rate_factor of every lattice member in ``ns``, bit for bit."""
+    return _block_factors(ns, r, profile, basis_size)[1]
+
+
+def _block_factors(ns, r: float, profile: MixingProfile, basis_size: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Level-zero block lengths of ``ns`` and the rate factors at them."""
+    q0s = first_block_lengths(ns, profile, basis_size)
+    # Python's float power, as in holder_factor(q0) ** 2: numpy's ** 2 is a
+    # plain product, which can round differently.
+    factors = [b ** 2 for b in holder_factors(q0s, r, profile).tolist()]
+    return q0s, np.asarray(factors, dtype=float)
 
 
 def effective_sample_size(n: int, r: float, profile: MixingProfile,
@@ -168,38 +182,42 @@ class RateReport:
 
 def rate_report(n: int, r: float, profile: MixingProfile,
                 basis_size: int = 3) -> RateReport:
-    q0 = first_block_length(n, profile, basis_size)
-    factor = holder_factor(q0, r, profile) ** 2
-    lower = upper = None
-    strong = None
+    return _rate_reports([n], r, profile, basis_size)[0]
+
+
+def _rate_reports(ns, r: float, profile: MixingProfile, basis_size: int) -> list[RateReport]:
+    q0s, factors = _block_factors(ns, r, profile, basis_size)
+    case = None                       # the closed-form envelope case, if any
     if profile.kind == "m_dependent":
-        regime = "m_dependent"
-        lower, upper = closed_form_envelopes(q0, profile.m, r, 1)
+        regime, case = "m_dependent", 1
     elif profile.kind == "polynomial":
         regime, _ = regime_classify(profile.m, r)
         case = {"fast": 2, "critical": 3, "slow": 4}[regime]
-        lower, upper = closed_form_envelopes(q0, profile.m, r, case)
-        strong = strong_approx_rate(max(n, 2), profile.m)
     elif profile.kind == "iid":
         regime = "iid"
     else:
         regime = "fast" if profile.kind == "exponential" else "unclassified"
-    return RateReport(
-        n=n, r=r, profile_spec=profile.spec(), q0=q0, factor=factor,
-        factor_sqrt=math.sqrt(factor), effective_n=n / factor, regime=regime,
-        lower_env=lower, upper_env=upper, strong_rate=strong,
-    )
+    reports = []
+    for n, q0, factor in zip(ns, q0s.tolist(), factors.tolist()):
+        lower, upper = (None, None) if case is None else \
+            closed_form_envelopes(q0, profile.m, r, case)
+        strong = strong_approx_rate(max(n, 2), profile.m) \
+            if profile.kind == "polynomial" else None
+        reports.append(RateReport(
+            n=n, r=r, profile_spec=profile.spec(), q0=q0, factor=factor,
+            factor_sqrt=math.sqrt(factor), effective_n=n / factor, regime=regime,
+            lower_env=lower, upper_env=upper, strong_rate=strong,
+        ))
+    return reports
 
 
 def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
                basis_size: int = 3) -> list[RateReport]:
     """Rate reports over every lattice member in [n_min, n_max]."""
-    from .grid import lattice_members
-
     members = [n for n in lattice_members(basis_size, n_max) if n >= n_min]
     if not members:
         raise ValueError(f"no lattice member in [{n_min}, {n_max}]")
-    return [rate_report(n, r, profile, basis_size) for n in members]
+    return _rate_reports(members, r, profile, basis_size)
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:

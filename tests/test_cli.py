@@ -260,15 +260,32 @@ SIM = ["simulate", "--class", "halfpair", "--n", "96", "--reps", "30", "--proces
     (["schedule", "--n", "12", "--profile", "table:{tmp}/absent.csv"], "absent.csv"),
     (SIM + ["ar1:rho=0.5,foo=1"], "unknown key 'foo'"),
     (["schedule", "--n", "12", "--profile", "poly:m=1,l=3"], "unknown key 'l'"),
+    (SIM + ["ar1:rho=0.5,rho=0.9"], "repeated key 'rho'"),
+    (["schedule", "--n", "12", "--profile", "poly:m=1,m=2"], "repeated key 'm'"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
         "schedule-missing-profile", "unknown-class", "missing-class-file",
-        "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key"])
+        "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key",
+        "process-repeated-key", "profile-repeated-key"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
     argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert str(exc.value.code).startswith("mixbound: error: ")
     assert message in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"table": [[0, 1], [1, 2]]}, "missing key 'weights'"),
+    ({"weights": [0.5, 0.5]}, "missing key 'table'"),
+    ([[0, 1], [1, 2]], "top level must be a JSON object"),
+])
+def test_class_file_without_table_or_weights_fails_fast(capsys, tmp_path, payload, message):
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gamma", "--class-file", str(path), "--norms", "constant:l2"])
+    assert str(exc.value.code) == f"mixbound: error: class file {path}: {message}"
     assert capsys.readouterr().out == ""
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ def test_gap_sweep_contraction():
     assert all(a > b for a, b in zip(sweep.means, sweep.means[1:]))
     target = math.log(0.9)
     assert 1.3 * target <= sweep.log_slope <= 0.7 * target
+
+
+@pytest.mark.parametrize("model, qs, exact", [(pr.ma_model(3), (6, 12), "[6, 12]"),
+                                              (pr.iid_model(), (4, 8), "[4, 8]"),
+                                              (pr.ma_model(3), (2, 4), "[4]")])
+def test_gap_sweep_rejects_an_exact_replica(recwarn, model, qs, exact):
+    # The replica is exact for iid and at q >= m for MA(m): a mean gap of 0
+    # has no logarithm, so the sweep fails rather than fit a nan slope.
+    members = fc.make_class("lipschitz4", model).members
+    with pytest.raises(ValueError, match=f"replica of {model.spec()} is exact at q = "
+                       + re.escape(exact)):
+        cp.coupling_gap_sweep(model, members, 384, qs, reps=30, seed=9)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_block_independence_replica_passes_raw_fails():

@@ -155,3 +155,63 @@ def test_sample_lattice_contains():
     lat = grid.sample_lattice(3, 1000)
     assert all(n in lat for n in lat.members)
     assert all(n not in lat for n in (0, 1, 5, 7, 10, 1001, 1002, 10**6))
+
+
+# -- the batched level-zero scan against the former per-n code ------------------
+
+
+def _reference_lattice(basis_size, limit):
+    """The former recursive build: exponents of 2 and 3 start at one."""
+    primes = grid.first_primes(basis_size)
+    members = []
+
+    def extend(idx, value):
+        if idx == len(primes):
+            members.append(value)
+            return
+        p = primes[idx]
+        v = value * p if idx < 2 else value
+        while v <= limit:
+            extend(idx + 1, v)
+            v *= p
+
+    extend(0, 1)
+    return sorted(members)
+
+
+def _reference_first_block(n, prof, basis_size):
+    """The former per-n scan: theta over n's own divisors, first fit at k = 0."""
+    divisors = np.asarray(grid.divisor_chain(n, basis_size).divisors)
+    lhs = 0.5 * prof.theta(divisors) * n
+    return int(divisors[np.argmax(lhs <= divisors * 2.0 ** 1)])
+
+
+@pytest.mark.parametrize("basis", [2, 3, 4])
+def test_lattice_and_smooth_numbers_match_former_builds(basis):
+    for limit in (6, 7, 36, 1000, 10**6):
+        assert grid.lattice_members(basis, limit) == _reference_lattice(basis, limit)
+    brute = [v for v in range(1, 5001)
+             if grid.factor_over_basis(v, basis) is not None]
+    assert grid._smooth_numbers(basis, 5000) == brute
+    assert grid._smooth_numbers(basis, 1) == [1]
+
+
+@pytest.mark.parametrize("prof", SCHEDULE_PROFILES, ids=lambda p: p.spec())
+def test_first_block_lengths_match_per_n_reference(prof):
+    for basis, limit in ((3, 10**7), (2, 10**6), (4, 10**5)):
+        ns = grid.lattice_members(basis, limit)
+        got = grid.first_block_lengths(ns, prof, basis)
+        assert got.tolist() == [_reference_first_block(n, prof, basis) for n in ns]
+    # Order and repeats are kept; a lone n is the scalar form.
+    ns = [41472, 6, 41472, 1296]
+    assert grid.first_block_lengths(ns, prof).tolist() == \
+        [grid.first_block_length(n, prof) for n in ns]
+    assert grid.first_block_lengths([], prof).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [0, 10, 35, 12 * 7, 2**5, -6])
+def test_first_block_lengths_reject_non_members(bad):
+    with pytest.raises(grid.GridError, match=f"n={bad} is not in the lattice"):
+        grid.first_block_lengths([12, bad, 36], mixing.iid_profile())
+    with pytest.raises(grid.GridError):
+        grid.first_block_length(bad, mixing.iid_profile())

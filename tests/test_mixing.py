@@ -86,6 +86,21 @@ def test_parse_profile_roundtrip():
     assert mx.parse_profile("expo:l=0.9").l == 0.9
 
 
+@pytest.mark.parametrize("spec, key", [("poly:m=0.5,m=0.9", "m"), ("expo:l=0.5,l=0.5", "l"),
+                                       ("table:t.csv,tail=zero,tail=hold", "tail")])
+def test_parse_profile_rejects_a_repeated_key(spec, key):
+    with pytest.raises(ValueError, match=f"repeated key '{key}'"):
+        mx.parse_profile(spec)
+
+
+@pytest.mark.parametrize("spec, key", [("ar1:rho=0.5,rho=0.9", "rho"),
+                                       ("ma:m=3,sigma=1,sigma=2", "sigma"),
+                                       ("iid:scale=2,scale=2", "scale")])
+def test_parse_model_rejects_a_repeated_key(spec, key):
+    with pytest.raises(ValueError, match=f"repeated key '{key}'"):
+        pr.parse_model(spec)
+
+
 def test_alpha_iid_small_and_rate():
     # Independence pushes the estimate to zero at the root-n rate: the
     # estimate at 16x the sample size should drop by roughly 4x.

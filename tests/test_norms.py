@@ -299,3 +299,107 @@ def test_dependence_norms_validates_weights():
         nm.dependence_norms([[1.0, 2.0]], [0.5, 0.6], 3, mx.iid_profile())
     with pytest.raises(ValueError, match="equal-length"):
         nm.dependence_norms([[1.0, 2.0]], [1.0], 3, mx.iid_profile())
+
+
+# -- the array forms of the exact path against the former scalar code ----------
+
+
+ARRAY_PROFILES = [
+    mx.iid_profile(), mx.m_dependent_profile(7), mx.m_dependent_profile(50),
+    mx.polynomial_profile(0.5), mx.polynomial_profile(1.0), mx.polynomial_profile(1.5),
+    mx.polynomial_profile(2.0), mx.polynomial_profile(3.0), mx.polynomial_profile(0.7),
+    mx.exponential_profile(0.5), mx.exponential_profile(0.7), mx.exponential_profile(0.8),
+    mx.exponential_profile(0.9), mx.exponential_profile(0.99),
+    mx.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1], tail="zero"),
+    mx.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1], tail="hold"),
+]
+
+
+class _BumpedProfile(mx.MixingProfile):
+    """A polynomial profile whose theta(3) is one ulp above theta(2), as a
+    non-monotone float ``pow`` would make it; the array forms must sort."""
+
+    def theta(self, q):
+        out = super().theta(q)
+        return np.where(np.asarray(q) == 3, np.nextafter(super().theta(2), 2.0), out)
+
+
+BUMPED = _BumpedProfile("polynomial", m=0.3)
+
+
+def test_bumped_profile_is_out_of_order():
+    half = BUMPED.half_levels(6)
+    assert half[3] > half[2] and not np.array_equal(half[::-1], np.sort(half))
+
+
+def _reference_count(u, q, profile):
+    """The former scalar count: lags whose half-level is >= u."""
+    return int(np.count_nonzero(profile.half_levels(q) >= u))
+
+
+def _reference_holder(q, r, profile):
+    """The former per-q Hoelder factor: sorted levels and fresh counts."""
+    a = r / (r - 2.0)
+    levels = np.sort(profile.half_levels(q))
+    cuts = np.concatenate([[0.0], levels])
+    counts = np.arange(q + 1, 0, -1, dtype=float)
+    widths = np.diff(cuts)
+    integral = float((widths * counts**a).sum())
+    return math.sqrt(2.0) * integral ** ((r - 2.0) / (2.0 * r))
+
+
+@pytest.mark.parametrize("prof", ARRAY_PROFILES + [BUMPED], ids=lambda p: p.spec())
+def test_active_lag_count_array_matches_scalar_reference(prof):
+    for q in (0, 1, 3, 4, 5, 10, 100, 1000):
+        half = prof.half_levels(q)
+        levels = half[half > 0]
+        us = np.concatenate([
+            (2.0 * np.arange(1, 401) - 1.0) / 1600.0, [0.5, 0.51, 1.0, 7.0, 1e-300],
+            levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+        got = nm.active_lag_count(us, q, prof)
+        assert got.shape == us.shape
+        assert got.tolist() == [_reference_count(u, q, prof) for u in us.tolist()]
+        scalar = nm.active_lag_count(float(us[3]), q, prof)
+        assert type(scalar) is int and scalar == got[3]
+    assert nm.active_lag_count(np.full((2, 3), 0.25), 4, prof).shape == (2, 3)
+    with pytest.raises(ValueError, match="u must be > 0"):
+        nm.active_lag_count(np.array([0.1, 0.0]), 3, prof)
+
+
+@pytest.mark.parametrize("prof", ARRAY_PROFILES, ids=lambda p: p.spec())
+def test_half_levels_reverse_sorted_and_prefix_stable(prof):
+    # The array forms read ascending levels as the reversal of one
+    # half_levels(max q), and each q's levels as its prefix.
+    half = prof.half_levels(10**6)
+    assert np.array_equal(half[::-1], np.sort(half))
+    for q in (0, 1, 2, 7, 40, 1000, 123457, 10**6):
+        assert np.array_equal(half[: q + 1], prof.half_levels(q))
+
+
+@pytest.mark.parametrize("prof", ARRAY_PROFILES + [BUMPED], ids=lambda p: p.spec())
+def test_holder_factors_match_former_per_q_code(prof):
+    qs = [0, 1, 2, 3, 4, 5, 9, 64, 1000, 4, 12345, 0, 77777]
+    for r in (4.0, 3.0, 2.5, 6.0, 9.5):
+        expect = np.array([_reference_holder(q, r, prof) for q in qs])
+        got = nm.holder_factors(qs, r, prof)
+        assert got.tobytes() == expect.tobytes()
+        assert nm.holder_factor(qs[-1], r, prof) == expect[-1]
+    assert nm.holder_factors([], 4.0, prof).shape == (0,)
+
+
+def test_holder_factors_at_the_envelope_grid():
+    # A4's grid: 40 lags up to 1e6, where each q reads a suffix of one table.
+    qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
+    for prof in (mx.m_dependent_profile(7), mx.polynomial_profile(0.5),
+                 mx.polynomial_profile(3.0)):
+        expect = np.array([_reference_holder(q, 4.0, prof) for q in qs])
+        assert nm.holder_factors(qs, 4.0, prof).tobytes() == expect.tobytes()
+
+
+def test_holder_factors_reject_bad_arguments():
+    with pytest.raises(ValueError, match="r must be > 2"):
+        nm.holder_factors([1, 2], 2.0, mx.iid_profile())
+    with pytest.raises(ValueError, match="q must be >= 0"):
+        nm.holder_factors([3, -1], 4.0, mx.iid_profile())
+    with pytest.raises(ValueError, match="q must be >= 0"):
+        nm.holder_factor(-1, 4.0, mx.iid_profile())

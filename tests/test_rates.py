@@ -130,3 +130,38 @@ def test_maximal_bound_grows_at_regime_rate():
     _, expo = rt.regime_classify(0.5, 4.0)
     predicted = (n2 / n1) ** (expo / 2.0)
     assert 0.5 * predicted <= ratio <= 2.0 * predicted
+
+
+RATE_PROFILES = [mx.iid_profile(), mx.m_dependent_profile(50), mx.polynomial_profile(0.5),
+                 mx.polynomial_profile(2.0), mx.polynomial_profile(3.0),
+                 mx.exponential_profile(0.7),
+                 mx.tabulated_profile([1.0, 0.6, 0.6, 0.25, 0.1], tail="hold")]
+
+
+@pytest.mark.parametrize("prof", RATE_PROFILES, ids=lambda p: p.spec())
+def test_rate_factors_match_former_per_n_code(prof):
+    # The former per-n code squared the scalar Hoelder factor at the scalar
+    # level-zero block length, with Python's float power.
+    from mixbound import grid
+    ns = grid.lattice_members(3, 10**7)
+    for r in (4.0, 3.0):
+        expect = [nm.holder_factor(grid.first_block_length(n, prof), r, prof) ** 2
+                  for n in ns]
+        got = rt.rate_factors(ns, r, prof)
+        assert got.tobytes() == np.array(expect).tobytes()
+        assert rt.rate_factor(ns[-1], r, prof) == expect[-1]
+        assert rt.effective_sample_size(ns[-1], r, prof) == ns[-1] / expect[-1]
+
+
+@pytest.mark.parametrize("prof", RATE_PROFILES, ids=lambda p: p.spec())
+def test_rate_table_rows_are_rate_reports(prof):
+    table = rt.rate_table(prof, 4.0, 1000, 10**6)
+    assert [rep.n for rep in table] == [n for n in rt.lattice_members(3, 10**6) if n >= 1000]
+    for rep in table:
+        assert rep == rt.rate_report(rep.n, 4.0, prof)
+
+
+def test_rate_factors_reject_non_members():
+    from mixbound import grid
+    with pytest.raises(grid.GridError, match="n=1000 is not in the lattice"):
+        rt.rate_factors([384, 1000], 4.0, mx.iid_profile())
