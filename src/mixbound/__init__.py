@@ -16,17 +16,16 @@ from .rates import (RateReport, UniversalConstants, closed_form_envelopes,
                     strong_approx_rate, universal_constants)
 from .chaining import (FunctionClass, NormFamily, PartitionSequence,
                        cell_diameter, chain_decomposition, complexity_exact,
-                       complexity_greedy, covering_number, entropy_integral,
-                       exact_covering_number, l2_family, lr_family,
-                       schedule_family, sequence_value)
-from .processes import (PathBundle, ProcessModel, ar1_model, empirical_process,
-                        iid_model, lazy_renewal_model, ma_model, mc_expected_sup,
-                        parse_model, simulate)
+                       complexity_greedy, l2_family, lr_family, schedule_family,
+                       sequence_value)
+from .processes import (ProcessModel, ar1_model, empirical_process_many, iid_model,
+                        lazy_renewal_model, ma_model, mc_expected_sup, parse_model,
+                        simulate_many)
 from .function_classes import ClassMember, ProcessClass, catalog_names, make_class
-from .coupling import (BernsteinReport, GapReport, GaussianCouple, ReplicaPath,
-                       bernstein_check, block_independence_test, build_replica,
-                       coupling_gap, coupling_gap_sweep, gaussian_couple,
-                       coupled_tail_decay_check, strong_approx_experiment)
+from .coupling import (BernsteinReport, GaussianCouple, bernstein_check,
+                       block_independence_test, coupled_paths, coupling_gap_sweep,
+                       gaussian_couple, coupled_tail_decay_check,
+                       strong_approx_experiment, sup_gaps)
 from .report import ExperimentReport, dumps_canonical
 
 __version__ = "0.1.0"

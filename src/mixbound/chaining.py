@@ -1,7 +1,6 @@
 """Partition-based complexity of finite function classes under a family of
-norms: exact search on small classes, a greedy upper bound, covering numbers
-with entropy integrals, and the telescoping chain decomposition with
-threshold stopping.
+norms: exact search on small classes, a greedy upper bound, and the
+telescoping chain decomposition with threshold stopping.
 """
 from __future__ import annotations
 
@@ -173,8 +172,8 @@ def l2_family() -> NormFamily:
 
 
 def lr_family(r: float) -> NormFamily:
-    if r <= 0:
-        raise ChainingError("r must be > 0")
+    if not (0.0 < r < math.inf):
+        raise ChainingError(f"r must be > 0 and finite, got {r}")
     return constant_family(
         lambda v, w: float((w * v**r).sum() ** (1.0 / r)), f"constant:lr,r={r:g}"
     )
@@ -411,66 +410,6 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
     if not seq.fully_separated():
         raise ChainingError("greedy refinement did not reach singletons; raise depth")
     return _sequence_value(cls, seq, cell_norms)
-
-
-# -- covering numbers ------------------------------------------------------
-
-
-def _pairwise(cls: FunctionClass, norm_fn: NormFn) -> np.ndarray:
-    size = cls.size
-    d = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i + 1, size):
-            d[i, j] = d[j, i] = norm_fn(np.abs(cls.table[i] - cls.table[j]), cls.weights)
-    return d
-
-
-def covering_number(cls: FunctionClass, norm_fn: NormFn, eps: float) -> int:
-    """Size of a greedy eps-cover with centers drawn from the class.
-
-    An upper bound on the minimal internal covering number; closed balls,
-    first-uncovered center rule (deterministic).
-    """
-    if eps <= 0:
-        raise ChainingError("eps must be > 0")
-    d = _pairwise(cls, norm_fn)
-    uncovered = np.ones(cls.size, dtype=bool)
-    centers = 0
-    while uncovered.any():
-        c = int(np.argmax(uncovered))
-        uncovered &= d[c] > eps
-        centers += 1
-    return centers
-
-
-def exact_covering_number(cls: FunctionClass, norm_fn: NormFn, eps: float) -> int:
-    """Minimal internal eps-cover by exhaustive center enumeration (size <= 16)."""
-    if cls.size > 16:
-        raise ChainingError("exhaustive cover search limited to 16 members")
-    d = _pairwise(cls, norm_fn)
-    for k in range(1, cls.size + 1):
-        for centers in combinations(range(cls.size), k):
-            if np.all(d[list(centers)].min(axis=0) <= eps):
-                return k
-    return cls.size  # pragma: no cover
-
-
-def entropy_integral(cls: FunctionClass, norm_fn: NormFn, delta: float,
-                     grid_points: int = 32) -> float:
-    """Trapezoid of sqrt(log N(eps)) over a log-spaced eps grid up to delta.
-
-    The strip below the smallest grid point is charged at the worst case
-    N = class size, keeping the result an upper-bound-flavored quantity.
-    """
-    if delta <= 0:
-        raise ChainingError("delta must be > 0")
-    eps_lo = delta * 1e-3
-    grid = np.geomspace(eps_lo, delta, grid_points)
-    vals = np.array([math.sqrt(math.log(max(covering_number(cls, norm_fn, e), 1)))
-                     for e in grid])
-    integral = float(np.trapezoid(vals, grid))
-    integral += eps_lo * math.sqrt(math.log(max(cls.size, 1)))
-    return integral
 
 
 # -- chain decomposition ---------------------------------------------------

@@ -421,7 +421,11 @@ def main(argv=None) -> int:
         # it overrides argparse defaults while explicit flags still win.
         args = _build_parser(config).parse_args(argv)
     if args.seed is None:
-        args.seed = int(os.environ.get("MIXBOUND_SEED", DEFAULT_SEED))
+        text = os.environ.get("MIXBOUND_SEED", str(DEFAULT_SEED))
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise CliError(f"MIXBOUND_SEED must be an integer, got {text!r}") from None
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # GridError, ProfileError etc. are ValueErrors

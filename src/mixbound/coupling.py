@@ -25,8 +25,8 @@ from scipy.stats import norm as _norm
 from .grid import divisor_chain
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, dependence_norm
-from .processes import (PathBundle, ProcessModel, centered_sums, mean_se,
-                        seeded_rng, simulate_many, _ma_sum, _recurse)
+from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
+                        simulate_many, _ma_sum, _recurse)
 from .rates import ls_slope
 
 
@@ -96,64 +96,13 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
     raise CouplingError(f"no replica construction for model kind {model.kind!r}")
 
 
-@dataclass(frozen=True)
-class ReplicaPath:
-    """Replica values aligned with the base path's blocks."""
-
-    base: PathBundle
-    q: int
-    seed: int
-    values: np.ndarray
-
-
-def build_replica(path: PathBundle, q: int, seed: int) -> ReplicaPath:
-    """Block-independent replica of one path.
-
-    Requires q to divide n, and the model to expose either a one-step
-    innovation recursion or finite memory.
-    """
-    _check_block_length(path.n, q)
-    innov = path.innovations[None, :]
-    vals = path.values[None, :]
-    values = replicate_many(path.model, vals, innov, q, seed)[0]
-    return ReplicaPath(base=path, q=q, seed=seed, values=values)
-
-
 # -- coupling gap -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapReport:
-    q: int
-    per_member: dict[str, float]
-    sup_gap: float
-    tau_scaled: float | None   # sqrt(n) * tau estimate, when supplied
-    ratio: float | None
 
 
 def _member_gap(member, values: np.ndarray, replica: np.ndarray) -> np.ndarray:
     """|G_n f(paths) - G_n f(replicas)| along the last axis; the centering cancels."""
     diff = member.func(values).sum(axis=-1) - member.func(replica).sum(axis=-1)
     return np.abs(diff) / math.sqrt(values.shape[-1])
-
-
-def coupling_gap(path: PathBundle, replica: ReplicaPath, members,
-                 tau_estimate: float | None = None) -> GapReport:
-    """Sup over the class of the empirical-process gap path vs replica.
-
-    When a tau estimate at the replica's block length is supplied the
-    report carries the ratio gap / (sqrt(n) * tau).
-    """
-    n = path.n
-    gaps = {mem.name: float(_member_gap(mem, path.values, replica.values))
-            for mem in members}
-    sup_gap = max(gaps.values())
-    tau_scaled = ratio = None
-    if tau_estimate is not None:
-        tau_scaled = math.sqrt(n) * tau_estimate
-        ratio = sup_gap / tau_scaled if tau_scaled > 0 else math.inf
-    return GapReport(q=replica.q, per_member=gaps, sup_gap=sup_gap,
-                     tau_scaled=tau_scaled, ratio=ratio)
 
 
 def tau_for_class(model: ProcessModel, members, q: int, outer: int, inner: int,

@@ -38,13 +38,6 @@ class ProcessClass:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def sup_envelope(self) -> float | None:
-        sups = [m.sup_bound for m in self.members]
-        if any(s is None for s in sups):
-            return None
-        return max(float(s) for s in sups)
-
     def tabulate(self, model: ProcessModel, points: int = 2001) -> FunctionClass:
         """Evaluate the members on a quantile grid of the marginal law.
 

@@ -55,7 +55,7 @@ class MixingProfile:
             if self.m is None or self.m < 1 or int(self.m) != self.m:
                 raise ProfileError("m_dependent needs a positive integer m")
         if self.kind == "polynomial":
-            if self.m is None or self.m <= 0:
+            if self.m is None or not (self.m > 0):
                 raise ProfileError("polynomial needs m > 0")
         if self.kind == "exponential":
             if self.l is None or not (0.0 < self.l < 1.0):

@@ -87,8 +87,8 @@ class QuantileCurve:
 
     def lr_norm(self, r: float) -> float:
         """Exact L^r norm of |f|: (sum width * value^r)^(1/r)."""
-        if r <= 0:
-            raise ValueError("r must be > 0")
+        if not (0.0 < r < math.inf):
+            raise ValueError(f"r must be > 0 and finite, got {r}")
         widths, v = self._segments()
         return float((widths * v**r).sum() ** (1.0 / r))
 
@@ -291,8 +291,8 @@ def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
     and a buffer for the terms; each q reads its q + 1 levels and powers
     from them and keeps its own sum.
     """
-    if r <= 2:
-        raise ValueError("r must be > 2")
+    if not (2.0 < r < math.inf):
+        raise ValueError(f"r must be > 2 and finite, got {r}")
     uniq, inverse = np.unique(np.asarray(qs, dtype=np.int64), return_inverse=True)
     if uniq.size and uniq[0] < 0:
         raise ValueError("q must be >= 0")

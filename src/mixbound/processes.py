@@ -4,7 +4,8 @@ centered and scaled sample-average functional over finite function classes.
 Every model starts exactly in its stationary law (Gaussian linear models by
 construction, the renewal chain from its explicit invariant distribution),
 so no burn-in is ever discarded.  Simulation is vectorized across
-replications; a path is reproducible bit for bit from (model, n, seed).
+replications; a path is reproducible bit for bit from
+(model, n, reps, seed, tag).
 """
 from __future__ import annotations
 
@@ -74,8 +75,11 @@ class ProcessModel:
                 raise ModelError("ma needs memory m >= 1")
             if len(self.weights) != self.m + 1:
                 raise ModelError("ma needs m + 1 weights")
-        if self.kind == "lazy_renewal" and self.tail_m <= 0:
-            raise ModelError("lazy_renewal needs tail_m > 0")
+        if self.kind == "lazy_renewal" and not (0.0 < self.tail_m < math.inf):
+            raise ModelError(f"lazy_renewal needs a finite tail_m > 0, got {self.tail_m}")
+        for name, value in (("scale", self.scale), ("sigma", self.sigma)):
+            if not (0.0 < value < math.inf):
+                raise ModelError(f"{name} must be finite and > 0, got {value}")
         if self.kind not in ("iid", "ar1", "ma", "lazy_renewal"):
             raise ModelError(f"unknown model kind {self.kind!r}")
 
@@ -217,23 +221,6 @@ def parse_model(text: str) -> ProcessModel:
 # -- simulation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathBundle:
-    """One simulated path with everything needed to rebuild it.
-
-    ``innovations`` keeps the driving noise (with the moving-average prepad
-    in front) so couplings can re-run the recursion from arbitrary times;
-    ``start`` is the stationary initial state for recursive kinds.
-    """
-
-    model: ProcessModel
-    n: int
-    seed: int
-    values: np.ndarray
-    innovations: np.ndarray
-    start: float
-
-
 def _recurse(model: ProcessModel, state: np.ndarray, innov: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """Step ``model.step`` from ``state`` along the last axis of ``innov``.
@@ -278,15 +265,6 @@ def _simulate_core(model: ProcessModel, n: int, reps: int,
     return vals, innov, starts
 
 
-def simulate(model: ProcessModel, n: int, seed: int) -> PathBundle:
-    """One stationary path of length n, reproducible from (model, n, seed)."""
-    if n < 1:
-        raise ModelError("n must be >= 1")
-    vals, innov, starts = _simulate_core(model, n, 1, seeded_rng(seed, 0x51A7))
-    return PathBundle(model=model, n=n, seed=seed, values=vals[0],
-                      innovations=innov[0], start=float(starts[0]))
-
-
 def simulate_many(model: ProcessModel, n: int, reps: int, seed: int, tag: int = 0):
     """(reps, n) stationary paths plus innovations and starts (vectorized)."""
     return _simulate_core(model, n, reps, seeded_rng(seed, 0x51A7, tag))
@@ -295,15 +273,8 @@ def simulate_many(model: ProcessModel, n: int, reps: int, seed: int, tag: int = 
 # -- empirical process --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmpiricalResult:
-    names: tuple[str, ...]
-    values: np.ndarray        # per-member centered scaled averages
-    sup_pairs: float          # sup over member pairs of the absolute gap
-
-
-def empirical_process(path: PathBundle, members) -> EmpiricalResult:
-    """Centered, sqrt(n)-scaled class averages over one path.
+def empirical_process_many(values: np.ndarray, members) -> np.ndarray:
+    """(reps,) sup over member pairs for a (reps, n) path matrix.
 
     Every member must carry its exact stationary mean; members without one
     cannot be centered and are rejected with a pointer to the class
@@ -316,16 +287,6 @@ def empirical_process(path: PathBundle, members) -> EmpiricalResult:
             f"members {missing} have no stationary mean; build the class with "
             f"means attached (see function_classes.make_class)"
         )
-    g = np.array([centered_sums(mem, path.values) for mem in members])
-    return EmpiricalResult(
-        names=tuple(m.name for m in members),
-        values=g,
-        sup_pairs=float(g.max() - g.min()),
-    )
-
-
-def empirical_process_many(values: np.ndarray, members) -> np.ndarray:
-    """(reps,) sup over member pairs for a (reps, n) path matrix."""
     g = np.stack([centered_sums(mem, values) for mem in members])
     return g.max(axis=0) - g.min(axis=0)
 

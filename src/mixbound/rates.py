@@ -82,10 +82,10 @@ def regime_classify(m: float, r: float) -> tuple[str, float]:
     the power 1/m applied to log n) or ``slow`` (polynomial growth in n with
     the returned power).
     """
-    if m <= 0:
-        raise ValueError("m must be > 0")
-    if r <= 2:
-        raise ValueError("r must be > 2")
+    if not (m > 0):
+        raise ValueError(f"m must be > 0, got {m}")
+    if not (2.0 < r < math.inf):
+        raise ValueError(f"r must be > 2 and finite, got {r}")
     crit = r / (r - 2.0)
     if m > crit:
         return "fast", 0.0
@@ -103,8 +103,8 @@ def closed_form_envelopes(q: int, m: float, r: float, case: int) -> tuple[float,
     the exact factor always lies inside the returned interval on the
     regimes exercised by the verification suite.
     """
-    if r <= 2:
-        raise ValueError("r must be > 2")
+    if not (2.0 < r < math.inf):
+        raise ValueError(f"r must be > 2 and finite, got {r}")
     if q < 0:
         raise ValueError("q must be >= 0")
     a = r / (r - 2.0)

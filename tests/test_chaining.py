@@ -240,48 +240,6 @@ def test_norm_family_seminorm_spot_checks():
         assert fam.norm(1, x + y, w) <= fam.norm(1, x, w) + fam.norm(1, y, w) + 1e-12
 
 
-def test_covering_number_extremes():
-    rng = np.random.default_rng(8)
-    cls = make_class(rng, 5)
-    fam = ch.l2_family()
-
-    def norm_fn(vec, w):
-        return fam.norm(0, vec, w)
-
-    diam = max(norm_fn(np.abs(cls.table[i] - cls.table[j]), cls.weights)
-               for i in range(5) for j in range(5))
-    assert ch.covering_number(cls, norm_fn, diam) == 1
-    assert ch.covering_number(cls, norm_fn, 1e-9) == 5
-
-
-def test_covering_greedy_vs_exact_spread_constants():
-    # Five equally spaced constants distance d apart under the L2 norm.
-    d = 1.0
-    cls = ch.FunctionClass(table=np.arange(5.0)[:, None] * d * np.ones((5, 4)),
-                           weights=np.full(4, 0.25))
-
-    def norm_fn(vec, w):
-        return math.sqrt(float((w * vec**2).sum()))
-
-    greedy = ch.covering_number(cls, norm_fn, d / 2)
-    exact = ch.exact_covering_number(cls, norm_fn, d / 2)
-    assert exact <= greedy <= 2 * exact
-    assert ch.exact_covering_number(cls, norm_fn, d) == 2
-
-
-def test_entropy_integral_monotone_in_delta():
-    rng = np.random.default_rng(9)
-    cls = make_class(rng, 6)
-    fam = ch.l2_family()
-
-    def norm_fn(vec, w):
-        return fam.norm(0, vec, w)
-
-    small = ch.entropy_integral(cls, norm_fn, 0.1)
-    large = ch.entropy_integral(cls, norm_fn, 1.0)
-    assert 0 <= small <= large
-
-
 def test_chain_identity_exact_cases():
     rng = np.random.default_rng(10)
     cls = make_class(rng, 4)

@@ -225,6 +225,16 @@ def test_verify_unknown_suite():
         cli.main(["verify", "--suite", "nonsense"])
 
 
+def test_env_seed_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MIXBOUND_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--process", "iid", "--class", "halfpair",
+                  "--n", "96", "--reps", "30"])
+    assert str(exc.value.code) == \
+        "mixbound: error: MIXBOUND_SEED must be an integer, got 'abc'"
+    assert capsys.readouterr().out == ""
+
+
 def test_env_seed_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MIXBOUND_SEED", "99")
     f1 = tmp_path / "a.json"
@@ -242,7 +252,15 @@ def _class_file(tmp_path):
     return str(path)
 
 
+def _curve_file(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("0.5\n-1.25\n2.0\n")
+    return str(path)
+
+
 SIM = ["simulate", "--class", "halfpair", "--n", "96", "--reps", "30", "--process"]
+RATES = ["rates", "--profile", "poly:m=1", "--n-min", "1000", "--n-max", "2000"]
+NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -262,12 +280,25 @@ SIM = ["simulate", "--class", "halfpair", "--n", "96", "--reps", "30", "--proces
     (["schedule", "--n", "12", "--profile", "poly:m=1,l=3"], "unknown key 'l'"),
     (SIM + ["ar1:rho=0.5,rho=0.9"], "repeated key 'rho'"),
     (["schedule", "--n", "12", "--profile", "poly:m=1,m=2"], "repeated key 'm'"),
+    (SIM + ["iid:scale=-1"], "scale must be finite and > 0, got -1.0"),
+    (SIM + ["iid:scale=inf"], "scale must be finite and > 0, got inf"),
+    (SIM + ["ma:m=3,sigma=nan"], "sigma must be finite and > 0, got nan"),
+    (SIM + ["lazy:m=nan"], "lazy_renewal needs a finite tail_m > 0, got nan"),
+    (RATES + ["--r", "nan"], "r must be > 2 and finite, got nan"),
+    (RATES + ["--r", "inf"], "r must be > 2 and finite, got inf"),
+    (NORMS + ["poly:m=1", "--r", "nan"], "r must be > 2 and finite, got nan"),
+    (NORMS + ["poly:m=nan"], "polynomial needs m > 0"),
+    (["gamma", "--class-file", "{cls}", "--norms", "constant:lr,r=nan"],
+     "r must be > 0 and finite, got nan"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
         "schedule-missing-profile", "unknown-class", "missing-class-file",
         "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key",
-        "process-repeated-key", "profile-repeated-key"])
+        "process-repeated-key", "profile-repeated-key", "negative-scale",
+        "infinite-scale", "nan-sigma", "nan-tail", "rates-nan-r", "rates-infinite-r",
+        "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
-    argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path) for a in argv]
+    argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path, curve=_curve_file(tmp_path))
+            for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert str(exc.value.code).startswith("mixbound: error: ")

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mixbound import cli
 from mixbound import coupling as cp
 from mixbound import function_classes as fc
 from mixbound import mixing as mx
@@ -13,24 +15,21 @@ from mixbound import processes as pr
 
 
 def test_build_replica_requires_divisor():
-    path = pr.simulate(pr.ar1_model(0.5), 384, seed=1)
-    with pytest.raises(cp.CouplingError):
-        cp.build_replica(path, 7, seed=1)
+    with pytest.raises(cp.CouplingError, match="q=7 does not divide n=384"):
+        cp.coupled_paths(pr.ar1_model(0.5), 384, 7, 3, seed=1, tag=7)
 
 
 def test_replica_iid_identical():
-    path = pr.simulate(pr.iid_model(), 384, seed=2)
-    rep = cp.build_replica(path, 12, seed=2)
-    assert np.array_equal(rep.values, path.values)
+    vals, replica = cp.coupled_paths(pr.iid_model(), 384, 12, 3, seed=2, tag=12)
+    assert np.array_equal(replica, vals)
 
 
 def test_replica_ma_exact_when_block_covers_memory():
-    path = pr.simulate(pr.ma_model(3), 384, seed=3)
+    model = pr.ma_model(3)
+    vals, innov, _ = pr.simulate_many(model, 384, 3, seed=3)
     for q in (6, 12):
-        rep = cp.build_replica(path, q, seed=3)
-        assert np.array_equal(rep.values, path.values)
-    rep = cp.build_replica(path, 2, seed=3)
-    assert not np.array_equal(rep.values, path.values)
+        assert np.array_equal(cp.replicate_many(model, vals, innov, q, seed=3), vals)
+    assert not np.array_equal(cp.replicate_many(model, vals, innov, 2, seed=3), vals)
 
 
 def _reference_replica(model, values, innovations, q, rng):
@@ -106,29 +105,26 @@ def test_replica_block_zero_matches_path():
 
 
 def test_coupling_gap_zero_cases():
-    iid_path = pr.simulate(pr.iid_model(), 384, seed=6)
-    members = fc.make_class("lipschitz5", pr.iid_model()).members
-    rep = cp.build_replica(iid_path, 12, seed=6)
-    gap = cp.coupling_gap(iid_path, rep, members)
-    assert gap.sup_gap == 0.0
+    iid = pr.iid_model()
+    members = fc.make_class("lipschitz5", iid).members
+    gaps = cp.sup_gaps(*cp.coupled_paths(iid, 384, 12, 5, seed=6, tag=12), members)
+    assert gaps.shape == (5,) and np.all(gaps == 0.0)
 
     ma = pr.ma_model(3)
-    ma_path = pr.simulate(ma, 384, seed=7)
     members_ma = fc.make_class("lipschitz5", ma).members
     for q in (6, 12):
-        rep = cp.build_replica(ma_path, q, seed=7)
-        assert cp.coupling_gap(ma_path, rep, members_ma).sup_gap == 0.0
+        assert np.all(cp.gap_samples(ma, members_ma, 384, q, 5, seed=7) == 0.0)
 
 
-def test_coupling_gap_ratio_reported():
-    model = pr.ar1_model(0.9)
-    path = pr.simulate(model, 384, seed=8)
-    rep = cp.build_replica(path, 8, seed=8)
-    members = fc.make_class("lipschitz4", model).members
-    tau, _ = cp.tau_for_class(model, members, 8, 200, 200, seed=8)
-    gap = cp.coupling_gap(path, rep, members, tau_estimate=tau)
-    assert gap.tau_scaled == pytest.approx(math.sqrt(384) * tau)
-    assert gap.ratio == gap.sup_gap / gap.tau_scaled
+def test_coupling_gap_ratio_reported(capsys):
+    code = cli.main(["couple", "--process", "ar1:rho=0.9", "--class", "lipschitz4",
+                     "--n", "384", "--q", "8", "--reps", "40", "--seed", "8"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["sqrt_n_tau"] == pytest.approx(math.sqrt(384) * res["tau_hat"], rel=1e-10)
+    assert res["gap_over_sqrt_n_tau"] == pytest.approx(
+        res["gap_mean"] / res["sqrt_n_tau"], rel=1e-10)
+    assert res["gap_mean"] > 0 and res["tau_hat"] > 0
 
 
 def test_gap_sweep_contraction():

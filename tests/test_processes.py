@@ -18,6 +18,20 @@ def test_model_validation():
         pr.ma_model(0)
     with pytest.raises(pr.ModelError):
         pr.lazy_renewal_model(0.0)
+    # NaN fails every comparison, so it must fail the guard as well.
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(pr.ModelError, match="scale must be finite and > 0"):
+            pr.iid_model(bad)
+        with pytest.raises(pr.ModelError, match="sigma must be finite and > 0"):
+            pr.ar1_model(0.5, sigma=bad)
+        with pytest.raises(pr.ModelError, match="sigma must be finite and > 0"):
+            pr.ma_model(3, sigma=bad)
+        with pytest.raises(pr.ModelError, match="tail_m > 0"):
+            pr.lazy_renewal_model(bad)
+    for spec in ("iid:scale=-1", "iid:scale=inf", "ar1:rho=0.5,sigma=0",
+                 "ma:m=3,sigma=nan", "lazy:m=nan", "lazy:m=inf"):
+        with pytest.raises(pr.ModelError):
+            pr.parse_model(spec)
 
 
 def test_parse_model():
@@ -30,12 +44,15 @@ def test_parse_model():
 
 def test_simulate_deterministic():
     model = pr.ar1_model(0.7)
-    a = pr.simulate(model, 100, seed=42)
-    b = pr.simulate(model, 100, seed=42)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.innovations, b.innovations)
-    c = pr.simulate(model, 100, seed=43)
-    assert not np.array_equal(a.values, c.values)
+    vals, innov, starts = pr.simulate_many(model, 100, 3, seed=42, tag=5)
+    again = pr.simulate_many(model, 100, 3, seed=42, tag=5)
+    assert np.array_equal(vals, again[0])
+    assert np.array_equal(innov, again[1])
+    assert np.array_equal(starts, again[2])
+    for seed, tag in ((43, 5), (42, 6)):
+        other = pr.simulate_many(model, 100, 3, seed=seed, tag=tag)
+        assert not np.array_equal(vals, other[0])
+        assert not np.array_equal(innov, other[1])
 
 
 MODELS = {
@@ -206,26 +223,33 @@ def test_lazy_renewal_stationarity():
 
 def test_empirical_process_constant_function():
     model = pr.iid_model()
-    path = pr.simulate(model, 384, seed=5)
+    vals, _, _ = pr.simulate_many(model, 384, 4, seed=5)
     member = fc.ClassMember(name="const", func=lambda x: np.ones_like(x),
                             mean=1.0, sup_bound=1.0)
-    res = pr.empirical_process(path, [member])
-    assert abs(res.values[0]) < 1e-9
+    assert np.all(np.abs(pr.centered_sums(member, vals)) < 1e-9)
+    identity = fc.make_class("identity", model).members[0]
+    sups = pr.empirical_process_many(vals, [member, identity])
+    assert np.allclose(sups, np.abs(pr.centered_sums(identity, vals)), rtol=0, atol=1e-9)
 
 
 def test_empirical_process_requires_means():
-    path = pr.simulate(pr.iid_model(), 96, seed=6)
-    member = fc.ClassMember(name="nomean", func=np.sin, mean=None)
-    with pytest.raises(pr.ModelError, match="stationary mean"):
-        pr.empirical_process(path, [member])
+    model = pr.iid_model()
+    vals, _, _ = pr.simulate_many(model, 96, 3, seed=6)
+    members = [fc.make_class("identity", model).members[0],
+               fc.ClassMember(name="nomean", func=np.sin, mean=None)]
+    with pytest.raises(pr.ModelError, match=r"\['nomean'\] have no stationary mean"):
+        pr.empirical_process_many(vals, members)
+    with pytest.raises(pr.ModelError, match=r"\['nomean'\] have no stationary mean"):
+        pr.mc_expected_sup(model, members, 96, reps=30, seed=6)
 
 
 def test_half_pair_doubles_single():
     model = pr.iid_model()
     members = fc.make_class("halfpair", model).members
-    path = pr.simulate(model, 384, seed=7)
-    res = pr.empirical_process(path, members)
-    assert math.isclose(res.sup_pairs, 2 * abs(res.values[0]), rel_tol=1e-12)
+    vals, _, _ = pr.simulate_many(model, 384, 20, seed=7)
+    sups = pr.empirical_process_many(vals, members)
+    single = np.abs(pr.centered_sums(members[0], vals))
+    assert np.allclose(sups, 2 * single, rtol=1e-12, atol=0)
 
 
 def test_mc_expected_sup_halfpair_calibration():
