@@ -26,7 +26,7 @@ from .grid import divisor_chain
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, dependence_norm
 from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
-                        simulate_many, _ma_sum, _recurse)
+                        simulate_many, _ma_sum, _member_sums, _recurse)
 from .rates import ls_slope
 
 
@@ -86,7 +86,7 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
     """Vectorized replica paths from stored paths and innovations (internal)."""
     rng = seeded_rng(seed, 0xC0FF, tag)
     if model.kind == "iid":
-        return values.copy()
+        return values   # the path is its own replica; simulate_many made it read-only
     if model.kind == "ma":
         # When q >= m the lead-in covers the whole moving-average window and
         # the reconstruction reproduces the path bit for bit.
@@ -101,7 +101,7 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
 
 def _member_gap(member, values: np.ndarray, replica: np.ndarray) -> np.ndarray:
     """|G_n f(paths) - G_n f(replicas)| along the last axis; the centering cancels."""
-    diff = member.func(values).sum(axis=-1) - member.func(replica).sum(axis=-1)
+    diff = _member_sums(member, values) - _member_sums(member, replica)
     return np.abs(diff) / math.sqrt(values.shape[-1])
 
 
@@ -394,7 +394,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
     the finite-dimensional moment term plus the scaled dependence
     coefficient; the implied constant ratio is reported per point.
     """
-    if gamma_order < 2:
+    if not (gamma_order >= 2):   # NaN fails every comparison
         raise CouplingError("gamma_order must be in [2, inf]")
     members = list(members)
     points = []

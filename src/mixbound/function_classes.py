@@ -20,6 +20,8 @@ from .processes import ProcessModel, seeded_rng
 
 @dataclass(frozen=True)
 class ClassMember:
+    """``func`` must be elementwise (each output entry depends only on the
+    input entry at the same position): path sums run it on slices of rows."""
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     mean: float | None

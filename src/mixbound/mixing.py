@@ -64,6 +64,8 @@ class MixingProfile:
             if not self.table:
                 raise ProfileError("tabulated needs a non-empty table")
             arr = np.asarray(self.table, dtype=float)
+            if not np.isfinite(arr).all():
+                raise ProfileError("table values must be finite")
             if arr.min() < 0.0 or arr.max() > 1.0:
                 raise ProfileError("table values must lie in [0, 1]")
             if arr[0] != 1.0:

@@ -10,6 +10,8 @@ replications; a path is reproducible bit for bit from
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +35,59 @@ def mean_se(x) -> tuple[float, float]:
     return float(x.mean()), se
 
 
+_SLICE = 1 << 14   # input elements per slice, so that temporaries stay in cache
+
+
+def _by_rows(fn, values: np.ndarray) -> np.ndarray:
+    """``fn(values)``, bit for bit, for a row-local ``fn`` (row i of its result
+    depends on row i of its input only), run over cache-sized slices of the
+    leading axis with the rows shared among the cores this process may use.
+
+    Threads are started per call: a pool made before a fork hangs the child.
+    """
+    rows = values.shape[0] if values.ndim > 1 else 1
+    step = max(1, _SLICE * rows // max(values.size, 1))
+    if step >= rows:   # 1-D, or no bigger than one slice
+        return fn(values)
+    first = fn(values[:step])
+    out = np.empty((rows,) + first.shape[1:], first.dtype)
+    out[:step] = first
+    errors: list[BaseException] = []
+
+    def work(lo: int, hi: int) -> None:
+        try:
+            for a in range(lo, hi, step):
+                out[a: a + step] = fn(values[a: a + step])
+        except BaseException as exc:   # raised once every share has stopped
+            errors.append(exc)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    rest = -(-rows // step) - 1   # slices after the first
+    shares = min(cores, rest)
+    cuts = [step * (1 + rest * i // shares) for i in range(shares + 1)]
+    threads = [threading.Thread(target=work, args=cuts[i: i + 2])
+               for i in range(1, shares)]
+    for t in threads:
+        t.start()
+    work(cuts[0], cuts[1])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _member_sums(member, values: np.ndarray) -> np.ndarray:
+    """Raw sums of ``member.func`` over the last axis of ``values``."""
+    return _by_rows(lambda v: member.func(v).sum(axis=-1), values)
+
+
 def centered_sums(member, values: np.ndarray) -> np.ndarray:
     """Centered, sqrt(length)-scaled sums of ``member`` over the last axis:
     n^{-1/2} sum (f(X_t) - E f) for each length-n row of ``values``."""
     length = values.shape[-1]
-    return (member.func(values).sum(axis=-1) - length * member.mean) / math.sqrt(length)
+    return (_member_sums(member, values) - length * member.mean) / math.sqrt(length)
 
 
 @dataclass(frozen=True)
@@ -158,8 +208,9 @@ class ProcessModel:
                          rng: np.random.Generator) -> np.ndarray:
         if self.kind == "lazy_renewal":
             return rng.random(size)
-        return self.sigma * rng.standard_normal(size) if self.kind != "iid" \
-            else self.scale * rng.standard_normal(size)
+        out = rng.standard_normal(size)
+        out *= self.scale if self.kind == "iid" else self.sigma
+        return out
 
     def step(self, state: np.ndarray, innovation: np.ndarray) -> np.ndarray:
         """One transition of the innovation recursion (Markov kinds only)."""
@@ -239,27 +290,37 @@ def _ma_sum(weights, innov: np.ndarray, length: int) -> np.ndarray:
     """(m+1)-tap moving average over the last axis of ``innov``.
 
     ``innov`` carries m leading innovations before the first output time.
-    The taps are added in a fixed order, so every caller gets the same bits.
+    The taps are added in a fixed order, so every caller gets the same bits;
+    rows go slice by slice, so no tap makes a full-size temporary.
     """
     w = np.asarray(weights)
     m = w.size - 1
-    vals = np.zeros(innov.shape[:-1] + (length,))
-    for j in range(m + 1):
-        vals += w[j] * innov[..., m - j: m - j + length]
-    return vals
+
+    def taps(block: np.ndarray) -> np.ndarray:
+        vals = np.zeros(block.shape[:-1] + (length,))
+        for j in range(m + 1):
+            vals += w[j] * block[..., m - j: m - j + length]
+        return vals
+    return _by_rows(taps, innov)
 
 
 def _simulate_core(model: ProcessModel, n: int, reps: int,
                    rng: np.random.Generator):
     """(values, innovations, starts) for ``reps`` independent paths."""
     if model.kind == "iid":
+        # The path is its innovations; read-only, so no caller needs a copy.
         innov = model.draw_innovations((reps, n), rng)
-        return innov.copy(), innov, np.zeros(reps)
+        innov.flags.writeable = False
+        return innov, innov, np.zeros(reps)
     if model.kind == "ma":
         innov = model.draw_innovations((reps, n + model.m), rng)
         return _ma_sum(model.weights, innov, n), innov, np.zeros(reps)
     starts = model.stationary_sample(reps, rng)
     innov = model.draw_innovations((reps, n), rng)
+    if model.kind == "ar1":
+        from scipy.signal import lfilter   # slow to import: only here
+        return lfilter([1.0], [1.0, -model.rho], innov, axis=-1,
+                       zi=(model.rho * starts)[:, None])[0], innov, starts
     vals = np.empty((reps, n))
     _recurse(model, starts, innov, vals)
     return vals, innov, starts

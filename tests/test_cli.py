@@ -2,12 +2,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixbound import cli
 from mixbound import chaining, grid, mixing, norms, processes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -304,6 +310,39 @@ def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
     assert str(exc.value.code).startswith("mixbound: error: ")
     assert message in str(exc.value.code)
     assert capsys.readouterr().out == ""
+
+
+def test_nan_table_profile_fails_fast(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("1\nnan\n0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norms", "--profile", f"table:{table}", "--q", "4",
+                  "--curve", _curve_file(tmp_path)])
+    assert str(exc.value.code) == "mixbound: error: table values must be finite"
+    assert capsys.readouterr().out == ""
+
+
+def test_strongapprox_rejects_nan_gamma(capsys, tmp_path):
+    report = tmp_path / "sa.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
+                  "--n-grid", "384", "--gamma", "nan", "--reps", "30",
+                  "--output", str(report)])
+    assert str(exc.value.code) == "mixbound: error: gamma_order must be in [2, inf]"
+    assert not report.exists() and capsys.readouterr().out == ""
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is imported where the AR(1) path needs it, so that every
+    # CLI call does not pay for its import.
+    code = "import sys, mixbound.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -22,6 +22,10 @@ def test_build_replica_requires_divisor():
 def test_replica_iid_identical():
     vals, replica = cp.coupled_paths(pr.iid_model(), 384, 12, 3, seed=2, tag=12)
     assert np.array_equal(replica, vals)
+    # The path is read-only and serves as its own replica, without a copy.
+    assert not vals.flags.writeable and np.shares_memory(vals, replica)
+    with pytest.raises(ValueError):
+        vals[0, 0] = 1.0
 
 
 def test_replica_ma_exact_when_block_covers_memory():

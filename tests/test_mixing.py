@@ -72,6 +72,12 @@ def test_envelope_dominates_input(raw):
     assert np.all(vals >= np.asarray(raw))
 
 
+def test_tabulated_rejects_nan():
+    # NaN fails every range and order comparison, so it needs its own check.
+    with pytest.raises(mx.ProfileError, match="table values must be finite"):
+        mx.tabulated_profile([1.0, math.nan, 0.3])
+
+
 def test_tabulated_inverse_undefined():
     prof = mx.tabulated_profile([1.0, 0.5, 0.5], tail="hold")
     with pytest.raises(mx.ProfileError):

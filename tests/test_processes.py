@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,60 @@ def test_centered_sums_match_former_inline_forms(kind):
                     want = _former_block_sums(mem, vals, q)
                     assert pr.centered_sums(mem, blocks).tobytes() == want.tobytes()
                     assert cp.block_sums(vals, mem, q).tobytes() == want.tobytes()
+
+
+# -- the row kernel: sliced, shared among cores, bit for bit --------------------
+
+KERNEL_MEMBERS = (fc.make_class("lipschitz5", pr.iid_model()).members
+                  + fc.make_class("indicator", pr.iid_model()).members
+                  + fc.make_class("identity", pr.iid_model()).members)
+
+
+def _kernel_input(shape):
+    rng = np.random.default_rng(11)
+    if shape == "blocks":          # block view of a path matrix, as block_sums makes
+        return rng.standard_normal((5000, 1536))[:, : 191 * 8].reshape(5000, 191, 8)
+    if shape == "columns":         # column-sliced view: rows are not contiguous
+        return rng.standard_normal((300, 2051))[:, :-3]
+    return rng.standard_normal(shape)
+
+
+SMALL_SHAPES = {"columns": "columns", "1d": (6144,), "one-slice": (12, 96),
+                "one-row": (1, 40000), "ragged": (7, 4099)}
+
+
+@pytest.mark.parametrize("shape, cores", [
+    ((1000, 6144), None), ("blocks", None),
+    *((shape, cores) for shape in SMALL_SHAPES.values() for cores in (None, 1, 3)),
+], ids=["paths", "blocks", *(f"{name}-{c or 'all'}-cores" for name in SMALL_SHAPES
+                               for c in (None, 1, 3))])
+def test_member_sums_match_one_call(monkeypatch, shape, cores):
+    if cores is not None:
+        monkeypatch.setattr(pr.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    values = _kernel_input(shape)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, so a lost write would show
+    try:
+        for mem in KERNEL_MEMBERS:
+            got = pr._member_sums(mem, values)
+            want = mem.func(values).sum(axis=-1)
+            assert got.shape == want.shape and np.array_equal(got, want), mem.name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_member_sums_raise_a_worker_exception(monkeypatch):
+    monkeypatch.setattr(pr.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    values = np.zeros((64, 4096))
+    values[-1, -1] = np.nan       # only the last share, on a worker thread, sees it
+
+    def fails_on_nan(x):
+        if np.isnan(x).any():
+            raise FloatingPointError("nan in a slice")
+        return x
+    member = fc.ClassMember(name="fails_on_nan", func=fails_on_nan, mean=0.0)
+    with pytest.raises(FloatingPointError, match="nan in a slice"):
+        pr._member_sums(member, values)
 
 
 def test_mean_se_matches_former_inline_form():
