@@ -194,8 +194,7 @@ def cmd_simulate(args) -> int:
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     _require_lattice(args.n, args.basis_size)
-    vals, _, _ = pr.simulate_many(model, args.n, args.reps, args.seed)
-    sups = pr.empirical_process_many(vals, members)
+    sups = pr.sup_samples(model, members, args.n, args.reps, args.seed)
     mean_sup, std_error = pr.mean_se(sups)
     csv_text = _csv_text(("rep", "sup_value"),
                          [(i, _fmt(float(s))) for i, s in enumerate(sups)])
@@ -218,6 +217,7 @@ def cmd_couple(args) -> int:
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     _require_lattice(args.n, args.basis_size)
+    cp._parity_blocks(args.n, args.q, args.reps, "even")   # before any simulation
     t0 = time.perf_counter()
     # One draw, tagged as gap_samples tags it, serves the gaps and the
     # independence test.
@@ -256,7 +256,12 @@ def cmd_strongapprox(args) -> int:
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
-    n_grid = [int(x) for x in args.n_grid.split(",")]
+    n_grid = []
+    for entry in args.n_grid.split(","):
+        try:
+            n_grid.append(int(entry))
+        except ValueError:
+            raise CliError(f"--n-grid entry {entry!r} is not an integer") from None
     for n in n_grid:
         _require_lattice(n, args.basis_size)
     gamma_order = math.inf if args.gamma in ("inf", "infinity") else float(args.gamma)

@@ -15,6 +15,7 @@ window exactly and the two paths coincide bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from .grid import divisor_chain
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, dependence_norm
 from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
-                        simulate_many, _ma_sum, _member_sums, _recurse)
+                        simulate_many, _PATH_STREAM, _innovation_chunks,
+                        _ma_sum, _member_sums, _path_from, _recurse)
 from .rates import ls_slope
 
 
@@ -44,15 +46,28 @@ def _check_block_length(n: int, q: int) -> int:
     return n // q
 
 
-def _replicate_ar1_like(model: ProcessModel, values: np.ndarray,
-                        innovations: np.ndarray, q: int,
-                        rng: np.random.Generator) -> np.ndarray:
+def _replica_draws(model: ProcessModel, n: int, q: int, reps: int,
+                   rng: np.random.Generator) -> np.ndarray | None:
+    """Everything the replica stream draws, per rep: (reps, nblocks) fresh block
+    starts for the recursive kinds, the moving average's (reps, nblocks - 1,
+    m - q) fresh noise when its memory reaches past one block, else None."""
+    nblocks, k = n // q, max(0, model.m - q)
+    if model.kind in ("ar1", "lazy_renewal"):
+        return model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
+    if k and nblocks > 1:
+        fresh = model.sigma * rng.standard_normal((nblocks - 1, reps, k))
+        return fresh.transpose(1, 0, 2)
+    return None
+
+
+def _replicate_recursive(model: ProcessModel, head: np.ndarray,
+                         innovations: np.ndarray, state0: np.ndarray,
+                         q: int) -> np.ndarray:
     """Replica paths for recursive kinds; innovations has shape (reps, n)."""
     reps, n = innovations.shape
     nblocks = n // q
     out = np.empty((reps, n))
-    out[:, :q] = values[:, :q]  # block zero: no lead-in room, copy the path
-    state0 = model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
+    out[:, :q] = head  # block zero: no lead-in room, copy the path
     blocks = innovations.reshape(reps, nblocks, q)
     # Every block j >= 1 at once: a lead-in through block j-1 from a fresh
     # stationary start, then block j itself.
@@ -62,38 +77,68 @@ def _replicate_ar1_like(model: ProcessModel, values: np.ndarray,
 
 
 def _replicate_ma(model: ProcessModel, innovations: np.ndarray, q: int,
-                  rng: np.random.Generator) -> np.ndarray:
+                  fresh: np.ndarray | None) -> np.ndarray:
     """Replica for the moving average; innovations carries the m-term prepad."""
     reps, total = innovations.shape
-    m = model.m
-    n = total - m
-    nblocks = n // q
     # Block j reads innovation columns qj .. qj + q + m - 1 (times qj+1-m .. qj+q).
-    windows = sliding_window_view(innovations, q + m, axis=1)[:, ::q].copy()
-    # Times at or before q(j-1), the first k columns of block j >= 1, are
-    # replaced by fresh noise so block j is independent of blocks <= j-2;
-    # block zero keeps its true prehistory.
-    k = max(0, m - q)
-    if k and nblocks > 1:
-        fresh = model.sigma * rng.standard_normal((nblocks - 1, reps, k))
-        windows[:, 1:, :k] = fresh.transpose(1, 0, 2)
-    return _ma_sum(model.weights, windows, q).reshape(reps, n)
+    windows = sliding_window_view(innovations, q + model.m, axis=1)[:, ::q]
+    # Times at or before q(j-1), the first k = m - q columns of block j >= 1,
+    # are replaced by fresh noise so block j is independent of blocks <= j-2;
+    # block zero keeps its true prehistory.  Without fresh noise (k = 0) the
+    # windows are read in place.
+    if fresh is not None:
+        windows = windows.copy()
+        windows[:, 1:, :fresh.shape[-1]] = fresh
+    return _ma_sum(model.weights, windows, q).reshape(reps, total - model.m)
+
+
+def _replica_from(model: ProcessModel, head: np.ndarray, innovations: np.ndarray,
+                  draws: np.ndarray | None, q: int) -> np.ndarray:
+    """Replicas from a row chunk of the paths' innovations, the paths' block
+    zero ``head`` and the ``_replica_draws`` rows for them."""
+    if model.kind == "iid":
+        return innovations   # the path is its innovations and its own replica
+    if model.kind == "ma":
+        # When q >= m the lead-in covers the whole moving-average window and
+        # the reconstruction reproduces the path bit for bit.
+        return _replicate_ma(model, innovations, q, draws)
+    return _replicate_recursive(model, head, innovations, draws, q)
+
+
+_REPLICA_STREAM = 0xC0FF   # seeded_rng(seed, _REPLICA_STREAM, tag) draws the replicas
 
 
 def replicate_many(model: ProcessModel, values: np.ndarray,
                    innovations: np.ndarray, q: int, seed: int,
                    tag: int = 0) -> np.ndarray:
     """Vectorized replica paths from stored paths and innovations (internal)."""
-    rng = seeded_rng(seed, 0xC0FF, tag)
     if model.kind == "iid":
         return values   # the path is its own replica; simulate_many made it read-only
-    if model.kind == "ma":
-        # When q >= m the lead-in covers the whole moving-average window and
-        # the reconstruction reproduces the path bit for bit.
-        return _replicate_ma(model, innovations, q, rng)
-    if model.kind in ("ar1", "lazy_renewal"):
-        return _replicate_ar1_like(model, values, innovations, q, rng)
-    raise CouplingError(f"no replica construction for model kind {model.kind!r}")
+    rng = seeded_rng(seed, _REPLICA_STREAM, tag)
+    draws = _replica_draws(model, values.shape[1], q, len(values), rng)
+    return _replica_from(model, values[:, :q], innovations, draws, q)
+
+
+@contextmanager
+def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int,
+                    tag: int, paths: bool = True):
+    """Row chunks ``(lo, paths, replicas)`` of ``coupled_paths(model, n, q,
+    reps, seed, tag)``, bit for bit, streamed as ``_innovation_chunks`` streams
+    them.  With ``paths=False`` the paths are None, and only their block zero,
+    which the replicas share, is built."""
+    _check_block_length(n, q)
+    draws = _replica_draws(model, n, q, reps, seeded_rng(seed, _REPLICA_STREAM, tag))
+
+    def build(chunks):
+        for lo, innov, starts in chunks:
+            vals = _path_from(model, innov, starts, n) if paths else None
+            head = vals[:, :q] if paths else \
+                _path_from(model, innov[:, :q + model.m], starts, q)
+            own = None if draws is None else draws[lo: lo + len(innov)]
+            yield lo, vals, _replica_from(model, head, innov, own, q)
+
+    with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
+        yield build(chunks)
 
 
 # -- coupling gap -------------------------------------------------------------
@@ -121,7 +166,11 @@ def tau_for_class(model: ProcessModel, members, q: int, outer: int, inner: int,
 
 def coupled_paths(model: ProcessModel, n: int, q: int, reps: int, seed: int,
                   tag: int) -> tuple[np.ndarray, np.ndarray]:
-    """(paths, replicas): ``reps`` stationary paths and their block-q replicas."""
+    """(paths, replicas): ``reps`` stationary paths and their block-q replicas.
+
+    The whole-array form of the row chunks ``_coupled_chunks`` streams: the
+    same draws and the same path and replica kernels, run on all rows at once.
+    """
     _check_block_length(n, q)
     vals, innov, _ = simulate_many(model, n, reps, seed, tag=tag)
     return vals, replicate_many(model, vals, innov, q, seed, tag=tag)
@@ -179,6 +228,19 @@ class IndependenceReport:
     passed: bool
 
 
+def _parity_blocks(n: int, q: int, reps: int, parity: str) -> np.ndarray:
+    """Indices of the blocks ``block_independence_test`` pools for ``parity``;
+    raises unless there are at least two of them and 30 across reps."""
+    if parity not in ("even", "odd"):
+        raise CouplingError(f"parity must be 'even' or 'odd', got {parity!r}")
+    idx = np.arange(0 if parity == "even" else 1, n // q, 2)
+    if idx.size < 2:
+        raise CouplingError("need at least two same-parity blocks")
+    if reps * idx.size < 30:
+        raise CouplingError("need at least 30 same-parity blocks across reps")
+    return idx
+
+
 def block_independence_test(values: np.ndarray, q: int, parity: str = "even",
                             threshold_mult: float = 3.0) -> IndependenceReport:
     """Adjacent same-parity block-sum correlation against 3/sqrt(pairs).
@@ -192,16 +254,9 @@ def block_independence_test(values: np.ndarray, q: int, parity: str = "even",
     """
     if values.ndim != 2:
         raise CouplingError("values must be a (reps, n) matrix")
-    if parity not in ("even", "odd"):
-        raise CouplingError(f"parity must be 'even' or 'odd', got {parity!r}")
     reps, n = values.shape
+    idx = _parity_blocks(n, q, reps, parity)
     nblocks = n // q
-    start = 0 if parity == "even" else 1
-    idx = np.arange(start, nblocks, 2)
-    if idx.size < 2:
-        raise CouplingError("need at least two same-parity blocks")
-    if reps * idx.size < 30:
-        raise CouplingError("need at least 30 same-parity blocks across reps")
     sums = values[:, : nblocks * q].reshape(reps, nblocks, q).sum(axis=2)[:, idx]
     per_position = tuple(
         float(np.corrcoef(sums[:, i], sums[:, i + 1])[0, 1])
@@ -274,8 +329,10 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
             n=n, q=q, k=k, reps=reps, b=b, sup_bound=float(member.sup_bound),
             points=(),
         )
-    _, replica = coupled_paths(model, n, q, reps, seed, tag=0xBE00 + k)
-    gstar = centered_sums(member, replica)
+    gstar = np.empty(reps)
+    with _coupled_chunks(model, n, q, reps, seed, 0xBE00 + k, paths=False) as chunks:
+        for lo, _, replica in chunks:
+            gstar[lo: lo + len(replica)] = centered_sums(member, replica)
     points = []
     for u in u_values:
         threshold = u * math.sqrt(2.0**k) * b * (16.0 / 3.0)
@@ -396,16 +453,21 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
     """
     if not (gamma_order >= 2):   # NaN fails every comparison
         raise CouplingError("gamma_order must be in [2, inf]")
+    n_grid = tuple(n_grid)
+    if not n_grid:
+        raise CouplingError("n_grid is empty")
+    for lo, hi in zip(n_grid, n_grid[1:]):   # equal points would share every stream
+        if not hi > lo:
+            raise CouplingError(f"n_grid must be strictly increasing: {hi} follows {lo}")
     members = list(members)
     points = []
     for n in n_grid:
         q = q_choice(n) if q_choice is not None else _sqrt_divisor(n)
-        vals, replica = coupled_paths(model, n, q, reps, seed, tag=n)
         pool_paths = model.sample_blocks(q, pool_size, seeded_rng(seed, 0x900, n))
-        gaps = np.zeros((len(members), reps))
+        couplings = []   # (member, sd, sorted pool or None) per member
         sds = {}
         sig_gamma_sum = 0.0
-        for i, mem in enumerate(members):
+        for mem in members:
             pool_sums = _centered_pool(mem, pool_paths)
             linear_gaussian = (model.is_gaussian_linear
                                and mem.name in ("identity", "negated"))
@@ -416,15 +478,8 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             else:
                 sd = float(pool_sums.std(ddof=1))
             sds[mem.name] = sd
-            gn = centered_sums(mem, vals)
-            if sd == 0.0:
-                # Degenerate member: the matching Gaussian has variance zero.
-                gaps[i] = np.abs(gn)
-            else:
-                sums = block_sums(replica, mem, q)
-                couple = gaussian_couple(sums, mem.name, q, sd,
-                                         pool=None if linear_gaussian else pool_sums)
-                gaps[i] = np.abs(gn - couple.z_total)
+            # Sorted once here, not once per chunk; the transform sorts it anyway.
+            couplings.append((mem, sd, None if linear_gaussian else np.sort(pool_sums)))
             if gamma_order == math.inf:
                 if mem.sup_bound is None:
                     raise CouplingError("gamma=inf needs finite sup bounds")
@@ -432,6 +487,19 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             else:
                 sig_gamma_sum += float(
                     (np.abs(pool_sums) ** gamma_order).mean() ** (1.0 / gamma_order))
+        gaps = np.empty((len(members), reps))
+        with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
+            for lo, vals, replica in chunks:
+                cols = slice(lo, lo + len(vals))
+                for i, (mem, sd, pool) in enumerate(couplings):
+                    gn = centered_sums(mem, vals)
+                    if sd == 0.0:
+                        # Degenerate member: the matching Gaussian has variance zero.
+                        gaps[i, cols] = np.abs(gn)
+                    else:
+                        couple = gaussian_couple(block_sums(replica, mem, q), mem.name,
+                                                 q, sd, pool=pool)
+                        gaps[i, cols] = np.abs(gn - couple.z_total)
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
         tau_hat, tau_se = tau_for_class(model, members, q, tau_reps[0],
                                         tau_reps[1], seed=seed + n)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,11 +208,7 @@ class ProcessModel:
 
     def draw_innovations(self, size: int | tuple[int, ...],
                          rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "lazy_renewal":
-            return rng.random(size)
-        out = rng.standard_normal(size)
-        out *= self.scale if self.kind == "iid" else self.sigma
-        return out
+        return _fill_innovations(self, np.empty(size), rng)
 
     def step(self, state: np.ndarray, innovation: np.ndarray) -> np.ndarray:
         """One transition of the innovation recursion (Markov kinds only)."""
@@ -304,31 +302,102 @@ def _ma_sum(weights, innov: np.ndarray, length: int) -> np.ndarray:
     return _by_rows(taps, innov)
 
 
-def _simulate_core(model: ProcessModel, n: int, reps: int,
-                   rng: np.random.Generator):
-    """(values, innovations, starts) for ``reps`` independent paths."""
+def _fill_innovations(model: ProcessModel, out: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Fill ``out`` with innovations in place; filling row chunks in order
+    gives the bits of one fill of all rows."""
+    if model.kind == "lazy_renewal":
+        return rng.random(out=out)
+    rng.standard_normal(out=out)
+    out *= model.scale if model.kind == "iid" else model.sigma
+    return out
+
+
+def _path_starts(model: ProcessModel, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """The paths' starts, drawn before their innovations (zero without a state)."""
+    if model.kind in ("ar1", "lazy_renewal"):
+        return model.stationary_sample(reps, rng)
+    return np.zeros(reps)
+
+
+def _path_from(model: ProcessModel, innov: np.ndarray, starts: np.ndarray,
+               n: int) -> np.ndarray:
+    """Length-n paths from a row chunk of innovations (for the moving average,
+    m leading ones first) and the starts drawn for it."""
     if model.kind == "iid":
-        # The path is its innovations; read-only, so no caller needs a copy.
-        innov = model.draw_innovations((reps, n), rng)
-        innov.flags.writeable = False
-        return innov, innov, np.zeros(reps)
+        return innov   # the path is its innovations
     if model.kind == "ma":
-        innov = model.draw_innovations((reps, n + model.m), rng)
-        return _ma_sum(model.weights, innov, n), innov, np.zeros(reps)
-    starts = model.stationary_sample(reps, rng)
-    innov = model.draw_innovations((reps, n), rng)
+        return _ma_sum(model.weights, innov, n)
     if model.kind == "ar1":
         from scipy.signal import lfilter   # slow to import: only here
         return lfilter([1.0], [1.0, -model.rho], innov, axis=-1,
-                       zi=(model.rho * starts)[:, None])[0], innov, starts
-    vals = np.empty((reps, n))
+                       zi=(model.rho * starts)[:, None])[0]
+    vals = np.empty(innov.shape)
     _recurse(model, starts, innov, vals)
-    return vals, innov, starts
+    return vals
+
+
+def _simulate_core(model: ProcessModel, n: int, reps: int,
+                   rng: np.random.Generator):
+    """(values, innovations, starts) for ``reps`` independent paths."""
+    starts = _path_starts(model, reps, rng)
+    innov = model.draw_innovations((reps, n + model.m), rng)
+    if model.kind == "iid":
+        innov.flags.writeable = False   # it is also the path: no caller needs a copy
+    return _path_from(model, innov, starts, n), innov, starts
+
+
+_PATH_STREAM = 0x51A7   # seeded_rng(seed, _PATH_STREAM, tag) draws the paths
+_CHUNK = 1 << 19        # innovations per streamed row chunk
+_RING = 3               # chunk buffers: one read, two drawn ahead
+
+
+@contextmanager
+def _innovation_chunks(model: ProcessModel, n: int, reps: int,
+                       rng: np.random.Generator):
+    """Row chunks ``(lo, innovations, starts)`` of the draws ``_simulate_core(
+    model, n, reps, rng)`` makes, bit for bit: the starts drawn whole, then the
+    innovations drawn by a producer thread into a ring of buffers made here
+    while the caller builds from the chunk before.  A chunk is drawn over once
+    the caller takes the next one.  The producer is stopped and joined when
+    the ``with`` block ends, also when it raises."""
+    starts = _path_starts(model, reps, rng)
+    rows = max(1, min(reps, _CHUNK // (n + model.m)))
+    free, full, stop = queue.Queue(), queue.Queue(), threading.Event()
+    for _ in range(_RING):
+        free.put(np.empty((rows, n + model.m)))
+
+    def produce() -> None:
+        try:
+            for lo in range(0, reps, rows):
+                buf = free.get()
+                if stop.is_set():
+                    return
+                full.put((lo, _fill_innovations(model, buf[: reps - lo], rng)))
+        except BaseException as exc:   # raised in the caller
+            full.put((None, exc))
+
+    def chunks():
+        for _ in range(0, reps, rows):
+            lo, innov = full.get()
+            if lo is None:
+                raise innov
+            yield lo, innov, starts[lo: lo + len(innov)]
+            free.put(innov)   # full-size: only the last chunk is shorter
+
+    producer = threading.Thread(target=produce)
+    producer.start()
+    try:
+        yield chunks()
+    finally:
+        stop.set()
+        free.put(None)   # wakes a producer waiting for a buffer
+        producer.join()
 
 
 def simulate_many(model: ProcessModel, n: int, reps: int, seed: int, tag: int = 0):
     """(reps, n) stationary paths plus innovations and starts (vectorized)."""
-    return _simulate_core(model, n, reps, seeded_rng(seed, 0x51A7, tag))
+    return _simulate_core(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag))
 
 
 # -- empirical process --------------------------------------------------------
@@ -352,6 +421,18 @@ def empirical_process_many(values: np.ndarray, members) -> np.ndarray:
     return g.max(axis=0) - g.min(axis=0)
 
 
+def sup_samples(model: ProcessModel, members, n: int, reps: int, seed: int,
+                tag: int = 0) -> np.ndarray:
+    """``empirical_process_many`` of the paths ``simulate_many(model, n, reps,
+    seed, tag)`` draws, built and reduced in row chunks."""
+    sups = np.empty(reps)
+    with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
+        for lo, innov, starts in chunks:
+            sups[lo: lo + len(innov)] = empirical_process_many(
+                _path_from(model, innov, starts, n), members)
+    return sups
+
+
 def mc_expected_sup(model: ProcessModel, members, n: int, reps: int,
                     seed: int) -> tuple[float, float]:
     """Monte Carlo mean of the pairwise sup statistic with jackknife error.
@@ -362,5 +443,4 @@ def mc_expected_sup(model: ProcessModel, members, n: int, reps: int,
     """
     if reps < 30:
         raise ModelError("reps must be >= 30")
-    vals, _, _ = simulate_many(model, n, reps, seed, tag=0xE5)
-    return mean_se(empirical_process_many(vals, members))
+    return mean_se(sup_samples(model, members, n, reps, seed, tag=0xE5))

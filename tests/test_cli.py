@@ -96,6 +96,7 @@ def test_single_rep_rejected_before_simulating(argv, monkeypatch):
         raise AssertionError("simulated before rejecting --reps 1")
 
     monkeypatch.setattr(cli.pr, "simulate_many", no_simulation)
+    monkeypatch.setattr(cli.pr, "sup_samples", no_simulation)
     monkeypatch.setattr(cli.cp, "gap_samples", no_simulation)
     monkeypatch.setattr(cli.cp, "strong_approx_experiment", no_simulation)
     with pytest.raises(SystemExit, match="--reps must be >= 2"):
@@ -115,6 +116,43 @@ def test_couple_simulates_once(monkeypatch, capsys):
                         "lipschitz5", "--n", "96", "--q", "6", "--reps", "30")
     assert code == 0 and json.loads(out)["command"] == "couple"
     assert len(calls) == 1
+
+
+def _count_simulations(monkeypatch):
+    calls = []
+    core = processes._simulate_core
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(processes, "_simulate_core", counting)
+    return calls
+
+
+def test_couple_rejects_too_few_blocks_before_simulating(monkeypatch, capsys):
+    calls = _count_simulations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["couple", "--process", "ar1:rho=0.9", "--class", "lipschitz4",
+                  "--n", "1536", "--q", "1536", "--reps", "30"])
+    assert str(exc.value.code) == "mixbound: error: need at least two same-parity blocks"
+    assert calls == [] and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("384,384", "n_grid must be strictly increasing: 384 follows 384"),
+    ("1536,384", "n_grid must be strictly increasing: 384 follows 1536"),
+    ("384,,1536", "--n-grid entry '' is not an integer"),
+])
+def test_strongapprox_rejects_bad_grid_before_simulating(grid, message, monkeypatch,
+                                                         capsys, tmp_path):
+    calls = _count_simulations(monkeypatch)
+    report = tmp_path / "sa.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
+                  "--n-grid", grid, "--reps", "30", "--output", str(report)])
+    assert str(exc.value.code) == f"mixbound: error: {message}"   # exit status 1
+    assert calls == [] and not report.exists() and capsys.readouterr().out == ""
 
 
 def test_verify_has_no_workers_option(capsys):

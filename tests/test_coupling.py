@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -275,3 +276,116 @@ def test_strong_approx_identity_geometric_decay_for_ar1():
                                       seed=19, pool_size=2000, gamma_order=4.0)
     gaps = [p.gap_mean for p in rep.points]
     assert gaps[0] > 100 * gaps[1] > 100 * gaps[2]
+
+
+# -- the row-chunk stream --------------------------------------------------------
+
+STREAM_MODELS = [pr.iid_model(1.3), pr.ar1_model(0.9, sigma=0.7),
+                 pr.lazy_renewal_model(1.5), pr.ma_model(3), pr.ma_model(7, sigma=1.2)]
+
+
+def _chunk_for_rows(model, n, rows):
+    """A ``_CHUNK`` that makes the stream's chunks ``rows`` rows long."""
+    return rows * (n + model.m)
+
+
+@pytest.mark.parametrize("model", STREAM_MODELS, ids=lambda m: m.spec())
+@pytest.mark.parametrize("rows", [1, 7, 40])   # 7 divides neither reps nor n
+def test_coupled_chunks_match_coupled_paths(model, rows, monkeypatch):
+    # q = 4 puts MA(7)'s memory past one block, so its replica draws fresh noise.
+    n, q, reps = 96, 4, 40
+    monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, n, rows))
+    vals, replica = cp.coupled_paths(model, n, q, reps, seed=21, tag=q)
+    for paths in (True, False):
+        got_vals, got_replica, los = [], [], []
+        with cp._coupled_chunks(model, n, q, reps, 21, q, paths=paths) as chunks:
+            for lo, v, r in chunks:
+                assert len(r) == min(rows, reps - lo)
+                los.append(lo)
+                got_replica.append(r.copy())   # the buffers are drawn over
+                if paths:
+                    got_vals.append(v.copy())
+                else:
+                    assert v is None
+        assert los == list(range(0, reps, rows))
+        assert np.array_equal(np.concatenate(got_replica), replica)
+        if paths:
+            assert np.array_equal(np.concatenate(got_vals), vals)
+
+
+def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
+    model = pr.ar1_model(0.5)
+    member = fc.make_class("indicator", model).members[0]
+    members = fc.make_class("lipschitz4", model).members
+
+    def run():
+        tails = cp.bernstein_check(model, member, nm.QuantileCurve.constant(0.5),
+                                   mx.exponential_profile(0.5), n=384, q=8, k=2,
+                                   reps=50, seed=22)
+        approx = cp.strong_approx_experiment(model, members, (96, 384), reps=30,
+                                             seed=22, pool_size=500, tau_reps=(30, 30))
+        return tails, approx
+
+    whole = run()
+    for chunk in (1, 5 * 384 + 1):   # one row; 5 rows at n = 384, 21 at n = 96
+        monkeypatch.setattr(pr, "_CHUNK", chunk)
+        assert run() == whole
+
+
+class _Stop(Exception):
+    pass
+
+
+def _raise_mid_stream(model, monkeypatch):
+    """Run a stream that raises in its second chunk; returns its threads."""
+    monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, 96, 3))
+    before = set(threading.enumerate())
+    started = []
+    with pytest.raises(_Stop):
+        with cp._coupled_chunks(model, 96, 4, 40, 23, 4) as chunks:
+            for lo, _, _ in chunks:
+                started.extend(set(threading.enumerate()) - before)
+                if lo > 0:
+                    raise _Stop
+    for t in started:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    return before, started
+
+
+@pytest.mark.parametrize("model", [pr.ar1_model(0.5), pr.iid_model()],
+                         ids=lambda m: m.spec())
+def test_consumer_raise_stops_the_producer(model, monkeypatch):
+    count = threading.active_count()
+    before, started = _raise_mid_stream(model, monkeypatch)
+    assert started   # the producer was running when the consumer raised
+    assert threading.active_count() == count
+    assert set(threading.enumerate()) == before
+
+
+def test_producer_raise_reaches_the_caller(monkeypatch):
+    fill = pr._fill_innovations
+    calls = []
+
+    def failing(model, out, rng):
+        calls.append(len(out))
+        if len(calls) == 2:
+            raise _Stop
+        return fill(model, out, rng)
+
+    monkeypatch.setattr(pr, "_fill_innovations", failing)
+    monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(pr.ar1_model(0.5), 96, 3))
+    count = threading.active_count()
+    seen = []
+    with pytest.raises(_Stop):
+        with cp._coupled_chunks(pr.ar1_model(0.5), 96, 4, 40, 24, 4) as chunks:
+            for lo, _, _ in chunks:
+                seen.append(lo)
+    assert seen == [0] and threading.active_count() == count
+
+
+def test_strong_approx_rejects_empty_grid():
+    model = pr.ar1_model(0.5)
+    with pytest.raises(cp.CouplingError, match="n_grid is empty"):
+        cp.strong_approx_experiment(model, fc.make_class("lipschitz4", model).members,
+                                    (), reps=30, seed=25)

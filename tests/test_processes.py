@@ -377,3 +377,36 @@ def test_mc_expected_sup_singleton_is_zero():
     member = fc.make_class("identity", model).members[0]
     est, se = pr.mc_expected_sup(model, [member], 96, reps=50, seed=20)
     assert est == 0.0 and se == 0.0
+
+
+# -- the row-chunk stream --------------------------------------------------------
+
+
+@pytest.mark.parametrize("draw", ["standard_normal", "random"])
+def test_chunked_out_draws_match_one_draw(draw):
+    whole = getattr(np.random.default_rng(31), draw)((40, 97))
+    rng = np.random.default_rng(31)
+    chunked = np.empty((40, 97))
+    for lo in range(0, 40, 7):
+        getattr(rng, draw)(out=chunked[lo: lo + 7])
+    assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_innovation_chunks_match_simulate_core(kind, rows, monkeypatch):
+    model = MODELS[kind]
+    n, reps = 96, 40
+    monkeypatch.setattr(pr, "_CHUNK", rows * (n + model.m))
+    vals, innov, starts = pr._simulate_core(model, n, reps, pr.seeded_rng(32))
+    got = []
+    with pr._innovation_chunks(model, n, reps, pr.seeded_rng(32)) as chunks:
+        for lo, chunk, chunk_starts in chunks:
+            path = pr._path_from(model, chunk, chunk_starts, n)
+            got.append((chunk.copy(), chunk_starts, path.copy()))
+    for whole, part in zip((innov, starts, vals), zip(*got)):
+        assert np.concatenate(part).tobytes() == whole.tobytes()
+    members = fc.make_class("lipschitz4", pr.ar1_model(0.5)).members
+    whole = pr.empirical_process_many(pr.simulate_many(model, n, reps, 33, tag=5)[0],
+                                      members)
+    assert pr.sup_samples(model, members, n, reps, 33, tag=5).tobytes() == whole.tobytes()
