@@ -1,9 +1,9 @@
 """mixbound: block schedules, dependence-adapted norms, partition complexity
 and Monte Carlo validation of concentration bounds for mixing processes."""
 
-from .grid import (BlockSchedule, DivisorChain, SampleLattice, block_schedule,
-                   divisor_chain, first_block_length, first_block_lengths,
-                   lattice_members, nearest_divisor, sample_lattice)
+from .grid import (BlockSchedule, DivisorChain, block_schedule, divisor_chain,
+                   first_block_length, first_block_lengths, lattice_members,
+                   nearest_divisor)
 from .mixing import (MixingEstimate, MixingProfile, estimate_alpha, estimate_tau,
                      exponential_profile, iid_profile, m_dependent_profile,
                      monotone_envelope, parse_profile, polynomial_profile,

@@ -188,15 +188,6 @@ def schedule_family(schedule: BlockSchedule) -> NormFamily:
     return NormFamily(evaluator=ev, label=f"schedule:n={schedule.n}")
 
 
-def dependence_family(profile: MixingProfile, q: int) -> NormFamily:
-    """A constant family pinned at one block length."""
-
-    def ev(level: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return dependence_norms(rows, w, q, profile)
-
-    return NormFamily(evaluator=ev, label=f"dependence:q={q}")
-
-
 # -- complexity ------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ All computation here is exact integer arithmetic.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +30,18 @@ def first_primes(count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+def _basis(basis_size: int) -> tuple[int, ...]:
+    """The first ``basis_size`` primes; the lattice needs 2 and 3 among them."""
+    if basis_size < 2:
+        raise GridError("basis_size must be >= 2")
+    return first_primes(basis_size)
+
+
 def _smooth_numbers(basis_size: int, limit: int) -> list[int]:
     """Every product of powers of the first ``basis_size`` primes up to
     ``limit``, 1 included, sorted ascending."""
     nums = [1]
-    for p in first_primes(basis_size):
+    for p in _basis(basis_size):
         grown = []
         for v in nums:
             while v <= limit:
@@ -53,41 +59,19 @@ def lattice_members(basis_size: int = 3, limit: int = 10**6) -> list[int]:
     ``basis_size`` must be at least 2; a limit below 6 admits no member and
     is rejected.
     """
-    if basis_size < 2:
-        raise GridError("basis_size must be >= 2")
     if limit < 6:
         raise GridError("limit < 6 admits no sample size (members are divisible by 6)")
     return [6 * v for v in _smooth_numbers(basis_size, limit // 6)]
 
 
-@dataclass(frozen=True)
-class SampleLattice:
-    """Admissible sample sizes up to a limit over a fixed prime basis.
-
-    ``members`` is ascending; membership is a binary search.
-    """
-
-    prime_basis: tuple[int, ...]
-    limit: int
-    members: tuple[int, ...]
-
-    def __contains__(self, n: int) -> bool:
-        i = bisect.bisect_left(self.members, n)
-        return i < len(self.members) and self.members[i] == n
-
-
-def sample_lattice(basis_size: int = 3, limit: int = 10**6) -> SampleLattice:
-    return SampleLattice(prime_basis=first_primes(basis_size), limit=limit,
-                         members=tuple(lattice_members(basis_size, limit)))
-
-
 def factor_over_basis(n: int, basis_size: int = 3) -> dict[int, int] | None:
     """Exponent map of n over the prime basis, or None if n has other factors."""
+    primes = _basis(basis_size)
     if n < 1:
         return None
     exps: dict[int, int] = {}
     rem = n
-    for p in first_primes(basis_size):
+    for p in primes:
         e = 0
         while rem % p == 0:
             rem //= p

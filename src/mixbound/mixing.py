@@ -104,6 +104,8 @@ class MixingProfile:
 
     def half_levels(self, q: int) -> np.ndarray:
         """Array of 0.5 * theta(i) for i = 0..q (the mu breakpoints)."""
+        if q < 0:
+            raise ProfileError("q must be >= 0")
         return 0.5 * self.theta(np.arange(q + 1))
 
     def inverse(self, u: float) -> int:

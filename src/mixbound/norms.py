@@ -99,20 +99,11 @@ class QuantileCurve:
         widths, v = self._segments()
         return float((widths * v).sum())
 
-    def sup(self) -> float:
-        return float(self.values[0]) if self.values else 0.0
-
     def truncated_mean_above(self, cut: float) -> float:
         """E[|f| ; |f| > cut], exact for the discrete distribution."""
         widths, v = self._segments()
         keep = v > cut
         return float((widths[keep] * v[keep]).sum())
-
-    def scaled(self, c: float) -> "QuantileCurve":
-        if c <= 0:
-            raise ValueError("scale must be > 0")
-        return QuantileCurve(breaks=self.breaks,
-                             values=tuple(c * x for x in self.values))
 
 
 def active_lag_count(u, q: int, profile: MixingProfile):
@@ -125,8 +116,6 @@ def active_lag_count(u, q: int, profile: MixingProfile):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0):
         raise ValueError("u must be > 0 (the u = 0 endpoint is handled by limits)")
-    if q < 0:
-        raise ValueError("q must be >= 0")
     counts = _lag_counts(profile.half_levels(q), u_arr)
     return int(counts) if u_arr.ndim == 0 else counts
 

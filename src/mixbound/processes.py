@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -349,50 +349,36 @@ def _simulate_core(model: ProcessModel, n: int, reps: int,
 
 _PATH_STREAM = 0x51A7   # seeded_rng(seed, _PATH_STREAM, tag) draws the paths
 _CHUNK = 1 << 19        # innovations per streamed row chunk
-_RING = 3               # chunk buffers: one read, two drawn ahead
 
 
 @contextmanager
 def _innovation_chunks(model: ProcessModel, n: int, reps: int,
                        rng: np.random.Generator):
     """Row chunks ``(lo, innovations, starts)`` of the draws ``_simulate_core(
-    model, n, reps, rng)`` makes, bit for bit: the starts drawn whole, then the
-    innovations drawn by a producer thread into a ring of buffers made here
-    while the caller builds from the chunk before.  A chunk is drawn over once
-    the caller takes the next one.  The producer is stopped and joined when
-    the ``with`` block ends, also when it raises."""
+    model, n, reps, rng)`` makes, bit for bit: the starts drawn whole, then
+    each chunk's innovations drawn on a one-worker pool into one of two
+    buffers made here while the caller builds from the chunk before.  A chunk
+    is drawn over once the caller takes the next one.  The worker is joined
+    when the ``with`` block ends, also when it raises.
+
+    The pool is made per call: a pool made before a fork hangs the child.
+    """
     starts = _path_starts(model, reps, rng)
     rows = max(1, min(reps, _CHUNK // (n + model.m)))
-    free, full, stop = queue.Queue(), queue.Queue(), threading.Event()
-    for _ in range(_RING):
-        free.put(np.empty((rows, n + model.m)))
+    bufs = (np.empty((rows, n + model.m)), np.empty((rows, n + model.m)))
 
-    def produce() -> None:
-        try:
-            for lo in range(0, reps, rows):
-                buf = free.get()
-                if stop.is_set():
-                    return
-                full.put((lo, _fill_innovations(model, buf[: reps - lo], rng)))
-        except BaseException as exc:   # raised in the caller
-            full.put((None, exc))
+    def fill(lo: int) -> np.ndarray:   # one worker: the fills run in order
+        return _fill_innovations(model, bufs[lo // rows % 2][: reps - lo], rng)
 
-    def chunks():
-        for _ in range(0, reps, rows):
-            lo, innov = full.get()
-            if lo is None:
-                raise innov
+    def chunks(pool: ThreadPoolExecutor, ahead):
+        for lo in range(0, reps, rows):
+            innov = ahead.result()   # raises a draw's exception here
+            if lo + rows < reps:
+                ahead = pool.submit(fill, lo + rows)
             yield lo, innov, starts[lo: lo + len(innov)]
-            free.put(innov)   # full-size: only the last chunk is shorter
 
-    producer = threading.Thread(target=produce)
-    producer.start()
-    try:
-        yield chunks()
-    finally:
-        stop.set()
-        free.put(None)   # wakes a producer waiting for a buffer
-        producer.join()
+    with ThreadPoolExecutor(1) as pool:
+        yield chunks(pool, pool.submit(fill, 0))
 
 
 def simulate_many(model: ProcessModel, n: int, reps: int, seed: int, tag: int = 0):

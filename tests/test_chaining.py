@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mixbound import chaining as ch
 from mixbound import grid as gr
 from mixbound import mixing as mx
+from mixbound import norms as nm
 
 
 def make_class(rng, size, npts=20):
@@ -122,7 +123,8 @@ BIT_FAMILIES = [
     ch.l2_family(),
     ch.lr_family(4.0),
     ch.schedule_family(gr.block_schedule(48, mx.exponential_profile(0.7))),
-    ch.dependence_family(mx.polynomial_profile(1.0), 6),
+    ch.NormFamily(evaluator=lambda level, rows, w: nm.dependence_norms(
+        rows, w, 6, mx.polynomial_profile(1.0)), label="dependence:q=6"),
 ]
 
 

@@ -334,12 +334,19 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
     (NORMS + ["poly:m=nan"], "polynomial needs m > 0"),
     (["gamma", "--class-file", "{cls}", "--norms", "constant:lr,r=nan"],
      "r must be > 0 and finite, got nan"),
+    (["schedule", "--n", "8", "--profile", "iid", "--basis-size", "1"],
+     "basis_size must be >= 2"),
+    (["schedule", "--n", "1", "--profile", "iid", "--basis-size", "0"],
+     "basis_size must be >= 2"),
+    (["norms", "--q", "-1", "--curve", "{curve}", "--profile", "poly:m=1"],
+     "q must be >= 0"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
         "schedule-missing-profile", "unknown-class", "missing-class-file",
         "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key",
         "process-repeated-key", "profile-repeated-key", "negative-scale",
         "infinite-scale", "nan-sigma", "nan-tail", "rates-nan-r", "rates-infinite-r",
-        "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr"])
+        "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr", "schedule-basis-1",
+        "schedule-basis-0", "norms-negative-q"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
     argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path, curve=_curve_file(tmp_path))
             for a in argv]

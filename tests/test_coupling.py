@@ -1,6 +1,8 @@
 import json
 import math
+import multiprocessing
 import re
+import sys
 import threading
 
 import numpy as np
@@ -382,6 +384,40 @@ def test_producer_raise_reaches_the_caller(monkeypatch):
             for lo, _, _ in chunks:
                 seen.append(lo)
     assert seen == [0] and threading.active_count() == count
+
+
+def test_consumer_break_leaves_no_thread(monkeypatch):
+    model = pr.ar1_model(0.5)
+    monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, 96, 3))
+    before = set(threading.enumerate())
+    started = []
+    with cp._coupled_chunks(model, 96, 4, 40, 26, 4) as chunks:
+        for _ in chunks:
+            started.extend(set(threading.enumerate()) - before)
+            break
+    assert started and not any(t.is_alive() for t in started)
+    assert set(threading.enumerate()) == before
+
+
+def _stream_again(model, members, expect):
+    same = pr.sup_samples(model, members, 96, 40, 27).tobytes() == expect
+    sys.exit(0 if same else 3)
+
+
+def test_stream_runs_again_in_a_forked_child(monkeypatch):
+    # No pool outlives its stream, so a child forked after one streams too.
+    model = pr.ar1_model(0.5)
+    members = fc.make_class("lipschitz4", model).members
+    monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, 96, 3))
+    expect = pr.sup_samples(model, members, 96, 40, 27).tobytes()
+    child = multiprocessing.get_context("fork").Process(
+        target=_stream_again, args=(model, members, expect))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_strong_approx_rejects_empty_grid():

@@ -25,6 +25,21 @@ def test_lattice_rejects_bad_args():
         grid.lattice_members(2, 5)
 
 
+@pytest.mark.parametrize("basis", [1, 0])
+def test_basis_below_two_is_rejected_everywhere(basis):
+    prof = mixing.iid_profile()
+    for call in (lambda: grid.factor_over_basis(1, basis),
+                 lambda: grid.factor_over_basis(0, basis),
+                 lambda: grid.in_lattice(8, basis),
+                 lambda: grid.divisor_chain(8, basis),
+                 lambda: grid.block_schedule(8, prof, basis),
+                 lambda: grid.first_block_lengths([8], prof, basis),
+                 lambda: grid.first_block_lengths([], prof, basis),
+                 lambda: grid.lattice_members(basis, 100)):
+        with pytest.raises(grid.GridError, match="basis_size must be >= 2"):
+            call()
+
+
 @given(a=st.integers(1, 10), b=st.integers(1, 6), c=st.integers(0, 4))
 def test_lattice_membership_by_construction(a, b, c):
     n = 2**a * 3**b * 5**c
@@ -149,12 +164,6 @@ def test_schedule_matches_scalar_scan(prof):
         expected = _scalar_schedule(n, divisors, theta)
         assert grid.block_schedule(n, prof).q_seq == expected, n
         assert grid.first_block_length(n, prof) == expected[0], n
-
-
-def test_sample_lattice_contains():
-    lat = grid.sample_lattice(3, 1000)
-    assert all(n in lat for n in lat.members)
-    assert all(n not in lat for n in (0, 1, 5, 7, 10, 1001, 1002, 10**6))
 
 
 # -- the batched level-zero scan against the former per-n code ------------------

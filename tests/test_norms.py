@@ -403,3 +403,15 @@ def test_holder_factors_reject_bad_arguments():
         nm.holder_factors([3, -1], 4.0, mx.iid_profile())
     with pytest.raises(ValueError, match="q must be >= 0"):
         nm.holder_factor(-1, 4.0, mx.iid_profile())
+
+
+def test_negative_q_is_rejected_by_the_half_levels():
+    prof = mx.polynomial_profile(1.0)
+    w = np.full(3, 1.0 / 3)
+    curve = nm.QuantileCurve.from_discrete(np.array([1.0, 2.0, 0.5]), w)
+    for call in (lambda: prof.half_levels(-1),
+                 lambda: nm.dependence_norms(np.ones((2, 3)), w, -1, prof),
+                 lambda: nm.dependence_norm(curve, -1, prof),
+                 lambda: nm.active_lag_count(0.1, -1, prof)):
+        with pytest.raises(mx.ProfileError, match="q must be >= 0"):
+            call()
