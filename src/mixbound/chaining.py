@@ -137,8 +137,6 @@ def cell_diameter(cls: FunctionClass, cell: Sequence[int]) -> np.ndarray:
 
 # -- norm families ---------------------------------------------------------
 
-NormFn = Callable[[np.ndarray, np.ndarray], float]
-
 
 @dataclass(frozen=True)
 class NormFamily:
@@ -161,22 +159,20 @@ class NormFamily:
         return float(self.norms(level, np.reshape(vec, (1, -1)), weights)[0])
 
 
-def constant_family(norm_fn: NormFn, label: str) -> NormFamily:
-    """A family whose every level is the scalar ``norm_fn``, applied per row."""
-    return NormFamily(evaluator=lambda level, rows, w: [norm_fn(v, w) for v in rows],
-                      label=label)
-
-
 def l2_family() -> NormFamily:
-    return constant_family(lambda v, w: math.sqrt(float((w * v * v).sum())), "constant:l2")
+    return NormFamily(
+        evaluator=lambda level, rows, w: np.sqrt((w * rows * rows).sum(axis=-1)),
+        label="constant:l2")
 
 
 def lr_family(r: float) -> NormFamily:
     if not (0.0 < r < math.inf):
         raise ChainingError(f"r must be > 0 and finite, got {r}")
-    return constant_family(
-        lambda v, w: float((w * v**r).sum() ** (1.0 / r)), f"constant:lr,r={r:g}"
-    )
+    # The root is a scalar power per row: a vector power may differ in its last bits.
+    return NormFamily(
+        evaluator=lambda level, rows, w: [
+            s ** (1.0 / r) for s in (w * rows**r).sum(axis=-1).tolist()],
+        label=f"constant:lr,r={r:g}")
 
 
 def schedule_family(schedule: BlockSchedule) -> NormFamily:
@@ -300,13 +296,17 @@ def _subset_diameters(table: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _cell_masks(parts: tuple[Partition, ...]) -> np.ndarray:
-    """(partitions, LEVEL1_CAP) cell bitmasks, padded with the empty cell 0."""
+def _cell_masks(parts: tuple[Partition, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(partitions, LEVEL1_CAP) cell bitmasks, padded with the empty cell 0,
+    and the sorted distinct masks of the cells with two or more members."""
     masks = np.zeros((len(parts), LEVEL1_CAP), dtype=np.intp)
     for r, part in enumerate(parts):
         masks[r, : len(part)] = [_mask(cell) for cell in part]
-    masks.flags.writeable = False  # shared by every caller through the cache
-    return masks
+    cells = np.unique(masks)
+    cells = cells[(cells & (cells - 1)) != 0]
+    for arr in (masks, cells):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return masks, cells
 
 
 def complexity_exact(cls: FunctionClass, family: NormFamily
@@ -335,12 +335,10 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
         seq = PartitionSequence(levels=(trivial,))
         return 0.0, seq
     parts = tuple(partitions_into_at_most(indices, LEVEL1_CAP))
-    masks = _cell_masks(parts)
+    masks, cells = _cell_masks(parts)
     diam = _subset_diameters(cls.table)
     d0 = family.norm(0, diam[-1], cls.weights)
     d1 = np.zeros(len(diam))
-    cells = np.unique(masks)
-    cells = cells[(cells & (cells - 1)) != 0]  # two or more members
     d1[cells] = family.norms(1, diam[cells], cls.weights)
     sqrt2 = math.sqrt(2.0)
     vals = sqrt2 * (d0 + sqrt2 * d1[masks].max(axis=1))

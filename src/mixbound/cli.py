@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -398,6 +399,12 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The config-free parser, built once per process (parsing leaves it as is)."""
+    return _build_parser()
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     """Config fields as argument names, checked against the chosen subcommand."""
     if not args.config:
@@ -419,7 +426,7 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _default_parser().parse_args(argv)
     config = _load_config(args)
     if config:
         # Parse again with the config as the subcommands' defaults, so that

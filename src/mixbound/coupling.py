@@ -487,6 +487,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             else:
                 sig_gamma_sum += float(
                     (np.abs(pool_sums) ** gamma_order).mean() ** (1.0 / gamma_order))
+        del pool_paths   # the sums are all the stream needs; free the paths first
         gaps = np.empty((len(members), reps))
         with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
             for lo, vals, replica in chunks:

@@ -8,6 +8,7 @@ All computation here is exact integer arithmetic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,9 @@ class GridError(ValueError):
     """Invalid lattice argument or a non-member sample size."""
 
 
+@functools.lru_cache(maxsize=16)
 def first_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes, by trial division (count is tiny)."""
+    """The first ``count`` primes, by trial division, built once per count."""
     primes: list[int] = []
     cand = 2
     while len(primes) < count:

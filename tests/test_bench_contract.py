@@ -5,13 +5,25 @@ arguments by name to count the work done: path steps, replica blocks, tau
 draws, partitions, norm and curve evaluations, member evaluations and
 criterion seconds.  A rename here would break the benchmark, not this suite,
 so the contract is pinned in the fast tests.
+
+The benchmark's setup step also reads the program from outside: it times a
+fresh interpreter running ``import mixbound.cli`` and ``cli._build_parser()``,
+and ``perfbench/run.py`` indexes the ``scipy.stats`` and ``scipy.special``
+entries of that interpreter's ``-X importtime`` log.  Deferring either import
+past ``import mixbound.cli`` fails the benchmark with a ``KeyError``.
 """
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mixbound import (acceptance, chaining, coupling, function_classes, mixing, norms,
-                      processes, report)
+from mixbound import (acceptance, chaining, cli, coupling, function_classes, mixing,
+                      norms, processes, report)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("fn, leading", [
@@ -52,3 +64,19 @@ def test_every_criterion_is_a_module_function():
                  if name.startswith("criterion_") and inspect.isfunction(fn)}
     assert len(functions) == 14
     assert sorted(map(id, acceptance.CRITERIA.values())) == sorted(map(id, functions.values()))
+
+
+def test_setup_builds_the_parser_without_arguments():
+    assert cli._build_parser().prog == "mixbound"
+
+
+def test_cli_import_loads_the_scipy_modules_setup_times():
+    code = ("import sys, mixbound.cli; "
+            "print(all(m in sys.modules for m in ('scipy.stats', 'scipy.special')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

@@ -338,3 +338,42 @@ def test_norms_is_the_batched_norm(family):
         got = family.norms(level, rows, w)
         assert got.tolist() == [family.norm(level, row, w) for row in rows]
         assert got[3] == 0.0
+
+
+def _scalar_l2(v, w):
+    """The former per-row l2 form."""
+    return math.sqrt(float((w * v * v).sum()))
+
+
+def _scalar_lr(r):
+    """The former per-row lr form."""
+    return lambda v, w: float((w * v**r).sum() ** (1.0 / r))
+
+
+@pytest.mark.parametrize("family, scalar", [
+    pytest.param(fam, scalar, id=fam.label) for fam, scalar in
+    [(ch.l2_family(), _scalar_l2)]
+    + [(ch.lr_family(r), _scalar_lr(r)) for r in (1.0, 2.5, 3.0, 4.0, 7.3)]])
+@pytest.mark.parametrize("npts", [1, 7, 24, 150])
+def test_constant_families_match_the_scalar_forms(family, scalar, npts):
+    # Every row of one batched call carries the bits of the per-row form.
+    rng = np.random.default_rng(npts)
+    rows = rng.normal(0, 1, (9, npts)) * rng.exponential(1.0, (9, 1))
+    rows[4] = 0.0
+    w = rng.dirichlet(np.ones(npts))
+    got = family.norms(1, rows, w)
+    want = np.array([scalar(v, w) for v in np.abs(rows)])
+    assert np.array_equal(got, want)
+    assert got[4] == 0.0
+    assert np.array_equal(family.norms(0, np.zeros((3, npts)), w), np.zeros(3))
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_cached_level1_cells_are_the_multi_member_masks(size):
+    parts = tuple(ch.partitions_into_at_most(range(size), ch.LEVEL1_CAP))
+    masks, cells = ch._cell_masks(parts)
+    unique = np.unique(masks)
+    assert np.array_equal(cells, unique[(unique & (unique - 1)) != 0])
+    assert not (masks.flags.writeable or cells.flags.writeable)
+    with pytest.raises(ValueError):
+        cells[0] = 0

@@ -430,3 +430,85 @@ def test_verify_rejects_bad_reps_scale(monkeypatch, capsys, scale):
     with pytest.raises(SystemExit, match="--reps-scale must be finite and > 0"):
         cli.main(["verify", "--suite", "coupling", f"--reps-scale={scale}"])
     assert capsys.readouterr().out == ""
+
+
+# -- the per-process parser -----------------------------------------------------
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Every ``_build_parser`` call, with the cached default parser cleared."""
+    builds = []
+    build = cli._build_parser
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    cli._default_parser.cache_clear()
+    yield builds
+    cli._default_parser.cache_clear()
+
+
+def _simulate_summary(capsys, tmp_path, *extra, config=()):
+    code, out = run_cli(capsys, *config, "simulate", "--process", "iid", "--class",
+                        "halfpair", "--n", "96", "--output", str(tmp_path / "sims.csv"),
+                        *extra)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_main_builds_the_parser_once(parser_builds, capsys):
+    for n in ("12", "24", "36"):
+        code, _ = run_cli(capsys, "schedule", "--n", n, "--profile", "iid")
+        assert code == 0
+    assert parser_builds == [()]
+
+
+def test_cached_parser_returns_defaults_after_explicit_flags(parser_builds, capsys,
+                                                             monkeypatch, tmp_path):
+    monkeypatch.delenv("MIXBOUND_SEED", raising=False)
+    first = _simulate_summary(capsys, tmp_path, "--reps", "30", "--seed", "5")
+    assert (first["reps"], first["seed"]) == (30, 5)
+    second = _simulate_summary(capsys, tmp_path)
+    assert (second["reps"], second["seed"]) == (200, cli.DEFAULT_SEED)
+    assert len(parser_builds) == 1
+
+
+def test_config_parser_leaves_the_cached_one_alone(parser_builds, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"reps": 40}')
+    assert _simulate_summary(capsys, tmp_path, config=("--config", str(cfg)))["reps"] == 40
+    assert _simulate_summary(capsys, tmp_path)["reps"] == 200
+    # One cached default parser, and one built for the config alone.
+    assert parser_builds == [(), ({"reps": 40},)]
+
+
+def test_unknown_option_still_fails_after_a_cached_parse(parser_builds, capsys):
+    assert run_cli(capsys, "schedule", "--n", "12", "--profile", "iid")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "grid", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert len(parser_builds) == 1
+
+
+def test_cached_parser_outputs_match_fresh_parsers(capsys, monkeypatch, tmp_path):
+    argvs = [
+        ["rates", "--profile", "poly:m=1", "--n-min", "1000", "--n-max", "20000"],
+        ["rates", "--profile", "expo:l=0.7", "--r", "3", "--n-min", "1000",
+         "--n-max", "5000"],
+        ["gamma", "--class-file", _class_file(tmp_path), "--norms", "constant:l2"],
+        ["gamma", "--class-file", _class_file(tmp_path), "--norms", "constant:lr,r=4"],
+        ["schedule", "--n", "360", "--profile", "poly:m=1"],
+        ["schedule", "--n", "360", "--profile", "mdep:m=5", "--basis-size", "4"],
+    ]
+
+    def outputs():
+        return [run_cli(capsys, *argv) for argv in argvs]
+
+    cached = outputs()
+    monkeypatch.setattr(cli, "_default_parser", cli._build_parser)  # fresh per call
+    assert outputs() == cached
+    assert all(code == 0 and out for code, out in cached)
