@@ -351,21 +351,19 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
     return float(vals[best]), best_seq
 
 
-def complexity_greedy(cls: FunctionClass, family: NormFamily,
-                      depth: int | None = None) -> float:
+def complexity_greedy(cls: FunctionClass, family: NormFamily) -> float:
     """Upper bound from furthest-pair-first nested refinement.
 
     At each level the cell with the largest diameter norm is split around
     its two most separated members until the level's cardinality cap is
-    reached.  Always at least the exact value; equal on classes of size
-    up to two, where the refinement is forced.  Norms are memoised per
-    (level, cell); a pair's distance is the norm of its two-member cell, and
-    the pairs of the cell being split are scored in one ``norms`` call.
+    reached, down to the level whose cap separates the class.  Always at
+    least the exact value; equal on classes of size up to two, where the
+    refinement is forced.  Norms are memoised per (level, cell); a pair's
+    distance is the norm of its two-member cell, and the pairs of the cell
+    being split are scored in one ``norms`` call.
     """
     size = cls.size
     indices = list(range(size))
-    if depth is None:
-        depth = _separation_level(size) + 1
     levels: list[Partition] = [_normalize_partition([indices])]
     current: list[list[int]] = [indices[:]]
     cell_norms = _memo_cell_norms(cls, family)
@@ -373,7 +371,7 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
     def dist(level: int, i: int, j: int) -> float:
         return cell_norms(level, [(i, j)])[0]
 
-    for level in range(1, depth + 1):
+    for level in range(1, _separation_level(size) + 2):
         cap = 2 ** (2**level)
         current = [list(c) for c in current]
         while len(current) < min(cap, size):
@@ -395,10 +393,7 @@ def complexity_greedy(cls: FunctionClass, family: NormFamily,
         levels.append(_normalize_partition(current))
         if all(len(c) == 1 for c in current):
             break
-    seq = PartitionSequence(levels=tuple(levels))
-    if not seq.fully_separated():
-        raise ChainingError("greedy refinement did not reach singletons; raise depth")
-    return _sequence_value(cls, seq, cell_norms)
+    return _sequence_value(cls, PartitionSequence(levels=tuple(levels)), cell_norms)
 
 
 # -- chain decomposition ---------------------------------------------------

@@ -3,10 +3,11 @@ strongapprox and verify subcommands with deterministic seeding and
 CSV/JSON emission.
 
 A JSON config file supplies defaults field by field; explicit flags win.
-The default seed is 7, overridable by the MIXBOUND_SEED environment
-variable and then by --seed.  Reports serialize with sorted keys and
-12-significant-digit floats, so identical configurations produce identical
-bytes.
+Each subcommand takes only the flags its handler reads.  The seeded
+subcommands (simulate, couple, strongapprox, verify) default to seed 7,
+overridable by the MIXBOUND_SEED environment variable and then by --seed.
+Reports serialize with sorted keys and 12-significant-digit floats, so
+identical configurations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ def _require(args, *names) -> None:
                        ", ".join(f"--{n}" for n in missing))
 
 
-def _require_lattice(n: int, basis_size: int) -> None:
+def _require_lattice(n: int, basis_size: int = 3) -> None:
     if not gr.in_lattice(n, basis_size):
         suggestion = gr.nearest_member(n, basis_size)
         raise CliError(
@@ -194,7 +195,7 @@ def cmd_simulate(args) -> int:
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
-    _require_lattice(args.n, args.basis_size)
+    _require_lattice(args.n)
     sups = pr.sup_samples(model, members, args.n, args.reps, args.seed)
     mean_sup, std_error = pr.mean_se(sups)
     csv_text = _csv_text(("rep", "sup_value"),
@@ -217,7 +218,7 @@ def cmd_couple(args) -> int:
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
-    _require_lattice(args.n, args.basis_size)
+    _require_lattice(args.n)
     cp._parity_blocks(args.n, args.q, args.reps, "even")   # before any simulation
     t0 = time.perf_counter()
     # One draw, tagged as gap_samples tags it, serves the gaps and the
@@ -264,7 +265,7 @@ def cmd_strongapprox(args) -> int:
         except ValueError:
             raise CliError(f"--n-grid entry {entry!r} is not an integer") from None
     for n in n_grid:
-        _require_lattice(n, args.basis_size)
+        _require_lattice(n)
     gamma_order = math.inf if args.gamma in ("inf", "infinity") else float(args.gamma)
     t0 = time.perf_counter()
     rep = cp.strong_approx_experiment(model, members, n_grid, reps=args.reps,
@@ -317,7 +318,10 @@ def cmd_verify(args) -> int:
 
 
 def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` (config fields) override every subcommand's."""
+    """The CLI parser; ``defaults`` (config fields) override every subcommand's.
+
+    Each subcommand takes ``--output`` and, of ``--seed``, ``--timing`` and
+    ``--basis-size``, only those its handler reads."""
     parser = argparse.ArgumentParser(
         prog="mixbound",
         description="block schedules, dependence-adapted norms, chaining "
@@ -326,74 +330,66 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of per-field defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def add(name, func, summary, seed=False, timing=False, basis=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output", default=None)
-        p.add_argument("--basis-size", type=int, default=3)
-        p.add_argument("--timing", action="store_true",
-                       help="include wall clock in the JSON (breaks byte stability)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if timing:
+            p.add_argument("--timing", action="store_true",
+                           help="include wall clock in the JSON (breaks byte stability)")
+        if basis:
+            p.add_argument("--basis-size", type=int, default=3)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("schedule", help="divisors and block lengths for one n")
-    common(p)
+    p = add("schedule", cmd_schedule, "divisors and block lengths for one n", basis=True)
     p.add_argument("--n", type=int)
     p.add_argument("--profile")
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("rates", help="rate factors over a lattice range (CSV)")
-    common(p)
+    p = add("rates", cmd_rates, "rate factors over a lattice range (CSV)", basis=True)
     p.add_argument("--profile")
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--n-min", type=int, default=10**3)
     p.add_argument("--n-max", type=int, default=10**6)
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("norms", help="dependence norm and comparison factor")
-    common(p)
+    p = add("norms", cmd_norms, "dependence norm and comparison factor")
     p.add_argument("--profile")
     p.add_argument("--q", type=int)
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--curve", help="CSV of samples of f(X)")
-    p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("gamma", help="partition complexity of a class file")
-    common(p)
+    p = add("gamma", cmd_gamma, "partition complexity of a class file", basis=True)
     p.add_argument("--class-file")
     p.add_argument("--norms",
                    help="constant:l2 | constant:lr,r=4 | schedule:n=...,profile=...")
-    p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("simulate", help="replicated sup statistics (CSV + summary)")
-    common(p)
+    p = add("simulate", cmd_simulate, "replicated sup statistics (CSV + summary)",
+            seed=True)
     p.add_argument("--process")
     p.add_argument("--class", dest="cls")
     p.add_argument("--n", type=int)
     p.add_argument("--reps", type=int, default=200)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("couple", help="replica coupling gap report")
-    common(p)
+    p = add("couple", cmd_couple, "replica coupling gap report", seed=True, timing=True)
     p.add_argument("--process")
     p.add_argument("--class", dest="cls")
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--reps", type=int, default=200)
-    p.set_defaults(func=cmd_couple)
 
-    p = sub.add_parser("strongapprox", help="Gaussian coupling gap across an n grid")
-    common(p)
+    p = add("strongapprox", cmd_strongapprox, "Gaussian coupling gap across an n grid",
+            seed=True, timing=True)
     p.add_argument("--process")
     p.add_argument("--class", dest="cls")
     p.add_argument("--n-grid", default="384,1536,6144")
     p.add_argument("--gamma", default="inf")
     p.add_argument("--reps", type=int, default=200)
-    p.set_defaults(func=cmd_strongapprox)
 
-    p = sub.add_parser("verify", help="run an acceptance suite")
-    common(p)
+    p = add("verify", cmd_verify, "run an acceptance suite", seed=True, timing=True)
     p.add_argument("--suite", default="all",
                    choices=sorted(ac.SUITES))
     p.add_argument("--reps-scale", type=float, default=1.0)
-    p.set_defaults(func=cmd_verify)
     for p in sub.choices.values():
         p.set_defaults(**(defaults or {}))
     return parser
@@ -432,7 +428,7 @@ def main(argv=None) -> int:
         # Parse again with the config as the subcommands' defaults, so that
         # it overrides argparse defaults while explicit flags still win.
         args = _build_parser(config).parse_args(argv)
-    if args.seed is None:
+    if "seed" in vars(args) and args.seed is None:
         text = os.environ.get("MIXBOUND_SEED", str(DEFAULT_SEED))
         try:
             args.seed = int(text)

@@ -223,7 +223,6 @@ class IndependenceReport:
     n_pairs: int               # adjacent-pair observations pooled into the test
     reps: int
     pooled_corr: float
-    per_position: tuple[float, ...]
     threshold: float
     passed: bool
 
@@ -241,16 +240,15 @@ def _parity_blocks(n: int, q: int, reps: int, parity: str) -> np.ndarray:
     return idx
 
 
-def block_independence_test(values: np.ndarray, q: int, parity: str = "even",
-                            threshold_mult: float = 3.0) -> IndependenceReport:
+def block_independence_test(values: np.ndarray, q: int,
+                            parity: str = "even") -> IndependenceReport:
     """Adjacent same-parity block-sum correlation against 3/sqrt(pairs).
 
     ``values`` is a (reps, n) matrix (replica or raw paths).  All adjacent
     same-parity block-sum pairs are pooled, across positions and
     replications, into one correlation: under exact independence the
     pooled estimate has standard error 1/sqrt(pairs), so the factor-three
-    threshold gives a single 3-sigma test free of multiplicity.  Per-
-    position correlations are reported for diagnostics.
+    threshold gives a single 3-sigma test free of multiplicity.
     """
     if values.ndim != 2:
         raise CouplingError("values must be a (reps, n) matrix")
@@ -258,18 +256,14 @@ def block_independence_test(values: np.ndarray, q: int, parity: str = "even",
     idx = _parity_blocks(n, q, reps, parity)
     nblocks = n // q
     sums = values[:, : nblocks * q].reshape(reps, nblocks, q).sum(axis=2)[:, idx]
-    per_position = tuple(
-        float(np.corrcoef(sums[:, i], sums[:, i + 1])[0, 1])
-        for i in range(idx.size - 1)
-    )
     a = sums[:, :-1].ravel()
     b = sums[:, 1:].ravel()
     pooled = float(np.corrcoef(a, b)[0, 1])
     n_pairs = a.size
-    threshold = threshold_mult / math.sqrt(n_pairs)
+    threshold = 3.0 / math.sqrt(n_pairs)
     return IndependenceReport(q=q, parity=parity, n_pairs=n_pairs, reps=reps,
-                              pooled_corr=pooled, per_position=per_position,
-                              threshold=threshold, passed=abs(pooled) < threshold)
+                              pooled_corr=pooled, threshold=threshold,
+                              passed=abs(pooled) < threshold)
 
 
 # -- block-sum tail verification ----------------------------------------------
@@ -306,8 +300,9 @@ class BernsteinReport:
 
 def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
                     profile: MixingProfile, n: int, q: int, k: int, reps: int,
-                    seed: int, u_values=(1.0, 1.5, 2.0)) -> BernsteinReport:
-    """Exceedance frequencies of the replica process against 2 exp(-u 2^k).
+                    seed: int) -> BernsteinReport:
+    """Exceedance frequencies of the replica process against 2 exp(-u 2^k),
+    at u = 1, 1.5 and 2.
 
     ``curve`` must be the exact quantile curve of |f(X)| under the marginal
     law; the scale b is the dependence norm of that curve and the two
@@ -334,7 +329,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
         for lo, _, replica in chunks:
             gstar[lo: lo + len(replica)] = centered_sums(member, replica)
     points = []
-    for u in u_values:
+    for u in (1.0, 1.5, 2.0):
         threshold = u * math.sqrt(2.0**k) * b * (16.0 / 3.0)
         x = int(np.count_nonzero(np.abs(gstar) >= threshold))
         freq = x / reps
@@ -356,9 +351,6 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
 class GaussianCouple:
     """Standard-normal block draws coupled to one member's block sums."""
 
-    member: str
-    q: int
-    sd: float
     z_blocks: np.ndarray
     z_total: np.ndarray   # sd-scaled, block-count normalized sums
 
@@ -380,7 +372,7 @@ def _centered_pool(member, pool_paths: np.ndarray) -> np.ndarray:
     return sums - sums.mean()
 
 
-def gaussian_couple(sums: np.ndarray, member_name: str, q: int, sd: float,
+def gaussian_couple(sums: np.ndarray, sd: float,
                     pool: np.ndarray | None = None) -> GaussianCouple:
     """Per-block comonotone Gaussianization of block sums.
 
@@ -402,8 +394,7 @@ def gaussian_couple(sums: np.ndarray, member_name: str, q: int, sd: float,
         z = _norm.ppf(grid)
     nblocks = sums.shape[-1]
     total = sd * z.sum(axis=-1) / math.sqrt(nblocks)
-    return GaussianCouple(member=member_name, q=q, sd=sd,
-                          z_blocks=z, z_total=total)
+    return GaussianCouple(z_blocks=z, z_total=total)
 
 
 @dataclass(frozen=True)
@@ -418,7 +409,6 @@ class StrongApproxPoint:
     coupling_term: float
     bound: float
     implied_ratio: float
-    sd: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -437,14 +427,15 @@ def _sqrt_divisor(n: int) -> int:
 
 def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
                              seed: int, gamma_order: float = math.inf,
-                             q_choice=None, pool_size: int = 20000,
+                             pool_size: int = 20000,
                              tau_reps: tuple[int, int] = (200, 200),
                              ) -> StrongApproxReport:
     """Gap between the sample-average process and a coupled Gaussian one.
 
-    Per grid point: simulate paths and replicas, Gaussianize the replica
-    block sums per member (marginal comonotone transform against a pooled
-    reference of independent stationary blocks), assemble the coupled
+    Per grid point, with the divisor of n nearest sqrt(n) as block length:
+    simulate paths and replicas, Gaussianize the replica block sums per
+    member (marginal comonotone transform against a pooled reference of
+    independent stationary blocks), assemble the coupled
     Gaussian total with the block-sum standard deviation as its scale, and
     measure E sup over members of the absolute difference.  The finite
     class is its own zero-radius cover, so the comparison bound reduces to
@@ -462,10 +453,9 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
     members = list(members)
     points = []
     for n in n_grid:
-        q = q_choice(n) if q_choice is not None else _sqrt_divisor(n)
+        q = _sqrt_divisor(n)
         pool_paths = model.sample_blocks(q, pool_size, seeded_rng(seed, 0x900, n))
         couplings = []   # (member, sd, sorted pool or None) per member
-        sds = {}
         sig_gamma_sum = 0.0
         for mem in members:
             pool_sums = _centered_pool(mem, pool_paths)
@@ -477,7 +467,6 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
                 sd = math.sqrt(model.block_variance(q))
             else:
                 sd = float(pool_sums.std(ddof=1))
-            sds[mem.name] = sd
             # Sorted once here, not once per chunk; the transform sorts it anyway.
             couplings.append((mem, sd, None if linear_gaussian else np.sort(pool_sums)))
             if gamma_order == math.inf:
@@ -498,8 +487,8 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
                         # Degenerate member: the matching Gaussian has variance zero.
                         gaps[i, cols] = np.abs(gn)
                     else:
-                        couple = gaussian_couple(block_sums(replica, mem, q), mem.name,
-                                                 q, sd, pool=pool)
+                        couple = gaussian_couple(block_sums(replica, mem, q), sd,
+                                                 pool=pool)
                         gaps[i, cols] = np.abs(gn - couple.z_total)
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
         tau_hat, tau_se = tau_for_class(model, members, q, tau_reps[0],
@@ -514,7 +503,6 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             tau_hat=tau_hat, tau_se=tau_se,
             finite_dim_term=finite_dim, coupling_term=coupling_term,
             bound=bound, implied_ratio=gap_mean / bound if bound > 0 else math.inf,
-            sd=sds,
         ))
     # Ordering certified at 95 percent: one-sided z-test on each adjacent
     # difference of means (exact ties, e.g. identically zero gaps, pass).
@@ -549,7 +537,7 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
     pool_sums = _centered_pool(member, pool_paths)
     sd = float(pool_sums.std(ddof=1))
     sums = block_sums(replica, member, q)
-    couple = gaussian_couple(sums, member.name, q, sd, pool=pool_sums)
+    couple = gaussian_couple(sums, sd, pool=pool_sums)
     dev = np.abs((sums - sd * couple.z_blocks).sum(axis=1))
     # Survival levels anchored in the tail; the bulk of the distribution
     # carries no information about the polynomial decay order.

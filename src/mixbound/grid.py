@@ -20,6 +20,10 @@ class GridError(ValueError):
     """Invalid lattice argument or a non-member sample size."""
 
 
+BASIS_SIZE_MAX = 1000      # first_primes is quadratic in the count
+SCHEDULE_MAX_DEPTH = 128   # levels block_schedule scans before giving up
+
+
 @functools.lru_cache(maxsize=16)
 def first_primes(count: int) -> tuple[int, ...]:
     """The first ``count`` primes, by trial division, built once per count."""
@@ -34,8 +38,8 @@ def first_primes(count: int) -> tuple[int, ...]:
 
 def _basis(basis_size: int) -> tuple[int, ...]:
     """The first ``basis_size`` primes; the lattice needs 2 and 3 among them."""
-    if basis_size < 2:
-        raise GridError("basis_size must be >= 2")
+    if not 2 <= basis_size <= BASIS_SIZE_MAX:
+        raise GridError(f"basis_size must be in [2, {BASIS_SIZE_MAX}]")
     return first_primes(basis_size)
 
 
@@ -58,7 +62,7 @@ def lattice_members(basis_size: int = 3, limit: int = 10**6) -> list[int]:
 
     A member is a product of powers of the first ``basis_size`` primes with
     the exponents of 2 and 3 each >= 1, i.e. 6 times a smooth number.
-    ``basis_size`` must be at least 2; a limit below 6 admits no member and
+    ``basis_size`` must be in [2, 1000]; a limit below 6 admits no member and
     is rejected.
     """
     if limit < 6:
@@ -169,8 +173,7 @@ class BlockSchedule:
         return self.q_seq[k] if k < len(self.q_seq) else 1
 
 
-def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
-                   max_depth: int = 128) -> BlockSchedule:
+def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3) -> BlockSchedule:
     """Full block-length schedule for one lattice member.
 
     theta is evaluated once over the divisor set; each level then takes the
@@ -180,7 +183,7 @@ def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
     divisors = np.asarray(divisor_chain(n, basis_size).divisors)
     lhs = 0.5 * profile.theta(divisors) * n
     seq: list[int] = []
-    for k in range(max_depth):
+    for k in range(SCHEDULE_MAX_DEPTH):
         # s = n always fits since theta <= 1, so argmax finds a divisor
         q = int(divisors[np.argmax(lhs <= divisors * 2.0 ** (k + 1))])
         if seq and q > seq[-1]:
@@ -189,7 +192,8 @@ def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3,
         if q == 1:
             break
     else:
-        raise GridError(f"schedule for n={n} did not reach 1 within {max_depth} levels")
+        raise GridError(f"schedule for n={n} did not reach 1 within "
+                        f"{SCHEDULE_MAX_DEPTH} levels")
     return BlockSchedule(n=n, profile=profile, q_seq=tuple(seq))
 
 

@@ -265,22 +265,18 @@ class MixingEstimate:
             raise ValueError("estimate and standard error must be >= 0")
 
 
-def estimate_alpha(path, q: int, thresholds=None) -> MixingEstimate:
+def estimate_alpha(path, q: int) -> MixingEstimate:
     """Empirical weak dependence coefficient at lag q from one path.
 
     Maximizes ``|P(X_t >= t0, X_{t-q} >= s0) - P(X_t >= t0) P(X_{t-q} >= s0)|``
-    over a finite threshold grid (default: empirical deciles), using every
-    lag-q pair in the path.  Replication across independent paths, and hence
-    a non-trivial standard error, is the caller's responsibility.
+    over the grid of empirical deciles, using every lag-q pair in the path.
+    Replication across independent paths, and hence a non-trivial standard
+    error, is the caller's responsibility.
     """
     x = np.asarray(path, dtype=float).ravel()
     if x.size <= q + 1:
         raise ValueError(f"path of length {x.size} too short for lag {q}")
-    if thresholds is None:
-        thresholds = np.quantile(x, np.linspace(0.1, 0.9, 9))
-    t = np.asarray(thresholds, dtype=float).ravel()
-    if t.size == 0:
-        raise ValueError("threshold grid must be non-empty")
+    t = np.quantile(x, np.linspace(0.1, 0.9, 9))
     early = x[:-q] if q > 0 else x
     late = x[q:] if q > 0 else x
     n_pairs = early.size

@@ -236,9 +236,9 @@ def ar1_model(rho: float, sigma: float = 1.0) -> ProcessModel:
     return ProcessModel("ar1", rho=rho, sigma=sigma)
 
 
-def ma_model(m: int, weights=None, sigma: float = 1.0) -> ProcessModel:
-    if weights is None:
-        weights = np.full(m + 1, 1.0 / math.sqrt(m + 1))
+def ma_model(m: int, sigma: float = 1.0) -> ProcessModel:
+    """MA(m) with equal weights 1/sqrt(m + 1)."""
+    weights = np.full(m + 1, 1.0 / math.sqrt(m + 1))
     return ProcessModel("ma", m=m, weights=tuple(float(w) for w in weights), sigma=sigma)
 
 

@@ -27,15 +27,15 @@ class UniversalConstants:
     l: float
 
 
-def universal_constants(rel_tol: float = 1e-12) -> UniversalConstants:
-    """Sum the constants to relative tolerance ``rel_tol`` (machine-fast)."""
+def universal_constants() -> UniversalConstants:
+    """Sum the constants to relative tolerance 1e-12 (machine-fast)."""
     ratio = 2.0 / math.e
     total = 0.0
     j = 1
     while True:
         term = ratio ** (2 ** (j - 1))
         total += term
-        if term < rel_tol * max(total, 1.0) or j > 64:
+        if term < 1e-12 * max(total, 1.0) or j > 64:
             break
         j += 1
     c0 = 2.0 * total

@@ -180,7 +180,7 @@ def test_greedy_matches_unmemoised_refinement(fam):
         for table, weights in _tie_heavy_classes(rng, size):
             cls = ch.FunctionClass(table=table, weights=weights)
             expected = _unmemoised_greedy(cls, fam, depth=3)
-            assert ch.complexity_greedy(cls, fam, depth=3) == expected
+            assert ch.complexity_greedy(cls, fam) == expected
 
 
 def test_exact_refuses_large_class():

@@ -1,8 +1,12 @@
+import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -335,9 +339,11 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
     (["gamma", "--class-file", "{cls}", "--norms", "constant:lr,r=nan"],
      "r must be > 0 and finite, got nan"),
     (["schedule", "--n", "8", "--profile", "iid", "--basis-size", "1"],
-     "basis_size must be >= 2"),
+     "basis_size must be in [2, 1000]"),
     (["schedule", "--n", "1", "--profile", "iid", "--basis-size", "0"],
-     "basis_size must be >= 2"),
+     "basis_size must be in [2, 1000]"),
+    (["schedule", "--n", "12", "--profile", "iid", "--basis-size", "100000"],
+     "basis_size must be in [2, 1000]"),
     (["norms", "--q", "-1", "--curve", "{curve}", "--profile", "poly:m=1"],
      "q must be >= 0"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
@@ -346,7 +352,7 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
         "process-repeated-key", "profile-repeated-key", "negative-scale",
         "infinite-scale", "nan-sigma", "nan-tail", "rates-nan-r", "rates-infinite-r",
         "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr", "schedule-basis-1",
-        "schedule-basis-0", "norms-negative-q"])
+        "schedule-basis-0", "schedule-basis-over-cap", "norms-negative-q"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
     argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path, curve=_curve_file(tmp_path))
             for a in argv]
@@ -512,3 +518,81 @@ def test_cached_parser_outputs_match_fresh_parsers(capsys, monkeypatch, tmp_path
     monkeypatch.setattr(cli, "_default_parser", cli._build_parser)  # fresh per call
     assert outputs() == cached
     assert all(code == 0 and out for code, out in cached)
+
+
+# -- the flag list ----------------------------------------------------------------
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+FLAGS = {
+    "schedule": {"--output", "--basis-size", "--n", "--profile"},
+    "rates": {"--output", "--basis-size", "--profile", "--r", "--n-min", "--n-max"},
+    "norms": {"--output", "--profile", "--q", "--r", "--curve"},
+    "gamma": {"--output", "--basis-size", "--class-file", "--norms"},
+    "simulate": {"--output", "--seed", "--process", "--class", "--n", "--reps"},
+    "couple": {"--output", "--seed", "--timing", "--process", "--class", "--n", "--q",
+               "--reps"},
+    "strongapprox": {"--output", "--seed", "--timing", "--process", "--class",
+                     "--n-grid", "--gamma", "--reps"},
+    "verify": {"--output", "--seed", "--timing", "--suite", "--reps-scale"},
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
+    subs = _subparsers(cli._build_parser())
+    assert set(subs) == set(FLAGS)
+    for name, p in subs.items():
+        options = [a for a in p._actions if a.option_strings and a.dest != "help"]
+        assert {s for a in options for s in a.option_strings} == FLAGS[name], name
+        handler = p.get_default("func")
+        reads = set(re.findall(r"args\.(\w+)", inspect.getsource(handler)))
+        assert {a.dest for a in options} == reads, name
+
+
+def test_env_seed_is_ignored_where_nothing_is_drawn(capsys, monkeypatch):
+    argv = ["schedule", "--n", "12", "--profile", "iid"]
+    monkeypatch.delenv("MIXBOUND_SEED", raising=False)
+    plain = run_cli(capsys, *argv)
+    monkeypatch.setenv("MIXBOUND_SEED", "abc")
+    assert plain[0] == 0 and run_cli(capsys, *argv) == plain
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rates", "--profile", "iid", "--seed", "3"], "--seed"),
+    (["couple", "--process", "iid", "--class", "halfpair", "--n", "210", "--q", "7",
+      "--basis-size", "4"], "--basis-size"),
+    (["schedule", "--n", "12", "--profile", "iid", "--timing"], "--timing"),
+    (["norms", "--profile", "iid", "--q", "4", "--curve", "c.csv", "--basis-size", "4"],
+     "--basis-size"),
+])
+def test_flag_a_handler_does_not_read_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+def test_config_may_name_only_the_subcommands_flags(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 3}')
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "rates", "--profile", "iid"])
+    assert str(exc.value.code) == "mixbound: error: config: unknown field 'seed'"
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_examples_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("mixbound ")]
+    assert len(lines) >= 10
+    parser = cli._build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.func.__name__ == f"cmd_{args.command}", line

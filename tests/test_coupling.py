@@ -221,8 +221,7 @@ def test_gaussian_couple_moments():
     sums_pool = (member.func(pool).sum(axis=1) - q * member.mean) / math.sqrt(q)
     sums_pool -= sums_pool.mean()
     s2 = float(sums_pool.std(ddof=1))
-    couple = cp.gaussian_couple(cp.block_sums(replica, member, q),
-                                member.name, q, s2, pool=sums_pool)
+    couple = cp.gaussian_couple(cp.block_sums(replica, member, q), s2, pool=sums_pool)
     z = couple.z_total
     assert abs(z.mean()) <= 4 * s2 / math.sqrt(reps)
     # Cross-parity block dependence perturbs the variance at order 1/q.
@@ -231,7 +230,7 @@ def test_gaussian_couple_moments():
 
 def test_gaussian_couple_analytic_route():
     sums = np.array([[0.5, -1.0, 2.0]])
-    couple = cp.gaussian_couple(sums, "id", 4, sd=2.0)
+    couple = cp.gaussian_couple(sums, sd=2.0)
     assert np.allclose(couple.z_blocks, sums / 2.0)
 
 

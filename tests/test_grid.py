@@ -25,7 +25,7 @@ def test_lattice_rejects_bad_args():
         grid.lattice_members(2, 5)
 
 
-@pytest.mark.parametrize("basis", [1, 0])
+@pytest.mark.parametrize("basis", [1, 0, grid.BASIS_SIZE_MAX + 1])
 def test_basis_below_two_is_rejected_everywhere(basis):
     prof = mixing.iid_profile()
     for call in (lambda: grid.factor_over_basis(1, basis),
@@ -36,7 +36,7 @@ def test_basis_below_two_is_rejected_everywhere(basis):
                  lambda: grid.first_block_lengths([8], prof, basis),
                  lambda: grid.first_block_lengths([], prof, basis),
                  lambda: grid.lattice_members(basis, 100)):
-        with pytest.raises(grid.GridError, match="basis_size must be >= 2"):
+        with pytest.raises(grid.GridError, match=r"basis_size must be in \[2, 1000\]"):
             call()
 
 
