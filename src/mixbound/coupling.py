@@ -23,12 +23,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import beta as _beta
 from scipy.stats import norm as _norm
 
-from .grid import divisor_chain
+from .grid import divisor_chain, nearest_divisor
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, dependence_norm
 from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
-                        simulate_many, _PATH_STREAM, _innovation_chunks,
-                        _ma_sum, _member_sums, _path_from, _recurse)
+                        simulate_many, _PATH_STREAM, _centered_sums,
+                        _innovation_chunks, _ma_sum, _member_sums, _path_from,
+                        _recurse)
 from .rates import ls_slope
 
 
@@ -39,11 +40,9 @@ class CouplingError(ValueError):
 # -- replica construction ----------------------------------------------------
 
 
-def _check_block_length(n: int, q: int) -> int:
-    chain = divisor_chain(n)
-    if q not in chain.divisors:
+def _check_block_length(n: int, q: int) -> None:
+    if q not in divisor_chain(n).divisors:
         raise CouplingError(f"q={q} does not divide n={n}")
-    return n // q
 
 
 def _replica_draws(model: ProcessModel, n: int, q: int, reps: int,
@@ -144,12 +143,6 @@ def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int,
 # -- coupling gap -------------------------------------------------------------
 
 
-def _member_gap(member, values: np.ndarray, replica: np.ndarray) -> np.ndarray:
-    """|G_n f(paths) - G_n f(replicas)| along the last axis; the centering cancels."""
-    diff = _member_sums(member, values) - _member_sums(member, replica)
-    return np.abs(diff) / math.sqrt(values.shape[-1])
-
-
 def tau_for_class(model: ProcessModel, members, q: int, outer: int, inner: int,
                   seed: int) -> tuple[float, float]:
     """Class-scale dependence estimate: cone-normalized times the envelope
@@ -177,8 +170,11 @@ def coupled_paths(model: ProcessModel, n: int, q: int, reps: int, seed: int,
 
 
 def sup_gaps(values: np.ndarray, replica: np.ndarray, members) -> np.ndarray:
-    """(reps,) sup over the class of the scaled gap between paths and replicas."""
-    return np.stack([_member_gap(mem, values, replica) for mem in members]).max(axis=0)
+    """(reps,) sup over the class of |G_n f(paths) - G_n f(replicas)|; the
+    centering cancels."""
+    members = tuple(members)
+    diff = _member_sums(members, values) - _member_sums(members, replica)
+    return (np.abs(diff) / math.sqrt(values.shape[-1])).max(axis=0)
 
 
 def gap_samples(model: ProcessModel, members, n: int, q: int, reps: int,
@@ -232,6 +228,8 @@ def _parity_blocks(n: int, q: int, reps: int, parity: str) -> np.ndarray:
     raises unless there are at least two of them and 30 across reps."""
     if parity not in ("even", "odd"):
         raise CouplingError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if q < 1:
+        raise CouplingError(f"q must be >= 1, got {q}")
     idx = np.arange(0 if parity == "even" else 1, n // q, 2)
     if idx.size < 2:
         raise CouplingError("need at least two same-parity blocks")
@@ -362,14 +360,15 @@ def block_sums(values: np.ndarray, member, q: int) -> np.ndarray:
     return centered_sums(member, blocks)
 
 
-def _centered_pool(member, pool_paths: np.ndarray) -> np.ndarray:
-    """Block sums of a reference pool of independent stationary blocks, centered.
+def _centered_pool(members, pool_paths: np.ndarray) -> np.ndarray:
+    """Block sums of a reference pool of independent stationary blocks, centered,
+    stacked on a leading member axis.
 
     The block sums have exact mean zero; centering the pool removes the
     transform's first-order location error, which would otherwise
     accumulate across blocks."""
-    sums = centered_sums(member, pool_paths)
-    return sums - sums.mean()
+    sums = _centered_sums(members, pool_paths)
+    return sums - sums.mean(axis=-1, keepdims=True)
 
 
 def gaussian_couple(sums: np.ndarray, sd: float,
@@ -419,17 +418,14 @@ class StrongApproxReport:
     within_bound: bool
 
 
-def _sqrt_divisor(n: int) -> int:
-    from .grid import nearest_divisor
-
-    return nearest_divisor(n, math.sqrt(n))
+TAU_REPS = (200, 200)    # outer and inner draws of each strong-approximation tau
+TAIL_GAMMA = 3.0         # the polynomial decay order the tail slope test asks for
+TAIL_POOL_SIZE = 20000   # independent reference blocks of the tail slope test
 
 
 def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
                              seed: int, gamma_order: float = math.inf,
-                             pool_size: int = 20000,
-                             tau_reps: tuple[int, int] = (200, 200),
-                             ) -> StrongApproxReport:
+                             pool_size: int = 20000) -> StrongApproxReport:
     """Gap between the sample-average process and a coupled Gaussian one.
 
     Per grid point, with the divisor of n nearest sqrt(n) as block length:
@@ -453,12 +449,12 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
     members = list(members)
     points = []
     for n in n_grid:
-        q = _sqrt_divisor(n)
-        pool_paths = model.sample_blocks(q, pool_size, seeded_rng(seed, 0x900, n))
-        couplings = []   # (member, sd, sorted pool or None) per member
+        q = nearest_divisor(n, math.sqrt(n))
+        pools = _centered_pool(members, model.sample_blocks(
+            q, pool_size, seeded_rng(seed, 0x900, n)))
+        couplings = []   # (sd, sorted pool or None) per member
         sig_gamma_sum = 0.0
-        for mem in members:
-            pool_sums = _centered_pool(mem, pool_paths)
+        for mem, pool_sums in zip(members, pools):
             linear_gaussian = (model.is_gaussian_linear
                                and mem.name in ("identity", "negated"))
             if linear_gaussian:
@@ -468,7 +464,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             else:
                 sd = float(pool_sums.std(ddof=1))
             # Sorted once here, not once per chunk; the transform sorts it anyway.
-            couplings.append((mem, sd, None if linear_gaussian else np.sort(pool_sums)))
+            couplings.append((sd, None if linear_gaussian else np.sort(pool_sums)))
             if gamma_order == math.inf:
                 if mem.sup_bound is None:
                     raise CouplingError("gamma=inf needs finite sup bounds")
@@ -476,23 +472,22 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             else:
                 sig_gamma_sum += float(
                     (np.abs(pool_sums) ** gamma_order).mean() ** (1.0 / gamma_order))
-        del pool_paths   # the sums are all the stream needs; free the paths first
+        del pools, pool_sums   # the sorted copies are all the stream needs
         gaps = np.empty((len(members), reps))
         with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
             for lo, vals, replica in chunks:
                 cols = slice(lo, lo + len(vals))
-                for i, (mem, sd, pool) in enumerate(couplings):
-                    gn = centered_sums(mem, vals)
+                gns = _centered_sums(members, vals)
+                sums = _centered_sums(members, replica.reshape(len(replica), -1, q))
+                for i, (sd, pool) in enumerate(couplings):
                     if sd == 0.0:
                         # Degenerate member: the matching Gaussian has variance zero.
-                        gaps[i, cols] = np.abs(gn)
+                        gaps[i, cols] = np.abs(gns[i])
                     else:
-                        couple = gaussian_couple(block_sums(replica, mem, q), sd,
-                                                 pool=pool)
-                        gaps[i, cols] = np.abs(gn - couple.z_total)
+                        couple = gaussian_couple(sums[i], sd, pool=pool)
+                        gaps[i, cols] = np.abs(gns[i] - couple.z_total)
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
-        tau_hat, tau_se = tau_for_class(model, members, q, tau_reps[0],
-                                        tau_reps[1], seed=seed + n)
+        tau_hat, tau_se = tau_for_class(model, members, q, *TAU_REPS, seed=seed + n)
         exponent = 0.5 if gamma_order == math.inf else \
             (gamma_order - 2.0) / (2.0 * gamma_order)
         finite_dim = (q / n) ** exponent * sig_gamma_sum
@@ -528,13 +523,12 @@ class TailSlopeReport:
 
 
 def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
-                             reps: int, seed: int, gamma: float = 3.0,
-                             pool_size: int = 20000) -> TailSlopeReport:
+                             reps: int, seed: int) -> TailSlopeReport:
     """Slope test: deviations between coupled partial sums decay at least
-    polynomially of order gamma on the observed range."""
+    polynomially of order ``TAIL_GAMMA`` on the observed range."""
     _, replica = coupled_paths(model, n, q, reps, seed, tag=0x59)
-    pool_paths = model.sample_blocks(q, pool_size, seeded_rng(seed, 0x59AA))
-    pool_sums = _centered_pool(member, pool_paths)
+    pool_paths = model.sample_blocks(q, TAIL_POOL_SIZE, seeded_rng(seed, 0x59AA))
+    pool_sums = _centered_pool((member,), pool_paths)[0]
     sd = float(pool_sums.std(ddof=1))
     sums = block_sums(replica, member, q)
     couple = gaussian_couple(sums, sd, pool=pool_sums)
@@ -546,6 +540,6 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
     surv = np.array([(dev >= t).mean() for t in t_grid])
     ok = (t_grid > 0) & (surv > 0)
     slope = ls_slope(np.log(t_grid[ok]), np.log(surv[ok]))
-    return TailSlopeReport(gamma=gamma, t_grid=tuple(map(float, t_grid)),
+    return TailSlopeReport(gamma=TAIL_GAMMA, t_grid=tuple(map(float, t_grid)),
                            survival=tuple(map(float, surv)), slope=slope,
-                           passed=slope <= -gamma)
+                           passed=slope <= -TAIL_GAMMA)

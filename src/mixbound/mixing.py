@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .processes import mean_se, seeded_rng
+from .processes import _member_sums, mean_se, seeded_rng
 
 
 class ProfileError(ValueError):
@@ -320,12 +320,7 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
     for _ in range(q):
         innov = model.draw_innovations(states.size, rng)
         states = model.step(states, innov)
-    gaps = np.empty(outer_reps)
-    per_member = np.empty((len(members), outer_reps))
-    for i, mem in enumerate(members):
-        vals = mem.func(states).reshape(outer_reps, inner_reps)
-        per_member[i] = vals.mean(axis=1) - mem.mean
-    np.max(np.abs(per_member), axis=0, out=gaps)
-    gaps /= scale
-    value, se = mean_se(gaps)
+    sums = _member_sums(members, states.reshape(outer_reps, inner_reps))
+    means = np.array([mem.mean for mem in members])[:, None]
+    value, se = mean_se(np.abs(sums / inner_reps - means).max(axis=0) / scale)
     return MixingEstimate(q=q, value=value, std_error=se, method="tau_nested_mc")

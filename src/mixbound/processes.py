@@ -37,15 +37,19 @@ def mean_se(x) -> tuple[float, float]:
     return float(x.mean()), se
 
 
-_SLICE = 1 << 14   # input elements per slice, so that temporaries stay in cache
+_SLICE = 1 << 14        # input elements per slice, so that temporaries stay in cache
+_LANES = 1 << 12        # states ``_recurse`` steps together, so one step stays in cache
+_TIME_BLOCK = 1 << 17   # innovations per time-major block of ``_recurse``
 
 
 def _by_rows(fn, values: np.ndarray) -> np.ndarray:
     """``fn(values)``, bit for bit, for a row-local ``fn`` (row i of its result
     depends on row i of its input only), run over cache-sized slices of the
-    leading axis with the rows shared among the cores this process may use.
+    leading axis.  The caller and a thread per further core it may use each
+    take the next slice until none is left, so a core held up takes fewer.
 
-    Threads are started per call: a pool made before a fork hangs the child.
+    Threads are started per call and joined before it returns (a pool made
+    before a fork hangs the child); a worker's exception is raised here.
     """
     rows = values.shape[0] if values.ndim > 1 else 1
     step = max(1, _SLICE * rows // max(values.size, 1))
@@ -54,25 +58,23 @@ def _by_rows(fn, values: np.ndarray) -> np.ndarray:
     first = fn(values[:step])
     out = np.empty((rows,) + first.shape[1:], first.dtype)
     out[:step] = first
+    starts = iter(range(step, rows, step))   # next() on it is one step under the GIL
     errors: list[BaseException] = []
 
-    def work(lo: int, hi: int) -> None:
+    def work() -> None:
         try:
-            for a in range(lo, hi, step):
+            for a in starts:
                 out[a: a + step] = fn(values[a: a + step])
-        except BaseException as exc:   # raised once every share has stopped
+        except BaseException as exc:   # raised once every thread has stopped
             errors.append(exc)
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    rest = -(-rows // step) - 1   # slices after the first
-    shares = min(cores, rest)
-    cuts = [step * (1 + rest * i // shares) for i in range(shares + 1)]
-    threads = [threading.Thread(target=work, args=cuts[i: i + 2])
-               for i in range(1, shares)]
+    threads = [threading.Thread(target=work)
+               for _ in range(min(cores, -(-rows // step) - 1) - 1)]
     for t in threads:
         t.start()
-    work(cuts[0], cuts[1])
+    work()
     for t in threads:
         t.join()
     if errors:
@@ -80,16 +82,26 @@ def _by_rows(fn, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _member_sums(member, values: np.ndarray) -> np.ndarray:
-    """Raw sums of ``member.func`` over the last axis of ``values``."""
-    return _by_rows(lambda v: member.func(v).sum(axis=-1), values)
+def _member_sums(members, values: np.ndarray) -> np.ndarray:
+    """Raw sums of each ``member.func`` over the last axis of ``values``, stacked
+    on a leading member axis: all members run on a slice while it is in cache."""
+    def sums(v: np.ndarray) -> np.ndarray:
+        return np.stack([m.func(v).sum(axis=-1) for m in members], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(_by_rows(sums, values), -1, 0))
+
+
+def _centered_sums(members, values: np.ndarray) -> np.ndarray:
+    """``centered_sums`` of each member, stacked on a leading member axis."""
+    length = values.shape[-1]
+    shift = np.array([length * m.mean for m in members])
+    shift = shift.reshape(shift.shape + (1,) * (values.ndim - 1))
+    return (_member_sums(members, values) - shift) / math.sqrt(length)
 
 
 def centered_sums(member, values: np.ndarray) -> np.ndarray:
     """Centered, sqrt(length)-scaled sums of ``member`` over the last axis:
     n^{-1/2} sum (f(X_t) - E f) for each length-n row of ``values``."""
-    length = values.shape[-1]
-    return (_member_sums(member, values) - length * member.mean) / math.sqrt(length)
+    return _centered_sums((member,), values)[0]
 
 
 @dataclass(frozen=True)
@@ -275,13 +287,27 @@ def _recurse(model: ProcessModel, state: np.ndarray, innov: np.ndarray,
     """Step ``model.step`` from ``state`` along the last axis of ``innov``.
 
     ``state`` has the shape of ``innov`` without its last axis; each step's
-    state is written to ``out`` when given.  Returns the final state.
+    state is written to ``out`` when given.  Returns the final state.  Groups of
+    about ``_LANES`` states step through windows of at most ``_TIME_BLOCK``
+    innovations, copied time-major into one buffer made here that then holds
+    the states: each step reads one contiguous vector; ``innov`` is not written.
     """
-    for t in range(innov.shape[-1]):
-        state = model.step(state, innov[..., t])
-        if out is not None:
-            out[..., t] = state
-    return state
+    lanes = math.prod(innov.shape[1:-1])   # states per row
+    rows = max(1, _LANES // max(lanes, 1))
+    span = max(1, _TIME_BLOCK // max(min(rows, len(innov)) * lanes, 1))
+    buf = np.empty((min(span, innov.shape[-1]), min(rows, len(innov))) + innov.shape[1:-1])
+    final = np.empty(innov.shape[:-1])
+    for lo in range(0, len(innov), rows):
+        s = state[lo: lo + rows]
+        for t0 in range(0, innov.shape[-1], span):
+            block = buf[: min(span, innov.shape[-1] - t0), : len(s)]
+            np.copyto(block, np.moveaxis(innov[lo: lo + rows, ..., t0: t0 + span], -1, 0))
+            for t in range(len(block)):
+                block[t] = s = model.step(s, block[t])
+            if out is not None:
+                out[lo: lo + rows, ..., t0: t0 + span] = np.moveaxis(block, 0, -1)
+        final[lo: lo + rows] = s
+    return final
 
 
 def _ma_sum(weights, innov: np.ndarray, length: int) -> np.ndarray:
@@ -403,7 +429,7 @@ def empirical_process_many(values: np.ndarray, members) -> np.ndarray:
             f"members {missing} have no stationary mean; build the class with "
             f"means attached (see function_classes.make_class)"
         )
-    g = np.stack([centered_sums(mem, values) for mem in members])
+    g = _centered_sums(members, values)
     return g.max(axis=0) - g.min(axis=0)
 
 

@@ -143,6 +143,16 @@ def test_couple_rejects_too_few_blocks_before_simulating(monkeypatch, capsys):
     assert calls == [] and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_couple_rejects_q_below_one_before_simulating(q, monkeypatch, capsys):
+    calls = _count_simulations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["couple", "--process", "ar1:rho=0.9", "--class", "lipschitz4",
+                  "--n", "1536", "--q", q, "--reps", "30"])
+    assert str(exc.value.code) == f"mixbound: error: q must be >= 1, got {q}"   # exit 1
+    assert calls == [] and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("grid, message", [
     ("384,384", "n_grid must be strictly increasing: 384 follows 384"),
     ("1536,384", "n_grid must be strictly increasing: 384 follows 1536"),

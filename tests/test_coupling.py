@@ -94,6 +94,25 @@ def test_replicate_many_matches_per_block_loops(model):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("model", [pr.ar1_model(0.9, sigma=0.7), pr.lazy_renewal_model(1.5)],
+                         ids=lambda m: m.spec())
+@pytest.mark.parametrize("groups", [None, (3, 7)], ids=["one-window", "small-windows"])
+def test_replicas_step_time_contiguous_innovations_on_a_copy(model, groups, monkeypatch):
+    # q = 1 with one rep steps a (1, 95, 1) block: time-contiguous already.
+    # q = n leaves no block after the first: nothing to step.
+    if groups:   # row groups of 3 states, time windows of 7 // 3 steps
+        monkeypatch.setattr(pr, "_LANES", groups[0])
+        monkeypatch.setattr(pr, "_TIME_BLOCK", groups[1])
+    n = 96
+    for reps, q in ((1, 1), (1, 12), (40, 1), (40, 12), (40, n)):
+        vals, innov, _ = pr.simulate_many(model, n, reps, seed=reps)
+        kept = innov.copy()
+        got = cp.replicate_many(model, vals, innov, q, seed=3, tag=q)
+        assert innov.tobytes() == kept.tobytes()
+        want = _reference_replica(model, vals, innov, q, pr.seeded_rng(3, 0xC0FF, q))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_replica_marginal_law_ks():
     model = pr.ar1_model(0.8)
     vals, innov, _ = pr.simulate_many(model, 768, 800, seed=4)
@@ -182,6 +201,12 @@ def test_block_independence_needs_enough_blocks():
         cp.block_independence_test(vals, 12, "even")
 
 
+@pytest.mark.parametrize("q", [0, -3])
+def test_block_independence_rejects_q_below_one(q):
+    with pytest.raises(cp.CouplingError, match=f"q must be >= 1, got {q}"):
+        cp.block_independence_test(np.zeros((40, 96)), q, "even")
+
+
 def test_block_independence_rejects_unknown_parity():
     vals = np.zeros((40, 96))
     with pytest.raises(cp.CouplingError, match="parity"):
@@ -255,8 +280,8 @@ def test_coupled_tail_decay_slope():
     model = pr.ar1_model(0.5)
     member = fc.make_class("lipschitz4", model).members[1]
     rep = cp.coupled_tail_decay_check(model, member, n=1536, q=32, reps=4000,
-                                  seed=17, gamma=3.0)
-    assert rep.passed
+                                      seed=17)
+    assert rep.gamma == 3.0 and rep.passed
 
 
 def test_strong_approx_identity_gap_machine_zero_for_iid():
@@ -315,6 +340,7 @@ def test_coupled_chunks_match_coupled_paths(model, rows, monkeypatch):
 
 
 def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
+    monkeypatch.setattr(cp, "TAU_REPS", (30, 30))   # the tau estimate is not streamed
     model = pr.ar1_model(0.5)
     member = fc.make_class("indicator", model).members[0]
     members = fc.make_class("lipschitz4", model).members
@@ -324,7 +350,7 @@ def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
                                    mx.exponential_profile(0.5), n=384, q=8, k=2,
                                    reps=50, seed=22)
         approx = cp.strong_approx_experiment(model, members, (96, 384), reps=30,
-                                             seed=22, pool_size=500, tau_reps=(30, 30))
+                                             seed=22, pool_size=500)
         return tails, approx
 
     whole = run()

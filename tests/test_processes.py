@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ def test_simulate_core_matches_per_step_loops(kind):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("groups", [None, (3, 7)], ids=["one-window", "small-windows"])
+def test_recurse_steps_time_contiguous_innovations_on_a_copy(groups, monkeypatch):
+    # One row (1, n) and one step (rows, 1) are time-contiguous already, and an
+    # empty time axis steps nothing; the innovations must come back unchanged.
+    if groups:   # row groups of 3 states, time windows of 7 // 3 steps
+        monkeypatch.setattr(pr, "_LANES", groups[0])
+        monkeypatch.setattr(pr, "_TIME_BLOCK", groups[1])
+    model = MODELS["lazy"]
+    for n, reps in ((384, 1), (1, 40), (0, 40), (384, 40)):
+        got = pr._simulate_core(model, n, reps, pr.seeded_rng(n, reps))
+        want = _reference_core(model, n, reps, pr.seeded_rng(n, reps))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        vals, innov, starts = got
+        assert pr._recurse(model, starts, innov[:, :0]).tobytes() == starts.tobytes()
+
+
 # -- shared conventions: centered sums, mean +- SE, seeded streams ------------
 
 SUM_MEMBERS = (fc.make_class("lipschitz5", pr.iid_model()).members
@@ -172,9 +190,11 @@ SMALL_SHAPES = {"columns": "columns", "1d": (6144,), "one-slice": (12, 96),
 
 @pytest.mark.parametrize("shape, cores", [
     ((1000, 6144), None), ("blocks", None),
+    *((shape, cores) for shape in ((1000, 6144), "blocks") for cores in (1, 3)),
     *((shape, cores) for shape in SMALL_SHAPES.values() for cores in (None, 1, 3)),
-], ids=["paths", "blocks", *(f"{name}-{c or 'all'}-cores" for name in SMALL_SHAPES
-                               for c in (None, 1, 3))])
+], ids=["paths", "blocks", *(f"{name}-{c}-cores" for name in ("paths", "blocks")
+                               for c in (1, 3)),
+        *(f"{name}-{c or 'all'}-cores" for name in SMALL_SHAPES for c in (None, 1, 3))])
 def test_member_sums_match_one_call(monkeypatch, shape, cores):
     if cores is not None:
         monkeypatch.setattr(pr.os, "sched_getaffinity", lambda pid: set(range(cores)))
@@ -182,26 +202,31 @@ def test_member_sums_match_one_call(monkeypatch, shape, cores):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads often, so a lost write would show
     try:
-        for mem in KERNEL_MEMBERS:
-            got = pr._member_sums(mem, values)
-            want = mem.func(values).sum(axis=-1)
-            assert got.shape == want.shape and np.array_equal(got, want), mem.name
+        got = pr._member_sums(KERNEL_MEMBERS, values)   # every member in one pass
     finally:
         sys.setswitchinterval(interval)
+    assert got.shape == (len(KERNEL_MEMBERS),) + values.shape[:-1]
+    assert got.flags.c_contiguous
+    for sums, mem in zip(got, KERNEL_MEMBERS):
+        assert np.array_equal(sums, mem.func(values).sum(axis=-1)), mem.name
 
 
 def test_member_sums_raise_a_worker_exception(monkeypatch):
     monkeypatch.setattr(pr.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    values = np.zeros((64, 4096))
-    values[-1, -1] = np.nan       # only the last share, on a worker thread, sees it
 
     def fails_on_nan(x):
         if np.isnan(x).any():
             raise FloatingPointError("nan in a slice")
         return x
-    member = fc.ClassMember(name="fails_on_nan", func=fails_on_nan, mean=0.0)
-    with pytest.raises(FloatingPointError, match="nan in a slice"):
-        pr._member_sums(member, values)
+    members = KERNEL_MEMBERS[:1] + (
+        fc.ClassMember(name="fails_on_nan", func=fails_on_nan, mean=0.0),)
+    for row in (0, 33, 63):   # the first slice, a middle one and the last (16 of 4 rows)
+        values = np.zeros((64, 4096))
+        values[row, -1] = np.nan
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="nan in a slice"):
+            pr._member_sums(members, values)
+        assert threading.active_count() == threads   # every worker joined
 
 
 def test_mean_se_matches_former_inline_form():
