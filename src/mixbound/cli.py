@@ -2,12 +2,12 @@
 strongapprox and verify subcommands with deterministic seeding and
 CSV/JSON emission.
 
-A JSON config file supplies defaults field by field; explicit flags win.
-Each subcommand takes only the flags its handler reads.  The seeded
-subcommands (simulate, couple, strongapprox, verify) default to seed 7,
-overridable by the MIXBOUND_SEED environment variable and then by --seed.
-Reports serialize with sorted keys and 12-significant-digit floats, so
-identical configurations produce identical bytes.
+A JSON config file's fields are read as flags ahead of the command line's
+own, so explicit flags win.  Each subcommand takes only the flags its handler
+reads.  The seeded subcommands (simulate, couple, strongapprox, verify)
+default to seed 7, overridable by the MIXBOUND_SEED environment variable and
+then by --seed.  Reports serialize with sorted keys and 12-significant-digit
+floats, so identical configurations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -71,13 +71,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise CliError("missing required field(s): " +
-                       ", ".join(f"--{n}" for n in missing))
-
-
 def _require_lattice(n: int, basis_size: int = 3) -> None:
     if not gr.in_lattice(n, basis_size):
         suggestion = gr.nearest_member(n, basis_size)
@@ -117,10 +110,13 @@ def _load_class_file(path: str) -> ch.FunctionClass:
     for key in ("table", "weights"):
         if key not in payload:
             raise ValueError(f"class file {path}: missing key {key!r}")
+    names = payload.get("names", [])
+    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+        raise ValueError(f"class file {path}: names must be a list of strings")
     return ch.FunctionClass(
         table=np.asarray(payload["table"], dtype=float),
         weights=np.asarray(payload["weights"], dtype=float),
-        names=tuple(payload.get("names", ())),
+        names=tuple(names),
     )
 
 
@@ -128,7 +124,6 @@ def _load_class_file(path: str) -> ch.FunctionClass:
 
 
 def cmd_schedule(args) -> int:
-    _require(args, "n", "profile")
     _require_lattice(args.n, args.basis_size)
     profile = mx.parse_profile(args.profile)
     chain = gr.divisor_chain(args.n, args.basis_size)
@@ -142,7 +137,6 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    _require(args, "profile")
     profile = mx.parse_profile(args.profile)
     table = rt.rate_table(profile, args.r, args.n_min, args.n_max, args.basis_size)
     rows = [
@@ -157,7 +151,6 @@ def cmd_rates(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    _require(args, "profile", "q", "curve")
     profile = mx.parse_profile(args.profile)
     samples = np.loadtxt(args.curve, delimiter=",", ndmin=1)
     curve = nm.QuantileCurve.from_sample(np.atleast_1d(samples))
@@ -171,7 +164,6 @@ def cmd_norms(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    _require(args, "class-file", "norms")
     cls = _load_class_file(args.class_file)
     family = _parse_norm_family(args.norms, args.basis_size)
     if cls.size <= ch.EXACT_SEARCH_LIMIT:
@@ -191,7 +183,6 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "process", "cls", "n")
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
@@ -214,7 +205,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    _require(args, "process", "cls", "n", "q")
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
@@ -250,11 +240,10 @@ def cmd_couple(args) -> int:
         wall_clock_s=time.perf_counter() - t0,
     )
     _emit(report.to_json(include_timing=args.timing), args.output)
-    return 0
+    return 0 if report.all_passed() else 1
 
 
 def cmd_strongapprox(args) -> int:
-    _require(args, "process", "cls")
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
@@ -317,8 +306,9 @@ def cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` (config fields) override every subcommand's.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing leaves it as is).
 
     Each subcommand takes ``--output`` and, of ``--seed``, ``--timing`` and
     ``--basis-size``, only those its handler reads."""
@@ -326,12 +316,13 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         prog="mixbound",
         description="block schedules, dependence-adapted norms, chaining "
                     "complexity and Monte Carlo bound validation",
+        allow_abbrev=False,   # flags and config fields go by their full names
     )
-    parser.add_argument("--config", help="JSON file of per-field defaults")
+    parser.add_argument("--config", help="JSON file of flag values; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, summary, seed=False, timing=False, basis=False):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--output", default=None)
         if seed:
             p.add_argument("--seed", type=int, default=None)
@@ -344,44 +335,44 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         return p
 
     p = add("schedule", cmd_schedule, "divisors and block lengths for one n", basis=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--profile")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--profile", required=True)
 
     p = add("rates", cmd_rates, "rate factors over a lattice range (CSV)", basis=True)
-    p.add_argument("--profile")
+    p.add_argument("--profile", required=True)
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--n-min", type=int, default=10**3)
     p.add_argument("--n-max", type=int, default=10**6)
 
     p = add("norms", cmd_norms, "dependence norm and comparison factor")
-    p.add_argument("--profile")
-    p.add_argument("--q", type=int)
+    p.add_argument("--profile", required=True)
+    p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=float, default=4.0)
-    p.add_argument("--curve", help="CSV of samples of f(X)")
+    p.add_argument("--curve", required=True, help="CSV of samples of f(X)")
 
     p = add("gamma", cmd_gamma, "partition complexity of a class file", basis=True)
-    p.add_argument("--class-file")
-    p.add_argument("--norms",
+    p.add_argument("--class-file", required=True)
+    p.add_argument("--norms", required=True,
                    help="constant:l2 | constant:lr,r=4 | schedule:n=...,profile=...")
 
     p = add("simulate", cmd_simulate, "replicated sup statistics (CSV + summary)",
             seed=True)
-    p.add_argument("--process")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--n", type=int)
+    p.add_argument("--process", required=True)
+    p.add_argument("--class", dest="cls", required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=200)
 
     p = add("couple", cmd_couple, "replica coupling gap report", seed=True, timing=True)
-    p.add_argument("--process")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--process", required=True)
+    p.add_argument("--class", dest="cls", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
     p.add_argument("--reps", type=int, default=200)
 
     p = add("strongapprox", cmd_strongapprox, "Gaussian coupling gap across an n grid",
             seed=True, timing=True)
-    p.add_argument("--process")
-    p.add_argument("--class", dest="cls")
+    p.add_argument("--process", required=True)
+    p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--n-grid", default="384,1536,6144")
     p.add_argument("--gamma", default="inf")
     p.add_argument("--reps", type=int, default=200)
@@ -390,44 +381,47 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=sorted(ac.SUITES))
     p.add_argument("--reps-scale", type=float, default=1.0)
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
     return parser
 
 
-@functools.cache
-def _default_parser() -> argparse.ArgumentParser:
-    """The config-free parser, built once per process (parsing leaves it as is)."""
-    return _build_parser()
-
-
-def _load_config(args: argparse.Namespace) -> dict:
-    """Config fields as argument names, checked against the chosen subcommand."""
-    if not args.config:
-        return {}
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's fields as flags right after the
+    subcommand, where the command line's own flags, parsed later, win.  A field
+    is ``--name=value``, with ``_`` in the name read as ``-``; a true field is
+    the bare flag, and a false or null one is left out."""
+    i, path = 0, None
+    while i < len(argv):
+        if argv[i] == "--config" and i + 1 < len(argv):
+            path, i = argv[i + 1], i + 2
+        elif argv[i].startswith("--config="):
+            path, i = argv[i].partition("=")[2], i + 1
+        else:
+            break
+    if path is None:
+        return argv
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"config: {exc}")
     if not isinstance(config, dict):
         raise CliError("config: top level must be a JSON object")
-    fields = {}
+    flags = []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if attr in ("command", "config", "func") or not hasattr(args, attr):
-            raise CliError(f"config: unknown field {key!r}")
-        fields[attr] = value
-    return fields
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, (list, dict)):
+            _build_parser().error(f"config: field {key!r} must be a string, "
+                                  "number or boolean")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    return argv[:i + 1] + flags + argv[i + 1:]
 
 
 def main(argv=None) -> int:
-    args = _default_parser().parse_args(argv)
-    config = _load_config(args)
-    if config:
-        # Parse again with the config as the subcommands' defaults, so that
-        # it overrides argparse defaults while explicit flags still win.
-        args = _build_parser(config).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_with_config(argv))
     if "seed" in vars(args) and args.seed is None:
         text = os.environ.get("MIXBOUND_SEED", str(DEFAULT_SEED))
         try:

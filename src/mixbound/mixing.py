@@ -218,7 +218,10 @@ def parse_profile(text: str) -> MixingProfile:
         path, _, fields = rest.partition(",")
         tail = _parse_kv(fields, optional=("tail",)).get("tail", "zero")
         values = np.loadtxt(path, delimiter=",", ndmin=1)
-        return tabulated_profile(np.atleast_1d(values), tail=tail)
+        if values.ndim != 1:
+            raise ProfileError(f"table file {path}: need one row or one column "
+                               f"of values, got shape {values.shape}")
+        return tabulated_profile(values, tail=tail)
     raise ProfileError(f"cannot parse profile spec {text!r}")
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -26,6 +27,10 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+COUPLE = ["couple", "--process", "ma:m=3", "--class", "lipschitz5", "--n", "96",
+          "--q", "6", "--reps", "30"]
+
+
 def test_schedule_json(capsys, tmp_path):
     code, out = run_cli(capsys, "schedule", "--n", "12", "--profile", "poly:m=1")
     assert code == 0
@@ -40,11 +45,25 @@ def test_schedule_rejects_non_member(capsys):
         cli.main(["schedule", "--n", "13", "--profile", "iid"])
 
 
-def test_unknown_config_field(tmp_path):
+def _config_usage_error(capsys, tmp_path, config, *argv):
+    """The exit code and stderr of a call whose config is a usage error."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"bogus_field": 3}')
-    with pytest.raises(SystemExit, match="bogus_field"):
-        cli.main(["--config", str(cfg), "schedule", "--n", "12", "--profile", "iid"])
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), *argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+def test_unknown_config_field(capsys, tmp_path):
+    code, err = _config_usage_error(capsys, tmp_path, {"bogus_field": 3},
+                                    "schedule", "--n", "12", "--profile", "iid")
+    assert code == 2 and "unrecognized arguments: --bogus-field=3" in err
+    # A prefix of a long name is not the name.
+    code, err = _config_usage_error(capsys, tmp_path, {"prof": "iid"},
+                                    "schedule", "--n", "12", "--profile", "iid")
+    assert code == 2 and "unrecognized arguments: --prof=iid" in err
 
 
 def test_config_provides_defaults(capsys, tmp_path):
@@ -77,11 +96,11 @@ def test_explicit_flag_beats_config(capsys, tmp_path):
     assert (summary["reps"], summary["seed"]) == (30, 5)
 
 
-def test_config_cannot_replace_the_subcommand(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"func": 3}')
-    with pytest.raises(SystemExit, match="func"):
-        cli.main(["--config", str(cfg), "schedule", "--n", "12", "--profile", "iid"])
+def test_config_cannot_replace_the_subcommand(capsys, tmp_path):
+    for field in ("func", "command", "config"):
+        code, err = _config_usage_error(capsys, tmp_path, {field: "verify"},
+                                        "schedule", "--n", "12", "--profile", "iid")
+        assert code == 2 and f"unrecognized arguments: --{field}=verify" in err
 
 
 def test_rates_rejects_empty_range(capsys):
@@ -259,6 +278,20 @@ def test_simulate_outputs(capsys, tmp_path):
     assert math.isclose(summary["mean_sup"], float(np.mean(vals)), rel_tol=1e-9)
 
 
+def test_couple_exits_one_after_writing_a_failed_report(capsys, monkeypatch, tmp_path):
+    test = cli.cp.block_independence_test
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(test(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(cli.cp, "block_independence_test", failing)
+    report = tmp_path / "couple.json"
+    code = cli.main(COUPLE + ["--output", str(report)])
+    assert code == 1
+    assert json.loads(report.read_text())["checks"] == [
+        {"id": "even_block_independence", "passed": False}]
+
+
 def test_couple_report(capsys):
     code, out = run_cli(capsys, "couple", "--process", "ma:m=3", "--class",
                         "lipschitz5", "--n", "96", "--q", "6", "--reps", "40",
@@ -356,15 +389,21 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
      "basis_size must be in [2, 1000]"),
     (["norms", "--q", "-1", "--curve", "{curve}", "--profile", "poly:m=1"],
      "q must be >= 0"),
+    (["schedule", "--n", "12", "--profile", "table:{table2d}"],
+     "need one row or one column of values, got shape (2, 2)"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
         "schedule-missing-profile", "unknown-class", "missing-class-file",
         "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key",
         "process-repeated-key", "profile-repeated-key", "negative-scale",
         "infinite-scale", "nan-sigma", "nan-tail", "rates-nan-r", "rates-infinite-r",
         "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr", "schedule-basis-1",
-        "schedule-basis-0", "schedule-basis-over-cap", "norms-negative-q"])
+        "schedule-basis-0", "schedule-basis-over-cap", "norms-negative-q",
+        "table-2d"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
-    argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path, curve=_curve_file(tmp_path))
+    table2d = tmp_path / "t2.csv"
+    table2d.write_text("1,0.5\n0.3,0.1\n")
+    argv = [a.format(cls=_class_file(tmp_path), tmp=tmp_path, curve=_curve_file(tmp_path),
+                     table2d=table2d)
             for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -410,6 +449,10 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     ({"table": [[0, 1], [1, 2]]}, "missing key 'weights'"),
     ({"weights": [0.5, 0.5]}, "missing key 'table'"),
     ([[0, 1], [1, 2]], "top level must be a JSON object"),
+    ({"table": [[0, 1], [1, 2]], "weights": [0.5, 0.5], "names": 5},
+     "names must be a list of strings"),
+    ({"table": [[0, 1], [1, 2]], "weights": [0.5, 0.5], "names": {"a": 1, "b": 2}},
+     "names must be a list of strings"),
 ])
 def test_class_file_without_table_or_weights_fails_fast(capsys, tmp_path, payload, message):
     path = tmp_path / "cls.json"
@@ -453,18 +496,20 @@ def test_verify_rejects_bad_reps_scale(monkeypatch, capsys, scale):
 
 @pytest.fixture
 def parser_builds(monkeypatch):
-    """Every ``_build_parser`` call, with the cached default parser cleared."""
+    """Every top-level ``mixbound`` parser built, from a cleared cache on."""
     builds = []
-    build = cli._build_parser
 
-    def counting(*args, **kwargs):
-        builds.append(args)
-        return build(*args, **kwargs)
+    init = argparse.ArgumentParser.__init__
 
-    monkeypatch.setattr(cli, "_build_parser", counting)
-    cli._default_parser.cache_clear()
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "mixbound":
+            builds.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
     yield builds
-    cli._default_parser.cache_clear()
+    cli._build_parser.cache_clear()
 
 
 def _simulate_summary(capsys, tmp_path, *extra, config=()):
@@ -479,7 +524,7 @@ def test_main_builds_the_parser_once(parser_builds, capsys):
     for n in ("12", "24", "36"):
         code, _ = run_cli(capsys, "schedule", "--n", n, "--profile", "iid")
         assert code == 0
-    assert parser_builds == [()]
+    assert len(parser_builds) == 1
 
 
 def test_cached_parser_returns_defaults_after_explicit_flags(parser_builds, capsys,
@@ -492,13 +537,15 @@ def test_cached_parser_returns_defaults_after_explicit_flags(parser_builds, caps
     assert len(parser_builds) == 1
 
 
-def test_config_parser_leaves_the_cached_one_alone(parser_builds, capsys, tmp_path):
+def test_one_parser_serves_calls_with_and_without_config(parser_builds, capsys,
+                                                         tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"reps": 40}')
-    assert _simulate_summary(capsys, tmp_path, config=("--config", str(cfg)))["reps"] == 40
     assert _simulate_summary(capsys, tmp_path)["reps"] == 200
-    # One cached default parser, and one built for the config alone.
-    assert parser_builds == [(), ({"reps": 40},)]
+    assert _simulate_summary(capsys, tmp_path, config=("--config", str(cfg)))["reps"] == 40
+    assert _simulate_summary(capsys, tmp_path, config=(f"--config={cfg}",))["reps"] == 40
+    assert _simulate_summary(capsys, tmp_path)["reps"] == 200
+    assert len(parser_builds) == 1 and cli._build_parser() is parser_builds[0]
 
 
 def test_unknown_option_still_fails_after_a_cached_parse(parser_builds, capsys):
@@ -525,7 +572,7 @@ def test_cached_parser_outputs_match_fresh_parsers(capsys, monkeypatch, tmp_path
         return [run_cli(capsys, *argv) for argv in argvs]
 
     cached = outputs()
-    monkeypatch.setattr(cli, "_default_parser", cli._build_parser)  # fresh per call
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # fresh per call
     assert outputs() == cached
     assert all(code == 0 and out for code, out in cached)
 
@@ -578,6 +625,8 @@ def test_env_seed_is_ignored_where_nothing_is_drawn(capsys, monkeypatch):
     (["schedule", "--n", "12", "--profile", "iid", "--timing"], "--timing"),
     (["norms", "--profile", "iid", "--q", "4", "--curve", "c.csv", "--basis-size", "4"],
      "--basis-size"),
+    (["schedule", "--n", "12", "--prof", "iid"], "--prof"),
+    (["--conf", "c.json", "schedule", "--n", "12", "--profile", "iid"], "c.json"),
 ])
 def test_flag_a_handler_does_not_read_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -588,12 +637,90 @@ def test_flag_a_handler_does_not_read_is_a_usage_error(capsys, argv, flag):
 
 
 def test_config_may_name_only_the_subcommands_flags(capsys, tmp_path):
+    code, err = _config_usage_error(capsys, tmp_path, {"seed": 3},
+                                    "rates", "--profile", "iid")
+    assert code == 2 and "unrecognized arguments: --seed=3" in err
+
+
+# -- the config file, read as flags ---------------------------------------------
+
+
+def test_config_takes_the_long_name_of_class(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"seed": 3}')
+    cfg.write_text('{"class": "halfpair", "reps": 30}')
+    code, out = run_cli(capsys, "--config", str(cfg), "simulate", "--process", "iid",
+                        "--n", "96", "--output", str(tmp_path / "sims.csv"))
+    assert code == 0
+    assert (json.loads(out)["class"], json.loads(out)["reps"]) == ("halfpair", 30)
+
+
+def test_config_field_names_read_underscore_as_dash(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"class_file": _class_file(tmp_path),
+                               "norms": "constant:l2"}))
+    code, out = run_cli(capsys, f"--config={cfg}", "gamma")
+    assert code == 0 and json.loads(out)["method"] == "exact"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"reps": 2.5}, "argument --reps: invalid int value: '2.5'"),
+    ({"n": 96.0}, "argument --n: invalid int value: '96.0'"),
+    ({"seed": "x"}, "argument --seed: invalid int value: 'x'"),
+    ({"reps": True}, "argument --reps: expected one argument"),
+    ({"n": [96]}, "config: field 'n' must be a string, number or boolean"),
+    ({"process": {"kind": "iid"}},
+     "config: field 'process' must be a string, number or boolean"),
+])
+def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path,
+                                                         config, message):
+    code, err = _config_usage_error(capsys, tmp_path, config, "simulate",
+                                    "--process", "iid", "--class", "halfpair",
+                                    "--n", "96")
+    assert code == 2 and message in err
+
+
+def test_config_timing_must_be_a_boolean(capsys, tmp_path):
+    code, err = _config_usage_error(capsys, tmp_path, {"timing": "no"}, *COUPLE)
+    assert code == 2 and "argument --timing: ignored explicit argument 'no'" in err
+
+
+@pytest.mark.parametrize("timing", [True, False, None])
+def test_config_timing_true_attaches_the_wall_clock(capsys, tmp_path, timing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"timing": timing}))
+    code, out = run_cli(capsys, "--config", str(cfg), *COUPLE)
+    assert code == 0
+    assert ("meta" in json.loads(out)) is (timing is True)
+
+
+def test_required_flags_may_come_from_the_config_alone(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 12, "profile": "poly:m=1"}')
+    assert run_cli(capsys, "--config", str(cfg), "schedule") == \
+        run_cli(capsys, "schedule", "--n", "12", "--profile", "poly:m=1")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["schedule", "--profile", "iid"], "--n"),
+    (["rates"], "--profile"),
+    (["norms", "--profile", "iid", "--q", "4"], "--curve"),
+    (["gamma", "--norms", "constant:l2"], "--class-file"),
+    (["simulate", "--process", "iid", "--n", "96"], "--class"),
+    (["couple", "--process", "iid", "--class", "halfpair", "--n", "96"], "--q"),
+    (["strongapprox", "--class", "lipschitz4"], "--process"),
+])
+def test_missing_required_flag_is_a_usage_error(capsys, argv, missing):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), "rates", "--profile", "iid"])
-    assert str(exc.value.code) == "mixbound: error: config: unknown field 'seed'"
-    assert capsys.readouterr().out == ""
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the following arguments are required: {missing}" in captured.err
+
+
+def test_missing_required_flag_is_a_usage_error_with_a_config(capsys, tmp_path):
+    code, err = _config_usage_error(capsys, tmp_path, {"profile": "iid"}, "schedule")
+    assert code == 2 and "the following arguments are required: --n" in err
 
 
 def test_readme_examples_parse():

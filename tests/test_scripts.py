@@ -25,8 +25,6 @@ def run_script(name, *args):
      r"^m= 0\.500 regime=slow +fitted slope=[+-]\d\.\d{4} predicted growth n\^\+0\.5000"),
     ("coupling_gap_sweep.py", ["--reps", "50"],
      r"^log-gap slope [+-]\d\.\d{4} vs log\(rho\) -0\.1054$"),
-    ("strong_approx_grid.py", ["--reps", "50"],
-     r"^monotone non-increasing: (True|False); below bound everywhere: (True|False)$"),
 ])
 def test_script_runs(name, args, summary):
     proc = run_script(name, *args)
