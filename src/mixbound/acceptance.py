@@ -48,24 +48,20 @@ def _derive_seed(seed: int, ordinal: int) -> int:
     return int(np.random.SeedSequence([int(seed), ordinal]).generate_state(1)[0])
 
 
-def _reps(base: int, scale: float, floor: int = 30) -> int:
-    return max(int(round(base * scale)), floor)
-
-
-CRITERIA: dict[str, Callable[..., CriterionResult]] = {}
+CRITERIA: dict[str, Callable[[int], CriterionResult]] = {}
 
 
 def _criterion(cid: str, title: str):
     """Register a check as criterion ``cid`` in ``CRITERIA``, in definition order.
 
-    The check takes (seed, scale) and returns (passed, details); the
+    The check takes the seed and returns (passed, details); the
     registered function times it and wraps the pair in a CriterionResult.
     """
     def register(check):
         @functools.wraps(check)
-        def run(seed: int, scale: float = 1.0) -> CriterionResult:
+        def run(seed: int) -> CriterionResult:
             t0 = time.perf_counter()
-            passed, details = check(seed, scale)
+            passed, details = check(seed)
             return CriterionResult(cid=cid, title=title, passed=bool(passed),
                                    seconds=time.perf_counter() - t0, details=details)
         CRITERIA[cid] = run
@@ -77,7 +73,7 @@ def _criterion(cid: str, title: str):
 
 
 @_criterion("A1", "consecutive divisor gap at most two on the full lattice")
-def criterion_divisor_gap(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_divisor_gap(seed: int) -> tuple[bool, dict]:
     worst = 0.0
     count = 0
     ok = True
@@ -103,7 +99,7 @@ def _smallest_divisor_at_least(n: int, x: float) -> int:
 
 @_criterion("A2", "block schedules: unit under independence, n/4 divisor "
             "under long memory, non-increasing levels")
-def criterion_schedule_forms(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_schedule_forms(seed: int) -> tuple[bool, dict]:
     members = gr.lattice_members(3, 2500)[:50]
     rng = np.random.default_rng(_derive_seed(seed, 2))
     iid = mx.iid_profile()
@@ -133,7 +129,7 @@ def criterion_schedule_forms(seed: int, scale: float) -> tuple[bool, dict]:
 
 
 @_criterion("A3", "integer count squeezed by the generalized inverse")
-def criterion_count_sandwich(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_count_sandwich(seed: int) -> tuple[bool, dict]:
     profiles = [mx.iid_profile(), mx.m_dependent_profile(7),
                 mx.polynomial_profile(1.5), mx.exponential_profile(0.8)]
     # Open interval (0, 1/2): at u exactly 1/2 a profile flat at one makes the
@@ -154,7 +150,7 @@ def criterion_count_sandwich(seed: int, scale: float) -> tuple[bool, dict]:
 
 
 @_criterion("A4", "exact comparison factor inside its closed-form envelopes")
-def criterion_envelopes(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_envelopes(seed: int) -> tuple[bool, dict]:
     qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
     cases = [
         (1, 7.0, 4.0, mx.m_dependent_profile(7)),
@@ -180,7 +176,7 @@ def criterion_envelopes(seed: int, scale: float) -> tuple[bool, dict]:
 
 
 @_criterion("A5", "rate-factor growth matches the predicted regime exponents")
-def criterion_rate_regimes(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_rate_regimes(seed: int) -> tuple[bool, dict]:
     r = 4.0
     members = [n for n in gr.lattice_members(3, 10**7) if n >= 10**3]
     ns = np.asarray(members, dtype=float)
@@ -218,7 +214,7 @@ def criterion_rate_regimes(seed: int, scale: float) -> tuple[bool, dict]:
 
 
 @_criterion("A6", "independence collapses the norm to the plain second moment")
-def criterion_iid_norm(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_iid_norm(seed: int) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 6))
     iid = mx.iid_profile()
     worst_flat = 0.0
@@ -304,16 +300,16 @@ def _oracle_complexity(cls: ch.FunctionClass, family: ch.NormFamily) -> float:
     return best
 
 
-def _random_classes(rng, size, count, npts=24):
+def _random_classes(rng, size, count):
     for _ in range(count):
-        table = rng.normal(0.0, 1.0, (size, npts))
-        weights = rng.dirichlet(np.ones(npts))
+        table = rng.normal(0.0, 1.0, (size, 24))
+        weights = rng.dirichlet(np.ones(24))
         yield ch.FunctionClass(table=table, weights=weights)
 
 
 @_criterion("A7", "exact partition search equals brute-force enumeration; "
             "greedy never beats it")
-def criterion_complexity_oracle(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_complexity_oracle(seed: int) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 7))
     families = [ch.l2_family(), ch.lr_family(4.0),
                 ch.schedule_family(gr.block_schedule(36, mx.polynomial_profile(1.0))),
@@ -342,7 +338,7 @@ def criterion_complexity_oracle(seed: int, scale: float) -> tuple[bool, dict]:
 
 
 @_criterion("A8", "telescoping identity with stopping thresholds holds pointwise")
-def criterion_chain_identity(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_chain_identity(seed: int) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 8))
     profiles = [mx.polynomial_profile(0.7), mx.exponential_profile(0.9),
                 mx.iid_profile(), mx.m_dependent_profile(4)]
@@ -378,8 +374,8 @@ def criterion_chain_identity(seed: int, scale: float) -> tuple[bool, dict]:
 
 
 @_criterion("A9", "mean absolute scaled average matches the half-normal value")
-def criterion_half_normal(seed: int, scale: float) -> tuple[bool, dict]:
-    reps = _reps(2000, scale)
+def criterion_half_normal(seed: int) -> tuple[bool, dict]:
+    reps = 2000
     model = pr.iid_model()
     member = fc.make_class("identity", model).members[0]
     vals, _, _ = pr.simulate_many(model, 384, reps, _derive_seed(seed, 9))
@@ -394,9 +390,8 @@ def criterion_half_normal(seed: int, scale: float) -> tuple[bool, dict]:
 
 @_criterion("A10", "replica gap vanishes for memoryless cases and contracts "
             "geometrically for the autoregression")
-def criterion_coupling_exactness(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_coupling_exactness(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 10)
-    reps = _reps(200, scale)
     details: dict = {}
     ok = True
 
@@ -415,7 +410,7 @@ def criterion_coupling_exactness(seed: int, scale: float) -> tuple[bool, dict]:
 
     ar = pr.ar1_model(0.9)
     cls_ar = fc.make_class("lipschitz5", ar)
-    sweep = cp.coupling_gap_sweep(ar, cls_ar.members, 384, (8, 16, 32), reps, s)
+    sweep = cp.coupling_gap_sweep(ar, cls_ar.members, 384, (8, 16, 32), 200, s)
     target = math.log(0.9)
     details["ar1_gap_means"] = list(sweep.means)
     details["ar1_log_slope"] = sweep.log_slope
@@ -430,11 +425,10 @@ def criterion_coupling_exactness(seed: int, scale: float) -> tuple[bool, dict]:
 
 @_criterion("A11", "replica same-parity blocks uncorrelated; raw short blocks "
             "fail the same test")
-def criterion_block_independence(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_block_independence(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 11)
-    reps = _reps(200, scale)
     model = pr.ar1_model(0.9)
-    vals, replica = cp.coupled_paths(model, 384, 8, reps, s, tag=0)
+    vals, replica = cp.coupled_paths(model, 384, 8, 200, s, tag=0)
     even = cp.block_independence_test(replica, 8, "even")
     odd = cp.block_independence_test(replica, 8, "odd")
     raw = cp.block_independence_test(vals, 2, "even")
@@ -450,9 +444,9 @@ def criterion_block_independence(seed: int, scale: float) -> tuple[bool, dict]:
 
 @_criterion("A12", "replica tail frequencies consistent with the block exponential "
             "bound")
-def criterion_bernstein_tails(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_bernstein_tails(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 12)
-    reps = _reps(5000, scale, floor=500)
+    reps = 5000
     runs = []
     ok = True
     setups = [
@@ -480,8 +474,7 @@ def criterion_bernstein_tails(seed: int, scale: float) -> tuple[bool, dict]:
 # -- A13: variance bound ------------------------------------------------------------------
 
 
-def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile,
-                             grid_points: int = 100001) -> float:
+def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile) -> float:
     """Lower bound of the squared dependence norm of the identity.
 
     The Gaussian quantile curve is evaluated at interval right endpoints;
@@ -489,7 +482,7 @@ def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile,
     the inequality check below is conservative.
     """
     half = profile.half_levels(q)
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_points), half]))
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 100001), half]))
     a, b = grid[:-1], grid[1:]
     mu_right = nm.active_lag_count(b, q, profile).astype(float)
     q_right = np.clip(sd * _norm.ppf(1.0 - np.minimum(b, 1.0) / 2.0), 0.0, None)
@@ -497,7 +490,7 @@ def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile,
 
 
 @_criterion("A13", "analytic block variance below twice the squared dependence norm")
-def criterion_variance_bound(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_variance_bound(seed: int) -> tuple[bool, dict]:
     rows = []
     ok = True
     for rho in (0.5, 0.9):
@@ -518,14 +511,13 @@ def criterion_variance_bound(seed: int, scale: float) -> tuple[bool, dict]:
 
 @_criterion("A14", "Gaussian coupling gap non-increasing in n and below "
             "the assembled bound")
-def criterion_strong_approx(seed: int, scale: float) -> tuple[bool, dict]:
+def criterion_strong_approx(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 14)
-    reps = _reps(400, scale)
-    pool = _reps(20000, scale, floor=2000)
+    reps = 400
     model = pr.ar1_model(0.5)
     members = fc.make_class("lipschitz4", model).members
     rep = cp.strong_approx_experiment(model, members, (384, 1536, 6144),
-                                      reps=reps, seed=s, pool_size=pool)
+                                      reps=reps, seed=s)
     points = [{
         "n": p.n, "q": p.q, "gap_mean": p.gap_mean, "gap_se": p.gap_se,
         "bound": p.bound, "implied_ratio": p.implied_ratio,
@@ -548,14 +540,14 @@ SUITES = {
 SUITES["all"] = tuple(CRITERIA)
 
 
-def run_criteria(cids, seed: int, scale: float = 1.0) -> list[CriterionResult]:
+def run_criteria(cids, seed: int) -> list[CriterionResult]:
     """Run criteria in registry order with per-criterion derived seeds.
 
     Each criterion's seed depends only on (seed, criterion id), so its
     result does not depend on which other criteria run.
     """
     cids = list(cids)
-    return [CRITERIA[cid](seed=seed, scale=scale) for cid in CRITERIA if cid in cids]
+    return [CRITERIA[cid](seed=seed) for cid in CRITERIA if cid in cids]
 
 
 def suite_criteria(name: str) -> tuple[str, ...]:

@@ -83,6 +83,24 @@ def _require_reps(reps: int) -> None:
         raise CliError(f"--reps must be >= 2 for a standard error, got {reps}")
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative integer, as numpy's seeds are."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(entry) for entry in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
 def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
     head, _, rest = text.partition(":")
     if head == "constant":
@@ -209,7 +227,8 @@ def cmd_couple(args) -> int:
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     _require_lattice(args.n)
-    cp._parity_blocks(args.n, args.q, args.reps, "even")   # before any simulation
+    cp._check_block_length(args.n, args.q)                 # before any simulation
+    cp._parity_blocks(args.n, args.q, args.reps, "even")
     t0 = time.perf_counter()
     # One draw, tagged as gap_samples tags it, serves the gaps and the
     # independence test.
@@ -227,7 +246,7 @@ def cmd_couple(args) -> int:
     }
     checks = [{"id": "even_block_independence", "passed": even.passed}]
     if model.is_markov:
-        tau_hat, _ = cp.tau_for_class(model, members, args.q, 200, 200, args.seed)
+        tau_hat, _ = cp.tau_for_class(model, members, args.q, args.seed)
         scaled = math.sqrt(args.n) * tau_hat
         results["tau_hat"] = tau_hat
         results["sqrt_n_tau"] = scaled
@@ -247,21 +266,14 @@ def cmd_strongapprox(args) -> int:
     _require_reps(args.reps)
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
-    n_grid = []
-    for entry in args.n_grid.split(","):
-        try:
-            n_grid.append(int(entry))
-        except ValueError:
-            raise CliError(f"--n-grid entry {entry!r} is not an integer") from None
-    for n in n_grid:
+    for n in args.n_grid:
         _require_lattice(n)
-    gamma_order = math.inf if args.gamma in ("inf", "infinity") else float(args.gamma)
     t0 = time.perf_counter()
-    rep = cp.strong_approx_experiment(model, members, n_grid, reps=args.reps,
-                                      seed=args.seed, gamma_order=gamma_order)
+    rep = cp.strong_approx_experiment(model, members, args.n_grid, reps=args.reps,
+                                      seed=args.seed, gamma_order=args.gamma)
     report = ExperimentReport(
         command="strongapprox",
-        inputs={"process": model.spec(), "class": args.cls, "n_grid": n_grid,
+        inputs={"process": model.spec(), "class": args.cls, "n_grid": args.n_grid,
                 "gamma": args.gamma, "reps": args.reps, "seed": args.seed},
         results={"points": [{
             "n": p.n, "q": p.q, "gap_mean": p.gap_mean, "gap_se": p.gap_se,
@@ -280,20 +292,14 @@ def cmd_strongapprox(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cids = ac.suite_criteria(args.suite)
-    except KeyError as exc:
-        raise CliError(str(exc))
-    if not (math.isfinite(args.reps_scale) and args.reps_scale > 0):
-        raise CliError(f"--reps-scale must be finite and > 0, got {args.reps_scale:g}")
     t0 = time.perf_counter()
-    results = ac.run_criteria(cids, seed=args.seed, scale=args.reps_scale)
+    results = ac.run_criteria(ac.suite_criteria(args.suite), seed=args.seed)
     for res in results:
         sys.stderr.write(res.line() + "\n")
     report = ExperimentReport(
         command="verify",
-        inputs={"suite": args.suite, "seed": args.seed,
-                "reps_scale": args.reps_scale},
+        # reps_scale stays, fixed at 1.0, so canonical bytes and digests hold.
+        inputs={"suite": args.suite, "seed": args.seed, "reps_scale": 1.0},
         results={res.cid: res.details for res in results},
         checks=[{"id": res.cid, "title": res.title, "passed": res.passed}
                 for res in results],
@@ -325,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--output", default=None)
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_seed, default=None)
         if timing:
             p.add_argument("--timing", action="store_true",
                            help="include wall clock in the JSON (breaks byte stability)")
@@ -373,14 +379,13 @@ def _build_parser() -> argparse.ArgumentParser:
             seed=True, timing=True)
     p.add_argument("--process", required=True)
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--n-grid", default="384,1536,6144")
-    p.add_argument("--gamma", default="inf")
+    p.add_argument("--n-grid", type=_int_list, default=(384, 1536, 6144))
+    p.add_argument("--gamma", type=float, default=math.inf)
     p.add_argument("--reps", type=int, default=200)
 
     p = add("verify", cmd_verify, "run an acceptance suite", seed=True, timing=True)
     p.add_argument("--suite", default="all",
                    choices=sorted(ac.SUITES))
-    p.add_argument("--reps-scale", type=float, default=1.0)
     return parser
 
 
@@ -428,6 +433,8 @@ def main(argv=None) -> int:
             args.seed = int(text)
         except ValueError:
             raise CliError(f"MIXBOUND_SEED must be an integer, got {text!r}") from None
+        if args.seed < 0:
+            raise CliError(f"MIXBOUND_SEED must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # GridError, ProfileError etc. are ValueErrors

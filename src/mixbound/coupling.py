@@ -41,6 +41,8 @@ class CouplingError(ValueError):
 
 
 def _check_block_length(n: int, q: int) -> None:
+    if q < 1:
+        raise CouplingError(f"q must be >= 1, got {q}")
     if q not in divisor_chain(n).divisors:
         raise CouplingError(f"q={q} does not divide n={n}")
 
@@ -143,17 +145,16 @@ def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int,
 # -- coupling gap -------------------------------------------------------------
 
 
-def tau_for_class(model: ProcessModel, members, q: int, outer: int, inner: int,
-                  seed: int) -> tuple[float, float]:
-    """Class-scale dependence estimate: cone-normalized times the envelope
-    when every member is bounded, raw nested Monte Carlo otherwise."""
+def tau_for_class(model: ProcessModel, members, q: int, seed: int) -> tuple[float, float]:
+    """Class-scale dependence estimate of ``TAU_REPS`` draws: cone-normalized
+    times the envelope when every member is bounded, raw nested MC otherwise."""
     members = list(members)
     sups = [m.sup_bound for m in members]
     if all(s is not None and np.isfinite(s) for s in sups):
         envelope = max(float(s) for s in sups)
-        est = estimate_tau(model, members, q, outer, inner, seed, normalize=True)
+        est = estimate_tau(model, members, q, *TAU_REPS, seed, normalize=True)
         return envelope * est.value, envelope * est.std_error
-    est = estimate_tau(model, members, q, outer, inner, seed, normalize=False)
+    est = estimate_tau(model, members, q, *TAU_REPS, seed, normalize=False)
     return est.value, est.std_error
 
 
@@ -418,14 +419,13 @@ class StrongApproxReport:
     within_bound: bool
 
 
-TAU_REPS = (200, 200)    # outer and inner draws of each strong-approximation tau
+TAU_REPS = (200, 200)    # outer and inner draws of each class tau estimate
 TAIL_GAMMA = 3.0         # the polynomial decay order the tail slope test asks for
-TAIL_POOL_SIZE = 20000   # independent reference blocks of the tail slope test
+POOL_SIZE = 20000        # independent reference blocks of each Gaussian coupling
 
 
-def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
-                             seed: int, gamma_order: float = math.inf,
-                             pool_size: int = 20000) -> StrongApproxReport:
+def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, seed: int,
+                             gamma_order: float = math.inf) -> StrongApproxReport:
     """Gap between the sample-average process and a coupled Gaussian one.
 
     Per grid point, with the divisor of n nearest sqrt(n) as block length:
@@ -447,11 +447,13 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
         if not hi > lo:
             raise CouplingError(f"n_grid must be strictly increasing: {hi} follows {lo}")
     members = list(members)
+    if gamma_order == math.inf and any(m.sup_bound is None for m in members):
+        raise CouplingError("gamma=inf needs finite sup bounds")
     points = []
     for n in n_grid:
         q = nearest_divisor(n, math.sqrt(n))
         pools = _centered_pool(members, model.sample_blocks(
-            q, pool_size, seeded_rng(seed, 0x900, n)))
+            q, POOL_SIZE, seeded_rng(seed, 0x900, n)))
         couplings = []   # (sd, sorted pool or None) per member
         sig_gamma_sum = 0.0
         for mem, pool_sums in zip(members, pools):
@@ -466,8 +468,6 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
             # Sorted once here, not once per chunk; the transform sorts it anyway.
             couplings.append((sd, None if linear_gaussian else np.sort(pool_sums)))
             if gamma_order == math.inf:
-                if mem.sup_bound is None:
-                    raise CouplingError("gamma=inf needs finite sup bounds")
                 sig_gamma_sum += math.sqrt(q) * float(mem.sup_bound)
             else:
                 sig_gamma_sum += float(
@@ -487,7 +487,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int,
                         couple = gaussian_couple(sums[i], sd, pool=pool)
                         gaps[i, cols] = np.abs(gns[i] - couple.z_total)
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
-        tau_hat, tau_se = tau_for_class(model, members, q, *TAU_REPS, seed=seed + n)
+        tau_hat, tau_se = tau_for_class(model, members, q, seed=seed + n)
         exponent = 0.5 if gamma_order == math.inf else \
             (gamma_order - 2.0) / (2.0 * gamma_order)
         finite_dim = (q / n) ** exponent * sig_gamma_sum
@@ -527,7 +527,7 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
     """Slope test: deviations between coupled partial sums decay at least
     polynomially of order ``TAIL_GAMMA`` on the observed range."""
     _, replica = coupled_paths(model, n, q, reps, seed, tag=0x59)
-    pool_paths = model.sample_blocks(q, TAIL_POOL_SIZE, seeded_rng(seed, 0x59AA))
+    pool_paths = model.sample_blocks(q, POOL_SIZE, seeded_rng(seed, 0x59AA))
     pool_sums = _centered_pool((member,), pool_paths)[0]
     sd = float(pool_sums.std(ddof=1))
     sums = block_sums(replica, member, q)

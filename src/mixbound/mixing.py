@@ -151,7 +151,7 @@ class MixingProfile:
         return lo
 
     def spec(self) -> str:
-        """Round-trippable spec string (grammar shared with the CLI)."""
+        """CLI-grammar spec; a table's (``table:<N values>,...``) does not parse back."""
         if self.kind == "iid":
             return "iid"
         if self.kind == "m_dependent":

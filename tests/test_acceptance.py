@@ -10,7 +10,7 @@ SEED = 7
 
 
 def _run(cid):
-    result = ac.CRITERIA[cid](seed=SEED, scale=1.0)
+    result = ac.CRITERIA[cid](seed=SEED)
     print(result.line())
     assert result.passed, f"{cid} failed: {result.details}"
     return result

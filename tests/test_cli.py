@@ -172,10 +172,19 @@ def test_couple_rejects_q_below_one_before_simulating(q, monkeypatch, capsys):
     assert calls == [] and capsys.readouterr().out == ""
 
 
+def test_couple_names_q_not_dividing_n_before_simulating(monkeypatch, capsys):
+    # n=12 has two blocks of length 5: divisibility is checked before the count.
+    calls = _count_simulations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["couple", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
+                  "--n", "12", "--q", "5", "--reps", "30"])
+    assert str(exc.value.code) == "mixbound: error: q=5 does not divide n=12"
+    assert calls == [] and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("grid, message", [
     ("384,384", "n_grid must be strictly increasing: 384 follows 384"),
     ("1536,384", "n_grid must be strictly increasing: 384 follows 1536"),
-    ("384,,1536", "--n-grid entry '' is not an integer"),
 ])
 def test_strongapprox_rejects_bad_grid_before_simulating(grid, message, monkeypatch,
                                                          capsys, tmp_path):
@@ -186,6 +195,50 @@ def test_strongapprox_rejects_bad_grid_before_simulating(grid, message, monkeypa
                   "--n-grid", grid, "--reps", "30", "--output", str(report)])
     assert str(exc.value.code) == f"mixbound: error: {message}"   # exit status 1
     assert calls == [] and not report.exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-grid", "384,,1536", "not a list of integers: '384,,1536'"),
+    ("--gamma", "abc", "invalid float value: 'abc'"),
+])
+def test_strongapprox_bad_flag_value_is_a_usage_error(flag, value, message,
+                                                      monkeypatch, capsys, tmp_path):
+    calls = _count_simulations(monkeypatch)
+    report = tmp_path / "sa.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
+                  flag, value, "--reps", "30", "--output", str(report)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and f"argument {flag}: {message}" in captured.err
+    assert calls == [] and not report.exists() and captured.out == ""
+
+
+def test_strongapprox_refuses_unbounded_members_at_gamma_inf_before_simulating(
+        monkeypatch, capsys):
+    calls = _count_simulations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "identity",
+                  "--n-grid", "384,1536", "--reps", "30"])
+    assert str(exc.value.code) == "mixbound: error: gamma=inf needs finite sup bounds"
+    assert calls == [] and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("gamma, recorded", [(None, "inf"), ("infinity", "inf"),
+                                             ("3", 3.0)])
+def test_strongapprox_records_gamma_as_a_number(gamma, recorded, capsys, monkeypatch):
+    seen = []
+
+    def fake(model, members, n_grid, reps, seed, gamma_order):
+        seen.append(gamma_order)
+        return cli.cp.StrongApproxReport(gamma_order=gamma_order, points=(),
+                                         monotone=True, within_bound=True)
+
+    monkeypatch.setattr(cli.cp, "strong_approx_experiment", fake)
+    extra = [] if gamma is None else ["--gamma", gamma]
+    code, out = run_cli(capsys, "strongapprox", "--process", "ar1:rho=0.5", "--class",
+                        "lipschitz4", "--n-grid", "384", *extra)
+    assert code == 0 and seen == [float(recorded)]
+    assert json.loads(out)["inputs"]["gamma"] == recorded
 
 
 def test_verify_has_no_workers_option(capsys):
@@ -480,14 +533,45 @@ def test_schedule_norms_keep_the_table_tail(capsys, tmp_path):
     assert gammas["hold"] != gammas["zero"]
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
-def test_verify_rejects_bad_reps_scale(monkeypatch, capsys, scale):
+def test_verify_has_no_reps_scale_option(monkeypatch, capsys):
     def no_criteria(*args, **kwargs):
-        raise AssertionError("ran criteria before rejecting --reps-scale")
+        raise AssertionError("ran criteria despite an unknown option")
 
     monkeypatch.setattr(cli.ac, "run_criteria", no_criteria)
-    with pytest.raises(SystemExit, match="--reps-scale must be finite and > 0"):
-        cli.main(["verify", "--suite", "coupling", f"--reps-scale={scale}"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "coupling", "--reps-scale=1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --reps-scale=1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "grid"],
+    ["simulate", "--process", "iid", "--class", "halfpair", "--n", "96", "--reps", "30"],
+])
+def test_negative_seed_flag_is_a_usage_error(argv, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before rejecting --seed")
+
+    monkeypatch.setattr(cli.ac, "run_criteria", no_run)
+    monkeypatch.setattr(cli.pr, "sup_samples", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+
+
+def test_negative_config_seed_is_a_usage_error(capsys, tmp_path):
+    code, err = _config_usage_error(capsys, tmp_path, {"seed": -2}, *SIM, "iid")
+    assert code == 2 and "argument --seed: must be >= 0, got -2" in err
+
+
+def test_negative_env_seed_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("MIXBOUND_SEED", "-3")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SIM + ["iid"])
+    assert str(exc.value.code) == "mixbound: error: MIXBOUND_SEED must be >= 0, got -3"
     assert capsys.readouterr().out == ""
 
 
@@ -595,7 +679,7 @@ FLAGS = {
                "--reps"},
     "strongapprox": {"--output", "--seed", "--timing", "--process", "--class",
                      "--n-grid", "--gamma", "--reps"},
-    "verify": {"--output", "--seed", "--timing", "--suite", "--reps-scale"},
+    "verify": {"--output", "--seed", "--timing", "--suite"},
 }
 
 

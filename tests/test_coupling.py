@@ -267,12 +267,12 @@ def test_strong_approx_monotone_and_bounded():
     assert rep.points[0].gap_mean > rep.points[1].gap_mean
 
 
-def test_strong_approx_trivial_for_constant_member():
+def test_strong_approx_trivial_for_constant_member(monkeypatch):
+    monkeypatch.setattr(cp, "POOL_SIZE", 2000)
     model = pr.iid_model()
     member = fc.ClassMember(name="const", func=lambda x: np.ones_like(x),
                             mean=1.0, sup_bound=1.0)
-    rep = cp.strong_approx_experiment(model, [member], (96,), reps=60, seed=16,
-                                      pool_size=2000)
+    rep = cp.strong_approx_experiment(model, [member], (96,), reps=60, seed=16)
     assert rep.points[0].gap_mean < 0.2
 
 
@@ -284,22 +284,24 @@ def test_coupled_tail_decay_slope():
     assert rep.gamma == 3.0 and rep.passed
 
 
-def test_strong_approx_identity_gap_machine_zero_for_iid():
+def test_strong_approx_identity_gap_machine_zero_for_iid(monkeypatch):
     # Exactly Gaussian blocks take the analytic transform: the coupled total
     # recombines to the scaled average itself.
+    monkeypatch.setattr(cp, "POOL_SIZE", 2000)
     model = pr.iid_model()
     member = fc.make_class("identity", model).members[0]
     rep = cp.strong_approx_experiment(model, [member], (384, 1536), reps=60,
-                                      seed=18, pool_size=2000, gamma_order=4.0)
+                                      seed=18, gamma_order=4.0)
     assert all(p.gap_mean < 1e-12 for p in rep.points)
     assert rep.monotone
 
 
-def test_strong_approx_identity_geometric_decay_for_ar1():
+def test_strong_approx_identity_geometric_decay_for_ar1(monkeypatch):
+    monkeypatch.setattr(cp, "POOL_SIZE", 2000)
     model = pr.ar1_model(0.5)
     member = fc.make_class("identity", model).members[0]
     rep = cp.strong_approx_experiment(model, [member], (384, 1536, 6144), reps=60,
-                                      seed=19, pool_size=2000, gamma_order=4.0)
+                                      seed=19, gamma_order=4.0)
     gaps = [p.gap_mean for p in rep.points]
     assert gaps[0] > 100 * gaps[1] > 100 * gaps[2]
 
@@ -341,6 +343,7 @@ def test_coupled_chunks_match_coupled_paths(model, rows, monkeypatch):
 
 def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
     monkeypatch.setattr(cp, "TAU_REPS", (30, 30))   # the tau estimate is not streamed
+    monkeypatch.setattr(cp, "POOL_SIZE", 500)
     model = pr.ar1_model(0.5)
     member = fc.make_class("indicator", model).members[0]
     members = fc.make_class("lipschitz4", model).members
@@ -350,7 +353,7 @@ def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
                                    mx.exponential_profile(0.5), n=384, q=8, k=2,
                                    reps=50, seed=22)
         approx = cp.strong_approx_experiment(model, members, (96, 384), reps=30,
-                                             seed=22, pool_size=500)
+                                             seed=22)
         return tails, approx
 
     whole = run()
