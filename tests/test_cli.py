@@ -533,16 +533,18 @@ def test_schedule_norms_keep_the_table_tail(capsys, tmp_path):
     assert gammas["hold"] != gammas["zero"]
 
 
-def test_verify_has_no_reps_scale_option(monkeypatch, capsys):
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_bad_reps_scale(monkeypatch, capsys, scale):
+    """``verify`` has no ``--reps-scale``: any value is an unrecognized argument."""
     def no_criteria(*args, **kwargs):
         raise AssertionError("ran criteria despite an unknown option")
 
     monkeypatch.setattr(cli.ac, "run_criteria", no_criteria)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "coupling", "--reps-scale=1"])
+        cli.main(["verify", "--suite", "coupling", f"--reps-scale={scale}"])
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert "unrecognized arguments: --reps-scale=1" in captured.err
+    assert f"unrecognized arguments: --reps-scale={scale}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
