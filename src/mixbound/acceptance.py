@@ -49,10 +49,11 @@ def _derive_seed(seed: int, ordinal: int) -> int:
 
 
 CRITERIA: dict[str, Callable[[int], CriterionResult]] = {}
+SUITES: dict[str, tuple[str, ...]] = {}
 
 
-def _criterion(cid: str, title: str):
-    """Register a check as criterion ``cid`` in ``CRITERIA``, in definition order.
+def _criterion(cid: str, suite: str, title: str):
+    """Register a check as ``cid`` in ``CRITERIA`` and ``SUITES[suite]``, in definition order.
 
     The check takes the seed and returns (passed, details); the
     registered function times it and wraps the pair in a CriterionResult.
@@ -65,6 +66,7 @@ def _criterion(cid: str, title: str):
             return CriterionResult(cid=cid, title=title, passed=bool(passed),
                                    seconds=time.perf_counter() - t0, details=details)
         CRITERIA[cid] = run
+        SUITES[suite] = SUITES.get(suite, ()) + (cid,)
         return run
     return register
 
@@ -72,7 +74,7 @@ def _criterion(cid: str, title: str):
 # -- A1: divisor gaps --------------------------------------------------------
 
 
-@_criterion("A1", "consecutive divisor gap at most two on the full lattice")
+@_criterion("A1", "grid", "consecutive divisor gap at most two on the full lattice")
 def criterion_divisor_gap(seed: int) -> tuple[bool, dict]:
     worst = 0.0
     count = 0
@@ -97,7 +99,7 @@ def _smallest_divisor_at_least(n: int, x: float) -> int:
     raise AssertionError("n itself always qualifies")  # pragma: no cover
 
 
-@_criterion("A2", "block schedules: unit under independence, n/4 divisor "
+@_criterion("A2", "grid", "block schedules: unit under independence, n/4 divisor "
             "under long memory, non-increasing levels")
 def criterion_schedule_forms(seed: int) -> tuple[bool, dict]:
     members = gr.lattice_members(3, 2500)[:50]
@@ -128,7 +130,7 @@ def criterion_schedule_forms(seed: int) -> tuple[bool, dict]:
 # -- A3: count sandwich --------------------------------------------------------
 
 
-@_criterion("A3", "integer count squeezed by the generalized inverse")
+@_criterion("A3", "norms", "integer count squeezed by the generalized inverse")
 def criterion_count_sandwich(seed: int) -> tuple[bool, dict]:
     profiles = [mx.iid_profile(), mx.m_dependent_profile(7),
                 mx.polynomial_profile(1.5), mx.exponential_profile(0.8)]
@@ -149,7 +151,7 @@ def criterion_count_sandwich(seed: int) -> tuple[bool, dict]:
 # -- A4: closed-form envelopes ---------------------------------------------------
 
 
-@_criterion("A4", "exact comparison factor inside its closed-form envelopes")
+@_criterion("A4", "rates", "exact comparison factor inside its closed-form envelopes")
 def criterion_envelopes(seed: int) -> tuple[bool, dict]:
     qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
     cases = [
@@ -175,7 +177,7 @@ def criterion_envelopes(seed: int) -> tuple[bool, dict]:
 # -- A5: rate regimes -------------------------------------------------------------
 
 
-@_criterion("A5", "rate-factor growth matches the predicted regime exponents")
+@_criterion("A5", "rates", "rate-factor growth matches the predicted regime exponents")
 def criterion_rate_regimes(seed: int) -> tuple[bool, dict]:
     r = 4.0
     members = [n for n in gr.lattice_members(3, 10**7) if n >= 10**3]
@@ -213,7 +215,7 @@ def criterion_rate_regimes(seed: int) -> tuple[bool, dict]:
 # -- A6: independence norm identity ------------------------------------------------
 
 
-@_criterion("A6", "independence collapses the norm to the plain second moment")
+@_criterion("A6", "norms", "independence collapses the norm to the plain second moment")
 def criterion_iid_norm(seed: int) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 6))
     iid = mx.iid_profile()
@@ -307,7 +309,7 @@ def _random_classes(rng, size, count):
         yield ch.FunctionClass(table=table, weights=weights)
 
 
-@_criterion("A7", "exact partition search equals brute-force enumeration; "
+@_criterion("A7", "chaining", "exact partition search equals brute-force enumeration; "
             "greedy never beats it")
 def criterion_complexity_oracle(seed: int) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 7))
@@ -337,7 +339,7 @@ def criterion_complexity_oracle(seed: int) -> tuple[bool, dict]:
 # -- A8: chain identity ------------------------------------------------------------
 
 
-@_criterion("A8", "telescoping identity with stopping thresholds holds pointwise")
+@_criterion("A8", "chaining", "telescoping identity with stopping thresholds holds pointwise")
 def criterion_chain_identity(seed: int) -> tuple[bool, dict]:
     rng = np.random.default_rng(_derive_seed(seed, 8))
     profiles = [mx.polynomial_profile(0.7), mx.exponential_profile(0.9),
@@ -373,7 +375,7 @@ def criterion_chain_identity(seed: int) -> tuple[bool, dict]:
 # -- A9: half-normal calibration ------------------------------------------------------
 
 
-@_criterion("A9", "mean absolute scaled average matches the half-normal value")
+@_criterion("A9", "coupling", "mean absolute scaled average matches the half-normal value")
 def criterion_half_normal(seed: int) -> tuple[bool, dict]:
     reps = 2000
     model = pr.iid_model()
@@ -388,7 +390,7 @@ def criterion_half_normal(seed: int) -> tuple[bool, dict]:
 # -- A10: coupling exactness and contraction ------------------------------------------
 
 
-@_criterion("A10", "replica gap vanishes for memoryless cases and contracts "
+@_criterion("A10", "coupling", "replica gap vanishes for memoryless cases and contracts "
             "geometrically for the autoregression")
 def criterion_coupling_exactness(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 10)
@@ -423,7 +425,7 @@ def criterion_coupling_exactness(seed: int) -> tuple[bool, dict]:
 # -- A11: block independence ------------------------------------------------------------
 
 
-@_criterion("A11", "replica same-parity blocks uncorrelated; raw short blocks "
+@_criterion("A11", "coupling", "replica same-parity blocks uncorrelated; raw short blocks "
             "fail the same test")
 def criterion_block_independence(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 11)
@@ -442,7 +444,7 @@ def criterion_block_independence(seed: int) -> tuple[bool, dict]:
 # -- A12: block-sum tails ---------------------------------------------------------------
 
 
-@_criterion("A12", "replica tail frequencies consistent with the block exponential "
+@_criterion("A12", "coupling", "replica tail frequencies consistent with the block exponential "
             "bound")
 def criterion_bernstein_tails(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 12)
@@ -489,7 +491,7 @@ def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile) -> fl
     return 2.0 * float(((b - a) * mu_right * q_right**2).sum())
 
 
-@_criterion("A13", "analytic block variance below twice the squared dependence norm")
+@_criterion("A13", "norms", "analytic block variance below twice the squared dependence norm")
 def criterion_variance_bound(seed: int) -> tuple[bool, dict]:
     rows = []
     ok = True
@@ -509,7 +511,7 @@ def criterion_variance_bound(seed: int) -> tuple[bool, dict]:
 # -- A14: strong approximation trend -------------------------------------------------------
 
 
-@_criterion("A14", "Gaussian coupling gap non-increasing in n and below "
+@_criterion("A14", "coupling", "Gaussian coupling gap non-increasing in n and below "
             "the assembled bound")
 def criterion_strong_approx(seed: int) -> tuple[bool, dict]:
     s = _derive_seed(seed, 14)
@@ -530,13 +532,6 @@ def criterion_strong_approx(seed: int) -> tuple[bool, dict]:
 
 # -- registry and runner --------------------------------------------------------------------
 
-SUITES = {
-    "grid": ("A1", "A2"),
-    "norms": ("A3", "A6", "A13"),
-    "rates": ("A4", "A5"),
-    "chaining": ("A7", "A8"),
-    "coupling": ("A9", "A10", "A11", "A12", "A14"),
-}
 SUITES["all"] = tuple(CRITERIA)
 
 

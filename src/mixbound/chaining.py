@@ -34,15 +34,11 @@ class FunctionClass:
         Probability weights over the grid points (non-negative, sum 1).
     names
         Optional member labels.
-    sup_bound, lipschitz
-        Optional metadata used by downstream moment rules.
     """
 
     table: np.ndarray
     weights: np.ndarray
     names: tuple[str, ...] = ()
-    sup_bound: float | None = None
-    lipschitz: float | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=float)
@@ -65,14 +61,12 @@ class FunctionClass:
         return int(self.table.shape[0])
 
     def scaled(self, c: float) -> "FunctionClass":
-        return FunctionClass(table=c * self.table, weights=self.weights,
-                             names=self.names, sup_bound=None, lipschitz=None)
+        return FunctionClass(table=c * self.table, weights=self.weights, names=self.names)
 
     def subset(self, indices: Sequence[int]) -> "FunctionClass":
         idx = list(indices)
         names = tuple(self.names[i] for i in idx) if self.names else ()
-        return FunctionClass(table=self.table[idx], weights=self.weights, names=names,
-                             sup_bound=self.sup_bound, lipschitz=self.lipschitz)
+        return FunctionClass(table=self.table[idx], weights=self.weights, names=names)
 
 
 Partition = tuple[tuple[int, ...], ...]

@@ -83,6 +83,13 @@ def _require_reps(reps: int) -> None:
         raise CliError(f"--reps must be >= 2 for a standard error, got {reps}")
 
 
+def _report(t0: float, timing: bool, output: str | None, **fields) -> int:
+    """Emit an ``ExperimentReport`` of ``fields`` timed from ``t0``; 1 if a check failed."""
+    report = ExperimentReport(**fields, wall_clock_s=time.perf_counter() - t0)
+    _emit(report.to_json(include_timing=timing), output)
+    return 0 if report.all_passed() else 1
+
+
 def _seed(text: str) -> int:
     """``--seed``'s type: a non-negative integer, as numpy's seeds are."""
     try:
@@ -109,14 +116,13 @@ def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
             mx._parse_kv(fields)  # takes no fields
             return ch.l2_family()
         if name == "lr":
-            return ch.lr_family(float(mx._parse_kv(fields, ("r",))["r"]))
+            return ch.lr_family(mx._parse_kv(fields, {"r": float})["r"])
         raise CliError(f"unknown constant norm {name!r}")
     if head == "schedule":
-        kv = mx._parse_kv(rest, ("n", "profile"), last="profile")
-        n = int(kv["n"])
-        _require_lattice(n, basis_size)
+        kv = mx._parse_kv(rest, {"n": int, "profile": str}, last="profile")
+        _require_lattice(kv["n"], basis_size)
         profile = mx.parse_profile(kv["profile"])
-        return ch.schedule_family(gr.block_schedule(n, profile, basis_size))
+        return ch.schedule_family(gr.block_schedule(kv["n"], profile, basis_size))
     raise CliError(f"cannot parse norm family {text!r}")
 
 
@@ -170,8 +176,7 @@ def cmd_rates(args) -> int:
 
 def cmd_norms(args) -> int:
     profile = mx.parse_profile(args.profile)
-    samples = np.loadtxt(args.curve, delimiter=",", ndmin=1)
-    curve = nm.QuantileCurve.from_sample(np.atleast_1d(samples))
+    curve = nm.QuantileCurve.from_sample(mx._read_values(args.curve, "curve"))
     half = np.unique(profile.half_levels(args.q))
     _emit(dumps_canonical({
         "mu_breakpoints": [float(h) for h in half if h > 0],
@@ -251,19 +256,17 @@ def cmd_couple(args) -> int:
         results["tau_hat"] = tau_hat
         results["sqrt_n_tau"] = scaled
         results["gap_over_sqrt_n_tau"] = gap_mean / scaled if scaled > 0 else None
-    report = ExperimentReport(
-        command="couple",
+    return _report(
+        t0, args.timing, args.output, command="couple",
         inputs={"process": model.spec(), "class": args.cls, "n": args.n,
                 "q": args.q, "reps": args.reps, "seed": args.seed},
-        results=results, checks=checks,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report.to_json(include_timing=args.timing), args.output)
-    return 0 if report.all_passed() else 1
+        results=results, checks=checks)
 
 
 def cmd_strongapprox(args) -> int:
     _require_reps(args.reps)
+    if not args.gamma >= 2:                                  # NaN fails it too
+        raise CliError(f"--gamma must be >= 2 or inf, got {args.gamma}")
     model = pr.parse_model(args.process)
     members = fc.make_class(args.cls, model).members
     for n in args.n_grid:
@@ -271,8 +274,8 @@ def cmd_strongapprox(args) -> int:
     t0 = time.perf_counter()
     rep = cp.strong_approx_experiment(model, members, args.n_grid, reps=args.reps,
                                       seed=args.seed, gamma_order=args.gamma)
-    report = ExperimentReport(
-        command="strongapprox",
+    return _report(
+        t0, args.timing, args.output, command="strongapprox",
         inputs={"process": model.spec(), "class": args.cls, "n_grid": args.n_grid,
                 "gamma": args.gamma, "reps": args.reps, "seed": args.seed},
         results={"points": [{
@@ -284,11 +287,7 @@ def cmd_strongapprox(args) -> int:
         checks=[
             {"id": "gap_monotone_non_increasing", "passed": rep.monotone},
             {"id": "gap_below_assembled_bound", "passed": rep.within_bound},
-        ],
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report.to_json(include_timing=args.timing), args.output)
-    return 0 if report.all_passed() else 1
+        ])
 
 
 def cmd_verify(args) -> int:
@@ -296,17 +295,13 @@ def cmd_verify(args) -> int:
     results = ac.run_criteria(ac.suite_criteria(args.suite), seed=args.seed)
     for res in results:
         sys.stderr.write(res.line() + "\n")
-    report = ExperimentReport(
-        command="verify",
+    return _report(
+        t0, args.timing, args.output, command="verify",
         # reps_scale stays, fixed at 1.0, so canonical bytes and digests hold.
         inputs={"suite": args.suite, "seed": args.seed, "reps_scale": 1.0},
         results={res.cid: res.details for res in results},
         checks=[{"id": res.cid, "title": res.title, "passed": res.passed}
-                for res in results],
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report.to_json(include_timing=args.timing), args.output)
-    return 0 if report.all_passed() else 1
+                for res in results])
 
 
 # -- parser ---------------------------------------------------------------------

@@ -113,8 +113,6 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
                    innovations: np.ndarray, q: int, seed: int,
                    tag: int = 0) -> np.ndarray:
     """Vectorized replica paths from stored paths and innovations (internal)."""
-    if model.kind == "iid":
-        return values   # the path is its own replica; simulate_many made it read-only
     rng = seeded_rng(seed, _REPLICA_STREAM, tag)
     draws = _replica_draws(model, values.shape[1], q, len(values), rng)
     return _replica_from(model, values[:, :q], innovations, draws, q)

@@ -1,14 +1,14 @@
 """Built-in finite test-function families with exact stationary means.
 
 Members carry callables for path evaluation plus the metadata the moment
-and coupling machinery needs (mean, sup bound, Lipschitz constant).  Means
-are analytic for the Gaussian-marginal models; a discretized view over the
-marginal quantile grid feeds the partition-complexity code.
+and coupling machinery needs (mean, sup bound).  Means are analytic for the
+Gaussian-marginal models; a discretized view over the marginal quantile grid
+feeds the partition-complexity code.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,6 @@ class ClassMember:
     func: Callable[[np.ndarray], np.ndarray]
     mean: float | None
     sup_bound: float | None = None
-    lipschitz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,8 @@ class ProcessClass:
         xs = sd * _norm.ppf(u)
         table = np.stack([m.func(xs) for m in self.members])
         weights = np.full(points, 1.0 / points)
-        sups = [m.sup_bound for m in self.members]
-        lips = [m.lipschitz for m in self.members]
-        return FunctionClass(
-            table=table, weights=weights,
-            names=tuple(m.name for m in self.members),
-            sup_bound=None if any(s is None for s in sups) else max(sups),
-            lipschitz=None if any(l is None for l in lips) else max(lips),
-        )
+        return FunctionClass(table=table, weights=weights,
+                             names=tuple(m.name for m in self.members))
 
 
 def _gaussian_means(model: ProcessModel) -> dict[str, float]:
@@ -76,7 +69,8 @@ def _gaussian_means(model: ProcessModel) -> dict[str, float]:
 
 
 _MEMBER_DEFS: dict[str, tuple[Callable, float | None, float | None]] = {
-    # name -> (callable, sup bound, Lipschitz constant)
+    # name -> (callable, sup bound, Lipschitz constant).  No library code reads
+    # the Lipschitz constant; perfbench/tracer.py unpacks the triples.
     "identity": (lambda x: x, None, 1.0),
     "negated": (lambda x: -x, None, 1.0),
     "sine": (np.sin, 1.0, 1.0),
@@ -113,7 +107,7 @@ def make_class(name: str, model: ProcessModel) -> ProcessClass:
     means = _gaussian_means(model)
     members = tuple(
         ClassMember(name=m, func=_MEMBER_DEFS[m][0], mean=means[m],
-                    sup_bound=_MEMBER_DEFS[m][1], lipschitz=_MEMBER_DEFS[m][2])
+                    sup_bound=_MEMBER_DEFS[m][1])
         for m in _CATALOG[name]
     )
     return ProcessClass(name=name, members=members)
@@ -127,8 +121,4 @@ def mc_means(members, model: ProcessModel, draws: int = 10**7,
         sample = model.sample_blocks(max(1, draws // 10**4), 10**4, rng).ravel()
     else:
         sample = model.stationary_sample(draws, rng)
-    return tuple(
-        ClassMember(name=m.name, func=m.func, mean=float(m.func(sample).mean()),
-                    sup_bound=m.sup_bound, lipschitz=m.lipschitz)
-        for m in members
-    )
+    return tuple(replace(m, mean=float(m.func(sample).mean())) for m in members)

@@ -209,42 +209,59 @@ def parse_profile(text: str) -> MixingProfile:
         return iid_profile()
     head, _, rest = text.partition(":")
     if head == "mdep":
-        return m_dependent_profile(int(_parse_kv(rest, ("m",))["m"]))
+        return m_dependent_profile(_parse_kv(rest, {"m": int})["m"])
     if head == "poly":
-        return polynomial_profile(float(_parse_kv(rest, ("m",))["m"]))
+        return polynomial_profile(_parse_kv(rest, {"m": float})["m"])
     if head == "expo":
-        return exponential_profile(float(_parse_kv(rest, ("l",))["l"]))
+        return exponential_profile(_parse_kv(rest, {"l": float})["l"])
     if head == "table":
         path, _, fields = rest.partition(",")
-        tail = _parse_kv(fields, optional=("tail",)).get("tail", "zero")
-        values = np.loadtxt(path, delimiter=",", ndmin=1)
-        if values.ndim != 1:
-            raise ProfileError(f"table file {path}: need one row or one column "
-                               f"of values, got shape {values.shape}")
-        return tabulated_profile(values, tail=tail)
+        tail = _parse_kv(fields, optional={"tail": str}).get("tail", "zero")
+        return tabulated_profile(_read_values(path, "table"), tail=tail)
     raise ProfileError(f"cannot parse profile spec {text!r}")
 
 
-def _parse_kv(text: str, required=(), optional=(), last=None) -> dict[str, str]:
-    """The key=value fields of a comma-separated spec: every ``required`` key,
-    others only from ``optional``, and the ``last`` key's value runs to the end
-    of the text.  Raises ValueError naming a missing, unknown or repeated key."""
+def _read_values(path: str, what: str) -> np.ndarray:
+    """The numbers of a CSV file holding one row or one column of them."""
+    values = np.loadtxt(path, delimiter=",", ndmin=1)
+    if values.ndim != 1:
+        raise ValueError(f"{what} file {path}: need one row or one column "
+                         f"of values, got shape {values.shape}")
+    return values
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse_kv(text: str, required=(), optional=(), last=None) -> dict:
+    """The key=value fields of a comma-separated spec.  ``required`` and
+    ``optional`` map keys to types: every required key must appear, and each
+    value is converted by its key's type.  The ``last`` key's value runs to
+    the end of the text.  Raises ValueError naming a missing, unknown or
+    repeated key, or a key whose value its type refuses."""
+    types = dict(required) | dict(optional)
     parts = text.split(",")
-    out: dict[str, str] = {}
+    out: dict = {}
     for i, part in enumerate(parts):
         if not part:
             continue
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in required and key not in optional:
+        if key not in types:
             raise ValueError(f"unknown key {key!r} in {text!r}; expected "
-                             f"{', '.join(required + optional) or 'no keys'}")
+                             f"{', '.join(types) or 'no keys'}")
         if key in out:
             raise ValueError(f"repeated key {key!r} in {text!r}")
         if key == last:
-            out[key] = ",".join([value] + parts[i + 1:]).strip()
+            value = ",".join([value] + parts[i + 1:])
+        value = value.strip()
+        try:
+            out[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"key {key!r} in {text!r} must be "
+                             f"{_TYPE_NAMES[types[key]]}, got {value!r}") from None
+        if key == last:
             break
-        out[key] = value.strip()
     missing = [key for key in required if key not in out]
     if missing:
         raise ValueError(f"missing key {missing[0]!r} in {text!r}")

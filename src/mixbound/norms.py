@@ -232,19 +232,16 @@ def _weight_integrals(breaks: np.ndarray, steps: np.ndarray, half: np.ndarray) -
     return out
 
 
-def norm_weight_integral(curve: QuantileCurve, q: int, profile: MixingProfile) -> float:
-    """Exact value of the step-function integral of count(u) * Q(u)^2 over (0, 1]."""
-    return float(_weight_integrals(curve._breaks[None], curve._steps[None],
-                                   profile.half_levels(q))[0])
-
-
 def dependence_norm(curve: QuantileCurve, q: int, profile: MixingProfile) -> float:
-    """The dependence-weighted norm sqrt(2 * integral(count * Q^2)).
+    """The dependence-weighted norm sqrt(2 * integral(count * Q^2)), the
+    integral over (0, 1] taken exactly as a step-function sum.
 
     Reduces to a pure second-moment quantity when the profile vanishes past
     lag zero, and grows with q at the rate the profile's tail dictates.
     """
-    return math.sqrt(2.0 * norm_weight_integral(curve, q, profile))
+    integral = _weight_integrals(curve._breaks[None], curve._steps[None],
+                                 profile.half_levels(q))[0]
+    return math.sqrt(2.0 * float(integral))
 
 
 def dependence_norms(rows, weights, q: int, profile: MixingProfile) -> np.ndarray:

@@ -266,16 +266,15 @@ def parse_model(text: str) -> ProcessModel:
     text = text.strip()
     head, _, rest = text.partition(":")
     if head == "iid":
-        kv = _parse_kv(rest, optional=("scale",))
-        return iid_model(scale=float(kv.get("scale", 1.0)))
+        return iid_model(scale=_parse_kv(rest, optional={"scale": float}).get("scale", 1.0))
     if head == "ar1":
-        kv = _parse_kv(rest, ("rho",), ("sigma",))
-        return ar1_model(rho=float(kv["rho"]), sigma=float(kv.get("sigma", 1.0)))
+        kv = _parse_kv(rest, {"rho": float}, {"sigma": float})
+        return ar1_model(rho=kv["rho"], sigma=kv.get("sigma", 1.0))
     if head == "ma":
-        kv = _parse_kv(rest, ("m",), ("sigma",))
-        return ma_model(m=int(kv["m"]), sigma=float(kv.get("sigma", 1.0)))
+        kv = _parse_kv(rest, {"m": int}, {"sigma": float})
+        return ma_model(m=kv["m"], sigma=kv.get("sigma", 1.0))
     if head == "lazy":
-        return lazy_renewal_model(tail_m=float(_parse_kv(rest, ("m",))["m"]))
+        return lazy_renewal_model(tail_m=_parse_kv(rest, {"m": float})["m"])
     raise ModelError(f"cannot parse model spec {text!r}")
 
 

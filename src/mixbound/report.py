@@ -1,9 +1,8 @@
 """Experiment reports with bit-stable serialization.
 
 Floats are rounded to 12 significant digits before JSON emission and keys
-are sorted, so identical (config, seed) runs serialize to identical bytes
-on any worker count.  Wall-clock time lives outside the canonical block
-for exactly that reason.
+are sorted, so identical (config, seed) runs serialize to identical bytes.
+Wall-clock time lives outside the canonical block for exactly that reason.
 """
 from __future__ import annotations
 

@@ -16,6 +16,18 @@ def _run(cid):
     return result
 
 
+def test_suites_keep_their_criteria_in_order():
+    assert ac.SUITES == {
+        "grid": ("A1", "A2"),
+        "norms": ("A3", "A6", "A13"),
+        "rates": ("A4", "A5"),
+        "chaining": ("A7", "A8"),
+        "coupling": ("A9", "A10", "A11", "A12", "A14"),
+        "all": tuple(f"A{i}" for i in range(1, 15)),
+    }
+    assert list(ac.SUITES) == ["grid", "norms", "rates", "chaining", "coupling", "all"]
+
+
 def test_a01_divisor_gap():
     result = _run("A1")
     assert result.details["worst_ratio"] <= 2.0

@@ -444,6 +444,16 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
      "q must be >= 0"),
     (["schedule", "--n", "12", "--profile", "table:{table2d}"],
      "need one row or one column of values, got shape (2, 2)"),
+    (["norms", "--profile", "poly:m=1", "--q", "4", "--curve", "{table2d}"],
+     "need one row or one column of values, got shape (2, 2)"),
+    (["schedule", "--n", "12", "--profile", "mdep:m=1.5"],
+     "key 'm' in 'm=1.5' must be an integer, got '1.5'"),
+    (SIM + ["ma:m=1.5"], "key 'm' in 'm=1.5' must be an integer, got '1.5'"),
+    (SIM + ["ar1:rho=abc"], "key 'rho' in 'rho=abc' must be a number, got 'abc'"),
+    (["schedule", "--n", "12", "--profile", "expo:l=abc"],
+     "key 'l' in 'l=abc' must be a number, got 'abc'"),
+    (["gamma", "--class-file", "{cls}", "--norms", "constant:lr,r=abc"],
+     "key 'r' in 'r=abc' must be a number, got 'abc'"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
         "schedule-missing-profile", "unknown-class", "missing-class-file",
         "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key",
@@ -451,7 +461,8 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
         "infinite-scale", "nan-sigma", "nan-tail", "rates-nan-r", "rates-infinite-r",
         "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr", "schedule-basis-1",
         "schedule-basis-0", "schedule-basis-over-cap", "norms-negative-q",
-        "table-2d"])
+        "table-2d", "norms-curve-2d", "mdep-non-integer-m", "ma-non-integer-m",
+        "ar1-non-numeric-rho", "expo-non-numeric-l", "lr-non-numeric-r"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
     table2d = tmp_path / "t2.csv"
     table2d.write_text("1,0.5\n0.3,0.1\n")
@@ -475,14 +486,25 @@ def test_nan_table_profile_fails_fast(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
-def test_strongapprox_rejects_nan_gamma(capsys, tmp_path):
+def _strongapprox_gamma_error(gamma, monkeypatch, capsys, tmp_path):
+    calls = _count_simulations(monkeypatch)
     report = tmp_path / "sa.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
-                  "--n-grid", "384", "--gamma", "nan", "--reps", "30",
+                  "--n-grid", "384", "--gamma", gamma, "--reps", "30",
                   "--output", str(report)])
-    assert str(exc.value.code) == "mixbound: error: gamma_order must be in [2, inf]"
-    assert not report.exists() and capsys.readouterr().out == ""
+    assert calls == [] and not report.exists() and capsys.readouterr().out == ""
+    return str(exc.value.code)   # a message, so exit status 1
+
+
+def test_strongapprox_rejects_nan_gamma(monkeypatch, capsys, tmp_path):
+    assert _strongapprox_gamma_error("nan", monkeypatch, capsys, tmp_path) == \
+        "mixbound: error: --gamma must be >= 2 or inf, got nan"
+
+
+def test_strongapprox_rejects_gamma_below_two(monkeypatch, capsys, tmp_path):
+    assert _strongapprox_gamma_error("1", monkeypatch, capsys, tmp_path) == \
+        "mixbound: error: --gamma must be >= 2 or inf, got 1.0"
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -694,6 +716,31 @@ def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
         handler = p.get_default("func")
         reads = set(re.findall(r"args\.(\w+)", inspect.getsource(handler)))
         assert {a.dest for a in options} == reads, name
+
+
+def _readme_flag_table():
+    """{subcommand: (required flags, --seed, --timing, --basis-size)} from the
+    README's flag table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    head = "| subcommand | required | `--seed` | `--timing` | `--basis-size` |"
+    rows = text.split(head, 1)[1].split("\n\n", 1)[0].strip().splitlines()[1:]
+    table = {}
+    for row in rows:
+        name, required, *marks = [cell.strip() for cell in row.strip("|").split("|")]
+        table[name.strip("`")] = (set(re.findall(r"`(--[\w-]+)`", required)),
+                                  *(mark == "yes" for mark in marks))
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = _readme_flag_table()
+    subs = _subparsers(cli._build_parser())
+    assert set(table) == set(subs)
+    for name, p in subs.items():
+        options = {s: a for a in p._actions for s in a.option_strings}
+        required = {s for s, a in options.items() if a.required}
+        assert table[name] == (required, "--seed" in options, "--timing" in options,
+                               "--basis-size" in options), name
 
 
 def test_env_seed_is_ignored_where_nothing_is_drawn(capsys, monkeypatch):
