@@ -113,13 +113,13 @@ def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
     if head == "constant":
         name, _, fields = rest.partition(",")
         if name == "l2":
-            mx._parse_kv(fields)  # takes no fields
+            mx._parse_kv(text, fields)  # takes no fields
             return ch.l2_family()
         if name == "lr":
-            return ch.lr_family(mx._parse_kv(fields, {"r": float})["r"])
+            return ch.lr_family(mx._parse_kv(text, fields, {"r": float})["r"])
         raise CliError(f"unknown constant norm {name!r}")
     if head == "schedule":
-        kv = mx._parse_kv(rest, {"n": int, "profile": str}, last="profile")
+        kv = mx._parse_kv(text, rest, {"n": int, "profile": str}, last="profile")
         _require_lattice(kv["n"], basis_size)
         profile = mx.parse_profile(kv["profile"])
         return ch.schedule_family(gr.block_schedule(kv["n"], profile, basis_size))
@@ -128,7 +128,10 @@ def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
 
 def _load_class_file(path: str) -> ch.FunctionClass:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8
+            raise ValueError(f"class file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"class file {path}: top level must be a JSON object")
     for key in ("table", "weights"):

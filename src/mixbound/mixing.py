@@ -209,20 +209,23 @@ def parse_profile(text: str) -> MixingProfile:
         return iid_profile()
     head, _, rest = text.partition(":")
     if head == "mdep":
-        return m_dependent_profile(_parse_kv(rest, {"m": int})["m"])
+        return m_dependent_profile(_parse_kv(text, rest, {"m": int})["m"])
     if head == "poly":
-        return polynomial_profile(_parse_kv(rest, {"m": float})["m"])
+        return polynomial_profile(_parse_kv(text, rest, {"m": float})["m"])
     if head == "expo":
-        return exponential_profile(_parse_kv(rest, {"l": float})["l"])
+        return exponential_profile(_parse_kv(text, rest, {"l": float})["l"])
     if head == "table":
         path, _, fields = rest.partition(",")
-        tail = _parse_kv(fields, optional={"tail": str}).get("tail", "zero")
+        tail = _parse_kv(text, fields, optional={"tail": str}).get("tail", "zero")
         return tabulated_profile(_read_values(path, "table"), tail=tail)
     raise ProfileError(f"cannot parse profile spec {text!r}")
 
 
 def _read_values(path: str, what: str) -> np.ndarray:
     """The numbers of a CSV file holding one row or one column of them."""
+    with open(path, encoding="utf-8") as fh:   # up to the first value, before numpy warns
+        if not any(line.partition("#")[0].strip() for line in fh):
+            raise ValueError(f"{what} file {path}: holds no values")
     values = np.loadtxt(path, delimiter=",", ndmin=1)
     if values.ndim != 1:
         raise ValueError(f"{what} file {path}: need one row or one column "
@@ -233,12 +236,12 @@ def _read_values(path: str, what: str) -> np.ndarray:
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
-def _parse_kv(text: str, required=(), optional=(), last=None) -> dict:
-    """The key=value fields of a comma-separated spec.  ``required`` and
-    ``optional`` map keys to types: every required key must appear, and each
-    value is converted by its key's type.  The ``last`` key's value runs to
-    the end of the text.  Raises ValueError naming a missing, unknown or
-    repeated key, or a key whose value its type refuses."""
+def _parse_kv(spec: str, text: str, required=(), optional=(), last=None) -> dict:
+    """The comma-separated key=value fields ``text`` of ``spec``.  ``required``
+    and ``optional`` map keys to types: every required key must appear, and
+    each value is converted by its key's type.  The ``last`` key's value runs
+    to the end of the text.  Raises ValueError naming the spec and a missing,
+    unknown or repeated key, or a key whose value its type refuses."""
     types = dict(required) | dict(optional)
     parts = text.split(",")
     out: dict = {}
@@ -248,23 +251,23 @@ def _parse_kv(text: str, required=(), optional=(), last=None) -> dict:
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in types:
-            raise ValueError(f"unknown key {key!r} in {text!r}; expected "
+            raise ValueError(f"unknown key {key!r} in {spec!r}; expected "
                              f"{', '.join(types) or 'no keys'}")
         if key in out:
-            raise ValueError(f"repeated key {key!r} in {text!r}")
+            raise ValueError(f"repeated key {key!r} in {spec!r}")
         if key == last:
             value = ",".join([value] + parts[i + 1:])
         value = value.strip()
         try:
             out[key] = types[key](value)
         except ValueError:
-            raise ValueError(f"key {key!r} in {text!r} must be "
+            raise ValueError(f"key {key!r} in {spec!r} must be "
                              f"{_TYPE_NAMES[types[key]]}, got {value!r}") from None
         if key == last:
             break
     missing = [key for key in required if key not in out]
     if missing:
-        raise ValueError(f"missing key {missing[0]!r} in {text!r}")
+        raise ValueError(f"missing key {missing[0]!r} in {spec!r}")
     return out
 
 

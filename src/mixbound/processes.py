@@ -14,7 +14,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import zeta as _zeta
@@ -104,18 +104,22 @@ def centered_sums(member, values: np.ndarray) -> np.ndarray:
     return _centered_sums((member,), values)[0]
 
 
+_FIELDS = {"iid": ("sigma",), "ar1": ("rho", "sigma"), "ma": ("m", "sigma"),
+           "lazy_renewal": ("tail_m",)}   # the fields each kind's spec names
+
+
 @dataclass(frozen=True)
 class ProcessModel:
-    """One of four stationary model kinds.
+    """One of four stationary model kinds; a kind sets only the fields its spec names.
 
-    iid
-        Independent Gaussians with standard deviation ``scale``.
     ar1
         X_{t+1} = rho X_t + eps, Gaussian innovations with sd ``sigma``;
         a Lipschitz contraction with geometric dependence decay.
+    iid
+        The autoregression at rho = 0: independent Gaussians with sd ``sigma``.
     ma
-        (m+1)-tap moving average of Gaussian innovations: exactly
-        m-dependent (independence beyond lag m).
+        (m+1)-tap moving average, weights 1/sqrt(m + 1), of Gaussian
+        innovations with sd ``sigma``: exactly m-dependent (independent beyond lag m).
     lazy_renewal
         Countdown chain on the non-negative integers: decrement when
         positive, redraw from a heavy tail with P(V >= k) = k^-(tail_m + 1)
@@ -126,26 +130,24 @@ class ProcessModel:
     kind: str
     rho: float = 0.0
     sigma: float = 1.0
-    scale: float = 1.0
     m: int = 0
-    weights: tuple[float, ...] = ()
     tail_m: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.kind not in _FIELDS:
+            raise ModelError(f"unknown model kind {self.kind!r}")
         if self.kind == "ar1" and not (-1.0 < self.rho < 1.0):
             raise ModelError("ar1 needs |rho| < 1")
-        if self.kind == "ma":
-            if self.m < 1:
-                raise ModelError("ma needs memory m >= 1")
-            if len(self.weights) != self.m + 1:
-                raise ModelError("ma needs m + 1 weights")
+        if self.kind == "ma" and not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise ModelError(f"ma needs an integer memory m >= 1, got {self.m!r}")
         if self.kind == "lazy_renewal" and not (0.0 < self.tail_m < math.inf):
             raise ModelError(f"lazy_renewal needs a finite tail_m > 0, got {self.tail_m}")
-        for name, value in (("scale", self.scale), ("sigma", self.sigma)):
-            if not (0.0 < value < math.inf):
-                raise ModelError(f"{name} must be finite and > 0, got {value}")
-        if self.kind not in ("iid", "ar1", "ma", "lazy_renewal"):
-            raise ModelError(f"unknown model kind {self.kind!r}")
+        if not (0.0 < self.sigma < math.inf):
+            name = "scale" if self.kind == "iid" else "sigma"
+            raise ModelError(f"{name} must be finite and > 0, got {self.sigma}")
+        for f in fields(self)[1:]:
+            if f.name not in _FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ModelError(f"{self.kind} takes no {f.name}")
 
     # -- structural facts --------------------------------------------------
 
@@ -158,28 +160,26 @@ class ProcessModel:
         """Linear in Gaussian noise: linear functionals have Gaussian block sums."""
         return self.kind in ("iid", "ar1", "ma")
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The moving average's m + 1 equal weights 1/sqrt(m + 1)."""
+        return np.full(self.m + 1, 1.0 / math.sqrt(self.m + 1))
+
     def marginal_sd(self) -> float:
-        if self.kind == "iid":
-            return self.scale
-        if self.kind == "ar1":
+        if self.kind in ("iid", "ar1"):
             return self.sigma / math.sqrt(1.0 - self.rho**2)
         if self.kind == "ma":
-            w = np.asarray(self.weights)
+            w = self.weights
             return self.sigma * math.sqrt(float((w * w).sum()))
         raise ModelError("marginal sd is not analytic for the renewal chain")
 
     def autocovariances(self, q: int) -> np.ndarray:
         """gamma_0 .. gamma_{q-1} for the Gaussian linear kinds."""
-        k = np.arange(q)
-        if self.kind == "iid":
-            g = np.zeros(q)
-            g[0] = self.scale**2
-            return g
-        if self.kind == "ar1":
+        if self.kind in ("iid", "ar1"):
             var = self.sigma**2 / (1.0 - self.rho**2)
-            return var * self.rho ** k.astype(float)
+            return var * self.rho ** np.arange(q, dtype=float)
         if self.kind == "ma":
-            w = np.asarray(self.weights, dtype=float)
+            w = self.weights
             g = np.zeros(q)
             for lag in range(min(q, self.m + 1)):
                 g[lag] = self.sigma**2 * float((w[: len(w) - lag] * w[lag:]).sum())
@@ -193,29 +193,28 @@ class ProcessModel:
         return float(gammas[0] + 2.0 * float(((1.0 - k / q) * gammas[1:q]).sum()))
 
     def spec(self) -> str:
+        """The CLI spec of this model, which ``parse_model`` reads back to it:
+        every field the kind uses, unless it is at its default."""
+        sigma = "" if self.sigma == 1.0 else f",sigma={_shortest(self.sigma)}"
         if self.kind == "iid":
-            return "iid" if self.scale == 1.0 else f"iid:scale={self.scale:g}"
+            return f"iid:scale={_shortest(self.sigma)}" if sigma else "iid"
         if self.kind == "ar1":
-            base = f"ar1:rho={self.rho:g}"
-            return base if self.sigma == 1.0 else base + f",sigma={self.sigma:g}"
+            return f"ar1:rho={_shortest(self.rho)}{sigma}"
         if self.kind == "ma":
-            return f"ma:m={self.m}"
-        return f"lazy:m={self.tail_m:g}"
+            return f"ma:m={self.m:d}{sigma}"
+        return f"lazy:m={_shortest(self.tail_m)}"
 
     # -- sampling primitives ----------------------------------------------
 
     def stationary_sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "iid":
-            return self.scale * rng.standard_normal(size)
-        if self.kind == "ar1":
+        if self.kind in ("iid", "ar1"):
             return self.marginal_sd() * rng.standard_normal(size)
         if self.kind == "lazy_renewal":
             # Invariant law: mass 1/(1 + zeta(s)) at 0, else Zipf(s), s = tail_m + 1.
             s = self.tail_m + 1.0
             z = float(_zeta(s, 1))
-            out = np.where(rng.random(size) < 1.0 / (1.0 + z),
-                           0.0, rng.zipf(s, size).astype(float))
-            return out
+            return np.where(rng.random(size) < 1.0 / (1.0 + z),
+                            0.0, rng.zipf(s, size).astype(float))
         raise ModelError("the moving average is not sampled pointwise; simulate a path")
 
     def draw_innovations(self, size: int | tuple[int, ...],
@@ -224,9 +223,7 @@ class ProcessModel:
 
     def step(self, state: np.ndarray, innovation: np.ndarray) -> np.ndarray:
         """One transition of the innovation recursion (Markov kinds only)."""
-        if self.kind == "iid":
-            return innovation
-        if self.kind == "ar1":
+        if self.kind in ("iid", "ar1"):
             return self.rho * state + innovation
         if self.kind == "lazy_renewal":
             u = np.clip(1.0 - innovation, 1e-300, 1.0)  # map [0,1) to (0,1]
@@ -236,12 +233,16 @@ class ProcessModel:
 
     def sample_blocks(self, q: int, reps: int, rng: np.random.Generator) -> np.ndarray:
         """(reps, q) matrix of independent stationary length-q stretches."""
-        vals, _, _ = _simulate_core(self, q, reps, rng)
-        return vals
+        return _simulate_core(self, q, reps, rng)[0]
+
+
+def _shortest(x: float) -> str:
+    """The shortest %g text that parses back to ``x``."""
+    return next(t for t in (f"{x:.{p}g}" for p in range(1, 18)) if float(t) == x)
 
 
 def iid_model(scale: float = 1.0) -> ProcessModel:
-    return ProcessModel("iid", scale=scale)
+    return ProcessModel("iid", sigma=scale)
 
 
 def ar1_model(rho: float, sigma: float = 1.0) -> ProcessModel:
@@ -250,8 +251,7 @@ def ar1_model(rho: float, sigma: float = 1.0) -> ProcessModel:
 
 def ma_model(m: int, sigma: float = 1.0) -> ProcessModel:
     """MA(m) with equal weights 1/sqrt(m + 1)."""
-    weights = np.full(m + 1, 1.0 / math.sqrt(m + 1))
-    return ProcessModel("ma", m=m, weights=tuple(float(w) for w in weights), sigma=sigma)
+    return ProcessModel("ma", m=m, sigma=sigma)
 
 
 def lazy_renewal_model(tail_m: float) -> ProcessModel:
@@ -266,15 +266,15 @@ def parse_model(text: str) -> ProcessModel:
     text = text.strip()
     head, _, rest = text.partition(":")
     if head == "iid":
-        return iid_model(scale=_parse_kv(rest, optional={"scale": float}).get("scale", 1.0))
+        return iid_model(_parse_kv(text, rest, optional={"scale": float}).get("scale", 1.0))
     if head == "ar1":
-        kv = _parse_kv(rest, {"rho": float}, {"sigma": float})
+        kv = _parse_kv(text, rest, {"rho": float}, {"sigma": float})
         return ar1_model(rho=kv["rho"], sigma=kv.get("sigma", 1.0))
     if head == "ma":
-        kv = _parse_kv(rest, {"m": int}, {"sigma": float})
+        kv = _parse_kv(text, rest, {"m": int}, {"sigma": float})
         return ma_model(m=kv["m"], sigma=kv.get("sigma", 1.0))
     if head == "lazy":
-        return lazy_renewal_model(tail_m=_parse_kv(rest, {"m": float})["m"])
+        return lazy_renewal_model(tail_m=_parse_kv(text, rest, {"m": float})["m"])
     raise ModelError(f"cannot parse model spec {text!r}")
 
 
@@ -333,9 +333,7 @@ def _fill_innovations(model: ProcessModel, out: np.ndarray,
     gives the bits of one fill of all rows."""
     if model.kind == "lazy_renewal":
         return rng.random(out=out)
-    rng.standard_normal(out=out)
-    out *= model.scale if model.kind == "iid" else model.sigma
-    return out
+    return np.multiply(rng.standard_normal(out=out), model.sigma, out=out)
 
 
 def _path_starts(model: ProcessModel, reps: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,12 +1,29 @@
 """End-to-end acceptance run: every criterion at full scale, one printed
 pass/fail line each, plus the byte-level determinism check of the verify
-command across repeated runs."""
+command across repeated runs and against the recorded reference digests."""
+import hashlib
 import json
+from pathlib import Path
+
+import numpy as np
+import scipy
 
 from mixbound import acceptance as ac
 from mixbound import cli
 
 SEED = 7
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def _check_recorded(data: bytes, workload: str, key: str) -> None:
+    """``data`` hashes to the digest the benchmark recorded for ``key``."""
+    recorded = json.loads(DIGESTS.read_text())
+    assert recorded["reference_seed"] == SEED
+    assert hashlib.sha256(data).hexdigest() == recorded["reference"][workload][key], (
+        f"{key} is not the output recorded in perfbench/digests.json; the digests "
+        f"belong to the numpy and scipy they were recorded with (installed: numpy "
+        f"{np.__version__}, scipy {scipy.__version__}), and perfbench/record_digests.py "
+        f"re-records them from a commit whose outputs are known to be right")
 
 
 def _run(cid):
@@ -112,4 +129,18 @@ def test_a15_determinism_across_runs(tmp_path):
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert len(payload["checks"]) == len(ac.CRITERIA)
-    print("[PASS] A15 verify reports byte-identical across two runs")
+    _check_recorded(outs[0], "verify", "verify/report")
+    print("[PASS] A15 verify reports byte-identical across two runs and to the record")
+
+
+def test_rates_tables_match_the_recorded_digests(tmp_path):
+    """The benchmark's ``rates`` tables do not depend on the seed: each CSV is
+    byte-identical to the one recorded."""
+    keys = [k for k in json.loads(DIGESTS.read_text())["reference"]["exact"]
+            if k.startswith("rates/")]
+    assert len(keys) == 5
+    for key in keys:
+        out = tmp_path / "rates.csv"
+        assert cli.main(["rates", "--profile", key.split("/")[1], "--r", "4",
+                         "--n-min", "1000", "--n-max", "10000000", "--output", str(out)]) == 0
+        _check_recorded(out.read_bytes(), "exact", key)

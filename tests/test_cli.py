@@ -408,11 +408,12 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (SIM + ["ar1"], "missing key 'rho'"),
-    (["schedule", "--n", "12", "--profile", "mdep"], "missing key 'm'"),
-    (["gamma", "--class-file", "{cls}", "--norms", "constant:lr"], "missing key 'r'"),
+    (SIM + ["ar1"], "missing key 'rho' in 'ar1'"),
+    (["schedule", "--n", "12", "--profile", "mdep"], "missing key 'm' in 'mdep'"),
+    (["gamma", "--class-file", "{cls}", "--norms", "constant:lr"],
+     "missing key 'r' in 'constant:lr'"),
     (["gamma", "--class-file", "{cls}", "--norms", "schedule:n=384"],
-     "missing key 'profile'"),
+     "missing key 'profile' in 'schedule:n=384'"),
     (["simulate", "--process", "iid", "--class", "nosuch", "--n", "96"],
      "unknown class 'nosuch'"),
     (["gamma", "--class-file", "{tmp}/absent.json", "--norms", "constant:l2"],
@@ -447,13 +448,15 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
     (["norms", "--profile", "poly:m=1", "--q", "4", "--curve", "{table2d}"],
      "need one row or one column of values, got shape (2, 2)"),
     (["schedule", "--n", "12", "--profile", "mdep:m=1.5"],
-     "key 'm' in 'm=1.5' must be an integer, got '1.5'"),
-    (SIM + ["ma:m=1.5"], "key 'm' in 'm=1.5' must be an integer, got '1.5'"),
-    (SIM + ["ar1:rho=abc"], "key 'rho' in 'rho=abc' must be a number, got 'abc'"),
+     "key 'm' in 'mdep:m=1.5' must be an integer, got '1.5'"),
+    (SIM + ["ma:m=1.5"], "key 'm' in 'ma:m=1.5' must be an integer, got '1.5'"),
+    (SIM + ["ar1:rho=abc"], "key 'rho' in 'ar1:rho=abc' must be a number, got 'abc'"),
     (["schedule", "--n", "12", "--profile", "expo:l=abc"],
-     "key 'l' in 'l=abc' must be a number, got 'abc'"),
+     "key 'l' in 'expo:l=abc' must be a number, got 'abc'"),
     (["gamma", "--class-file", "{cls}", "--norms", "constant:lr,r=abc"],
-     "key 'r' in 'r=abc' must be a number, got 'abc'"),
+     "key 'r' in 'constant:lr,r=abc' must be a number, got 'abc'"),
+    (["gamma", "--class-file", "{cls}", "--norms", "schedule:n=384,profile=mdep:m=1.5"],
+     "key 'm' in 'mdep:m=1.5' must be an integer, got '1.5'"),
 ], ids=["process-missing-key", "profile-missing-key", "lr-missing-key",
         "schedule-missing-profile", "unknown-class", "missing-class-file",
         "missing-curve", "missing-table", "process-unknown-key", "profile-unknown-key",
@@ -462,7 +465,8 @@ NORMS = ["norms", "--q", "4", "--curve", "{curve}", "--profile"]
         "norms-nan-r", "norms-nan-poly-m", "gamma-nan-lr", "schedule-basis-1",
         "schedule-basis-0", "schedule-basis-over-cap", "norms-negative-q",
         "table-2d", "norms-curve-2d", "mdep-non-integer-m", "ma-non-integer-m",
-        "ar1-non-numeric-rho", "expo-non-numeric-l", "lr-non-numeric-r"])
+        "ar1-non-numeric-rho", "expo-non-numeric-l", "lr-non-numeric-r",
+        "nested-profile-non-integer-m"])
 def test_bad_spec_fails_fast(capsys, tmp_path, argv, message):
     table2d = tmp_path / "t2.csv"
     table2d.write_text("1,0.5\n0.3,0.1\n")
@@ -507,17 +511,34 @@ def test_strongapprox_rejects_gamma_below_two(monkeypatch, capsys, tmp_path):
         "mixbound: error: --gamma must be >= 2 or inf, got 1.0"
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is imported where the AR(1) path needs it, so that every
-    # CLI call does not pay for its import.
-    code = "import sys, mixbound.cli; print('scipy.signal' in sys.modules)"
+def _python(*args):
+    """A fresh interpreter running ``python *args`` on this checkout's ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is imported where the AR(1) path needs it, so that every
+    # CLI call does not pay for its import.
+    proc = _python("-c", "import sys, mixbound.cli; print('scipy.signal' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("curve", ["norms", "--profile", "poly:m=1", "--q", "4", "--curve", "{empty}"]),
+    ("table", ["schedule", "--n", "12", "--profile", "table:{empty}"]),
+])
+def test_empty_value_file_fails_with_one_error_line(tmp_path, what, argv):
+    # Refused before numpy reads it, so no numpy warning precedes the error.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n# no values\n")
+    proc = _python("-m", "mixbound.cli", *[a.format(empty=empty) for a in argv])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"mixbound: error: {what} file {empty}: holds no values\n"
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -535,6 +556,16 @@ def test_class_file_without_table_or_weights_fails_fast(capsys, tmp_path, payloa
     with pytest.raises(SystemExit) as exc:
         cli.main(["gamma", "--class-file", str(path), "--norms", "constant:l2"])
     assert str(exc.value.code) == f"mixbound: error: class file {path}: {message}"
+    assert capsys.readouterr().out == ""
+
+
+def test_class_file_that_is_not_json_names_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gamma", "--class-file", str(path), "--norms", "constant:l2"])
+    assert str(exc.value.code) == \
+        f"mixbound: error: class file {path}: Expecting ',' delimiter: line 2 column 1 (char 3)"
     assert capsys.readouterr().out == ""
 
 

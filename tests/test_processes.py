@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixbound import coupling as cp
 from mixbound import function_classes as fc
@@ -18,6 +20,8 @@ def test_model_validation():
         pr.ar1_model(1.0)
     with pytest.raises(pr.ModelError):
         pr.ma_model(0)
+    with pytest.raises(pr.ModelError, match="integer memory m >= 1, got 3.0"):
+        pr.ma_model(3.0)   # its spec would not parse back
     with pytest.raises(pr.ModelError):
         pr.lazy_renewal_model(0.0)
     # NaN fails every comparison, so it must fail the guard as well.
@@ -42,6 +46,55 @@ def test_parse_model():
     assert pr.parse_model("iid").kind == "iid"
     assert pr.parse_model("ma:m=3").m == 3
     assert pr.parse_model("lazy:m=0.5").tail_m == 0.5
+
+
+SIGMAS = st.floats(0.0, 1e300, exclude_min=True) | st.just(1.0)
+ANY_MODEL = st.one_of(
+    st.builds(pr.iid_model, SIGMAS),
+    st.builds(pr.ar1_model, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              SIGMAS),
+    st.builds(pr.ma_model, st.integers(1, 10**6), SIGMAS),
+    st.builds(pr.lazy_renewal_model, st.floats(0.0, 1e300, exclude_min=True)),
+)
+
+
+@given(ANY_MODEL)
+def test_spec_parses_back_to_the_model(model):
+    assert pr.parse_model(model.spec()) == model
+
+
+@pytest.mark.parametrize("model, spec", [
+    # The specs the criteria and the benchmark echo in their reports.
+    (pr.iid_model(), "iid"), (pr.ar1_model(0.9), "ar1:rho=0.9"),
+    (pr.ar1_model(0.5), "ar1:rho=0.5"), (pr.ma_model(3), "ma:m=3"),
+    (pr.lazy_renewal_model(1.5), "lazy:m=1.5"),
+    # Every field that is not at its default, at full precision.
+    (pr.ma_model(3, sigma=2.0), "ma:m=3,sigma=2"),
+    (pr.ar1_model(0.123456789), "ar1:rho=0.123456789"),
+    (pr.iid_model(2.5), "iid:scale=2.5"),
+])
+def test_spec_text(model, spec):
+    assert model.spec() == spec
+
+
+@pytest.mark.parametrize("fields, unused", [
+    ({"kind": "iid", "rho": 0.5}, "rho"), ({"kind": "iid", "m": 3}, "m"),
+    ({"kind": "ar1", "rho": 0.5, "tail_m": 1.5}, "tail_m"),
+    ({"kind": "ma", "m": 3, "rho": 0.5}, "rho"),
+    ({"kind": "lazy_renewal", "tail_m": 1.5, "sigma": 2.0}, "sigma"),
+])
+def test_model_refuses_a_field_its_spec_does_not_name(fields, unused):
+    with pytest.raises(pr.ModelError, match=f"{fields['kind']} takes no {unused}$"):
+        pr.ProcessModel(**fields)
+
+
+def test_iid_is_the_autoregression_at_rho_zero():
+    iid, ar = pr.iid_model(1.3), pr.ar1_model(0.0, sigma=1.3)
+    assert iid.marginal_sd() == ar.marginal_sd() == 1.3
+    assert np.array_equal(iid.autocovariances(5), ar.autocovariances(5))
+    assert np.array_equal(iid.autocovariances(5), [1.3**2, 0.0, 0.0, 0.0, 0.0])
+    x = np.random.default_rng(3).standard_normal(8)
+    assert np.array_equal(iid.step(x[::-1], x), x)
 
 
 def test_simulate_deterministic():
@@ -69,7 +122,7 @@ MODELS = {
 def _reference_core(model, n, reps, rng):
     """Per-step simulation loops: the reference the shared kernels must match."""
     if model.kind == "iid":
-        innov = model.scale * rng.standard_normal((reps, n))
+        innov = model.sigma * rng.standard_normal((reps, n))
         return innov.copy(), innov, np.zeros(reps)
     if model.kind == "ma":
         m = model.m
