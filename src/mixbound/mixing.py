@@ -222,14 +222,19 @@ def parse_profile(text: str) -> MixingProfile:
 
 
 def _read_values(path: str, what: str) -> np.ndarray:
-    """The numbers of a CSV file holding one row or one column of them."""
-    with open(path, encoding="utf-8") as fh:   # up to the first value, before numpy warns
-        if not any(line.partition("#")[0].strip() for line in fh):
-            raise ValueError(f"{what} file {path}: holds no values")
-    values = np.loadtxt(path, delimiter=",", ndmin=1)
-    if values.ndim != 1:
-        raise ValueError(f"{what} file {path}: need one row or one column "
-                         f"of values, got shape {values.shape}")
+    """The finite numbers of a UTF-8 CSV file holding one row or one column of
+    them; a file that is not is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:   # up to the first value, before numpy warns
+            if not any(line.partition("#")[0].strip() for line in fh):
+                raise ValueError("holds no values")
+        values = np.loadtxt(path, delimiter=",", ndmin=1, encoding="utf-8")
+        if values.ndim != 1:
+            raise ValueError(f"need one row or one column of values, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+    except ValueError as exc:   # decode and number-conversion errors are ValueErrors
+        raise ValueError(f"{what} file {path}: {exc}") from None
     return values
 
 

@@ -16,21 +16,23 @@ from .mixing import MixingProfile
 from .processes import centered_sums, mean_se, seeded_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileCurve:
     """Piecewise-constant right-continuous u -> Q(u) = inf{s : P(|f| > s) <= u}.
 
     ``Q(u) = values[k]`` on ``[breaks[k-1], breaks[k])`` with ``breaks[-1] = 0``
     implied, and ``Q(u) = 0`` for ``u >= breaks[-1]``.  Values are strictly
     decreasing positive reals, breaks are the matching cumulative tail
-    probabilities.
+    probabilities.  Both are read-only float arrays, copied from what the
+    caller gives (tuples included): 16 bytes a break.  Curves compare by
+    identity.
     """
 
-    breaks: tuple[float, ...]
-    values: tuple[float, ...]
+    breaks: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.breaks, dtype=float)
+        b = np.array(self.breaks, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if b.shape != v.shape:
             raise ValueError("breaks and values must have equal length")
@@ -41,7 +43,8 @@ class QuantileCurve:
                 raise ValueError("values must be strictly decreasing and positive")
         steps = np.concatenate([v, [0.0]])  # Q on each break interval, then 0
         b.flags.writeable = steps.flags.writeable = False
-        object.__setattr__(self, "_breaks", b)
+        object.__setattr__(self, "breaks", b)
+        object.__setattr__(self, "values", steps[:-1])
         object.__setattr__(self, "_steps", steps)
 
     # -- constructors ----------------------------------------------------
@@ -53,7 +56,7 @@ class QuantileCurve:
         p = np.asarray(probs, dtype=float).ravel()
         _check_discrete(v, p)
         breaks, steps = _discrete_curves(v[None], p)
-        return cls(breaks=tuple(breaks[0].tolist()), values=tuple(steps[0, :-1].tolist()))
+        return cls(breaks=breaks[0], values=steps[0, :-1])
 
     @classmethod
     def from_sample(cls, sample) -> "QuantileCurve":
@@ -77,13 +80,12 @@ class QuantileCurve:
     def q_at(self, u):
         """Right-continuous evaluation; vectorized over u."""
         u_arr = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self._breaks, u_arr, side="right")
+        idx = np.searchsorted(self.breaks, u_arr, side="right")
         out = self._steps[idx]
         return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
     def _segments(self):
-        widths = np.diff(np.concatenate([[0.0], self._breaks]))
-        return widths, self._steps[:-1]
+        return np.diff(self.breaks, prepend=0.0), self.values
 
     def lr_norm(self, r: float) -> float:
         """Exact L^r norm of |f|: (sum width * value^r)^(1/r)."""
@@ -149,38 +151,43 @@ def _discrete_curves(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Returns ``(breaks, steps)``: row r's curve has the entries of
     ``breaks[r]`` up to 1 as its breaks (the padding is 2, past every cut)
     and ``steps[r]`` as Q on each break interval followed by zeros.  Tie
-    masses are accumulated with ``np.add.at`` in index order and cumulated
-    along the row, so every curve carries the bits of the one-row build.
+    masses are summed by ``np.bincount`` in index order and cumulated along
+    the row, so every curve carries the bits of the one-row build.  Each
+    full-size temporary is dropped once the next step has what it needs.
     """
     rows, pts = a.shape
     row = np.arange(rows)[:, None]
     order = a.argsort(axis=1)
     srt = a[row, order]
-    group = np.ones(a.shape, dtype=np.intp)
-    np.not_equal(srt[:, 1:], srt[:, :-1], out=group[:, 1:], casting="unsafe")
-    group.cumsum(axis=1, out=group)
+    new = np.ones(a.shape, dtype=bool)
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
+    group = new.cumsum(axis=1)
     np.subtract(group[:, -1:], group, out=group)  # 0 = largest distinct value
-    value = np.zeros(a.shape)
-    value[row, group] = srt
+    group += row * pts
     gid = np.empty_like(group)
-    gid[row, order] = group + row * pts
-    mass = np.zeros(a.shape)
-    np.add.at(mass.ravel(), gid.ravel(), np.tile(p, rows))  # index order within each row
+    gid[row, order] = group
+    del order, srt, new, group
+    value = np.zeros(a.shape)
+    value.put(gid, a)
+    weights = np.broadcast_to(p, a.shape).ravel()   # a view for one row
+    mass = np.bincount(gid.ravel(), weights, a.size).reshape(a.shape)
+    del gid, weights
     # Groups are dropped below for zero mass, which adds exactly 0.0 to the
     # running sum, or for the value 0, which comes last; so the kept groups'
     # cumulative masses are those of a sum over the kept groups alone.
     cum = np.minimum(mass.cumsum(axis=1), 1.0)   # cumsum can overshoot 1 by 1 ulp
     # Masses below float resolution leave the cumulative unchanged; drop them.
     strict = (value > 0) & (mass > 0)
+    del mass
     strict[:, 0] &= cum[:, 0] > 0
     strict[:, 1:] &= cum[:, 1:] > cum[:, :-1]
-    col = strict.cumsum(axis=1)[strict] - 1
-    r = strict.nonzero()[0]
-    width = int(col.max()) + 1 if col.size else 0
-    breaks = np.full((rows, width), 2.0)
-    breaks[r, col] = cum[strict]
-    steps = np.zeros((rows, width + 1))
-    steps[r, col] = value[strict]
+    kept = strict.sum(axis=1)
+    fill = np.arange(kept.max()) < kept[:, None]  # row r's first kept[r] columns
+    breaks = np.full(fill.shape, 2.0)
+    breaks[fill] = cum[strict]
+    del cum
+    steps = np.zeros((rows, fill.shape[1] + 1))
+    steps[:, :-1][fill] = value[strict]
     return breaks, steps
 
 
@@ -239,7 +246,7 @@ def dependence_norm(curve: QuantileCurve, q: int, profile: MixingProfile) -> flo
     Reduces to a pure second-moment quantity when the profile vanishes past
     lag zero, and grows with q at the rate the profile's tail dictates.
     """
-    integral = _weight_integrals(curve._breaks[None], curve._steps[None],
+    integral = _weight_integrals(curve.breaks[None], curve._steps[None],
                                  profile.half_levels(q))[0]
     return math.sqrt(2.0 * float(integral))
 

@@ -144,3 +144,16 @@ def test_rates_tables_match_the_recorded_digests(tmp_path):
         assert cli.main(["rates", "--profile", key.split("/")[1], "--r", "4",
                          "--n-min", "1000", "--n-max", "10000000", "--output", str(out)]) == 0
         _check_recorded(out.read_bytes(), "exact", key)
+
+
+def test_norms_reports_match_the_recorded_digests(tmp_path):
+    """The benchmark's ``norms`` reports on its 10^5-point t(5) sample curve
+    at the reference seed are byte-identical to the ones recorded."""
+    curve = tmp_path / "curve.csv"
+    rng = np.random.default_rng(np.random.SeedSequence([SEED, 3]))
+    np.savetxt(curve, rng.standard_t(5.0, 10**5), fmt="%.17g")
+    for q in (8, 1000):
+        out = tmp_path / f"norms-q{q}.json"
+        assert cli.main(["norms", "--profile", "poly:m=1.5", "--q", str(q), "--r", "4",
+                         "--curve", str(curve), "--output", str(out)]) == 0
+        _check_recorded(out.read_bytes(), "exact", f"norms/q{q}")

@@ -486,7 +486,7 @@ def test_nan_table_profile_fails_fast(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["norms", "--profile", f"table:{table}", "--q", "4",
                   "--curve", _curve_file(tmp_path)])
-    assert str(exc.value.code) == "mixbound: error: table values must be finite"
+    assert str(exc.value.code) == f"mixbound: error: table file {table}: values must be finite"
     assert capsys.readouterr().out == ""
 
 
@@ -528,17 +528,36 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("what, argv", [
-    ("curve", ["norms", "--profile", "poly:m=1", "--q", "4", "--curve", "{empty}"]),
-    ("table", ["schedule", "--n", "12", "--profile", "table:{empty}"]),
-])
+VALUE_FILE_ARGVS = [
+    ("curve", ["norms", "--profile", "poly:m=1", "--q", "4", "--curve", "{file}"]),
+    ("table", ["schedule", "--n", "12", "--profile", "table:{file}"]),
+]
+
+
+@pytest.mark.parametrize("what, argv", VALUE_FILE_ARGVS)
 def test_empty_value_file_fails_with_one_error_line(tmp_path, what, argv):
     # Refused before numpy reads it, so no numpy warning precedes the error.
     empty = tmp_path / "empty.csv"
     empty.write_text("\n# no values\n")
-    proc = _python("-m", "mixbound.cli", *[a.format(empty=empty) for a in argv])
+    proc = _python("-m", "mixbound.cli", *[a.format(file=empty) for a in argv])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"mixbound: error: {what} file {empty}: holds no values\n"
+
+
+@pytest.mark.parametrize("content, fault", [
+    (b"0.5\n2.0\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+    (b"0.5\nabc\n", "could not convert string 'abc' to float64"),
+    (b"0.5\nnan\n", "values must be finite"),
+    (b"0.5\n-inf\n", "values must be finite"),
+], ids=["latin-1", "not-a-number", "nan", "inf"])
+@pytest.mark.parametrize("what, argv", VALUE_FILE_ARGVS)
+def test_bad_value_file_names_the_file(capsys, tmp_path, what, argv, content, fault):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(file=bad) for a in argv])
+    assert str(exc.value.code).startswith(f"mixbound: error: {what} file {bad}: {fault}")
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("payload, message", [

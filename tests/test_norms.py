@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_active_lag_count_monotone(u, q):
 
 def test_quantile_curve_from_discrete():
     c = nm.QuantileCurve.from_discrete([0, 1], [0.7, 0.3])
-    assert c.breaks == (0.3,) and c.values == (1.0,)
+    assert c.breaks.tolist() == [0.3] and c.values.tolist() == [1.0]
     assert c.q_at(0.1) == 1.0 and c.q_at(0.3) == 0.0
     assert math.isclose(c.l2_norm(), math.sqrt(0.3))
 
@@ -265,7 +266,8 @@ def test_dependence_norms_match_scalar_reference(name):
                     # The one-row view: the curve build and the integral.
                     if breaks:
                         curve = nm.QuantileCurve.from_discrete(row, weights)
-                        assert (curve.breaks, curve.values) == (breaks, vals)
+                        assert curve.breaks.tolist() == list(breaks)
+                        assert curve.values.tolist() == list(vals)
                         assert nm.dependence_norm(curve, q, prof) == expect
 
 
@@ -277,10 +279,37 @@ def test_dependence_norms_large_sample_curve():
     breaks, vals = _reference_from_discrete(x, np.full(x.size, 1.0 / x.size))
     expect = _reference_norm(breaks, vals, 1000, prof)
     curve = nm.QuantileCurve.from_sample(x)
-    assert (curve.breaks, curve.values) == (breaks, vals)
+    assert (curve.breaks.tolist(), curve.values.tolist()) == (list(breaks), list(vals))
     assert nm.dependence_norm(curve, 1000, prof) == expect
     assert nm.dependence_norms(x[None], np.full(x.size, 1.0 / x.size), 1000,
                                prof).tolist() == [expect]
+
+
+def test_sample_curve_memory_per_point():
+    # A curve holds two read-only float arrays, 16 bytes a point; its build and
+    # its norm leave no Python floats or spare full-size copies behind.
+    n = 10**5
+    x = np.random.default_rng(5).standard_t(5, n)
+    prof = mx.polynomial_profile(1.5)
+    nm.dependence_norm(nm.QuantileCurve.from_sample(x[:100]), 1000, prof)  # warm-up
+    tracemalloc.start()
+    try:
+        curve = nm.QuantileCurve.from_sample(x)
+        kept, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        nm.dependence_norm(curve, 1000, prof)
+        norm_peak = tracemalloc.get_traced_memory()[1]   # the curve held
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 64 * n, f"build peaks at {build_peak / n:.1f} B/pt"
+    assert norm_peak <= 80 * n, f"norm peaks at {norm_peak / n:.1f} B/pt"
+    assert kept <= 24 * n, f"curve keeps {kept / n:.1f} B/pt"
+    for arr in (curve.breaks, curve.values):
+        assert isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable
+    again = nm.QuantileCurve(tuple(curve.breaks.tolist()), tuple(curve.values.tolist()))
+    assert again.breaks.tolist() == curve.breaks.tolist()
+    assert again.values.tolist() == curve.values.tolist()
+    assert curve == curve and curve != again   # identity, never an array comparison
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
