@@ -8,8 +8,8 @@ from .mixing import (MixingEstimate, MixingProfile, estimate_alpha, estimate_tau
                      exponential_profile, iid_profile, m_dependent_profile,
                      monotone_envelope, parse_profile, polynomial_profile,
                      tabulated_profile)
-from .norms import (BlockMoment, QuantileCurve, active_lag_count, block_moment,
-                    dependence_norm, dependence_norms, holder_factor, holder_factors)
+from .norms import (QuantileCurve, active_lag_count, dependence_norm, dependence_norms,
+                    holder_factor, holder_factors)
 from .rates import (RateReport, UniversalConstants, closed_form_envelopes,
                     effective_sample_size, maximal_bound, rate_factor,
                     rate_factors, rate_report, rate_table, regime_classify,

@@ -497,10 +497,9 @@ def criterion_variance_bound(seed: int) -> tuple[bool, dict]:
     ok = True
     for rho in (0.5, 0.9):
         model = pr.ar1_model(rho)
-        profile = mx.exponential_profile(rho)  # dominates twice the true
-        member = fc.make_class("identity", model).members[0]   # mixing level
+        profile = mx.exponential_profile(rho)  # dominates twice the true mixing level
         for q in (4, 8, 16, 32):
-            sigma2_sq = nm.block_moment(model, member, q, order=2.0).value ** 2
+            sigma2_sq = model.block_variance(q)
             bound = 2.0 * _certified_norm_sq_lower(model.marginal_sd(), q, profile)
             rows.append({"rho": rho, "q": q, "sigma2_sq": sigma2_sq,
                          "twice_norm_sq_lower": bound})

@@ -435,8 +435,8 @@ def main(argv=None) -> int:
             raise CliError(f"MIXBOUND_SEED must be >= 0, got {args.seed}")
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # GridError, ProfileError etc. are ValueErrors
-        raise CliError(str(exc))
+    except (OSError, ValueError, MemoryError) as exc:  # GridError etc. are ValueErrors
+        raise CliError(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

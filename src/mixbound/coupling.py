@@ -148,7 +148,7 @@ def tau_for_class(model: ProcessModel, members, q: int, seed: int) -> tuple[floa
     times the envelope when every member is bounded, raw nested MC otherwise."""
     members = list(members)
     sups = [m.sup_bound for m in members]
-    if all(s is not None and np.isfinite(s) for s in sups):
+    if None not in sups:
         envelope = max(float(s) for s in sups)
         est = estimate_tau(model, members, q, *TAU_REPS, seed, normalize=True)
         return envelope * est.value, envelope * est.std_error
@@ -310,7 +310,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
     theoretical tail; the exact Clopper-Pearson limit is reported alongside.
     """
     _check_block_length(n, q)
-    if member.sup_bound is None or not np.isfinite(member.sup_bound):
+    if member.sup_bound is None:
         raise CouplingError("member needs a finite sup bound")
     b = dependence_norm(curve, q, profile)
     cap = 2.0 * math.sqrt(n) * b / (q * math.sqrt(2.0**k))

@@ -21,11 +21,17 @@ from .processes import ProcessModel, seeded_rng
 @dataclass(frozen=True)
 class ClassMember:
     """``func`` must be elementwise (each output entry depends only on the
-    input entry at the same position): path sums run it on slices of rows."""
+    input entry at the same position): path sums run it on slices of rows.
+    ``sup_bound`` is None (unbounded) or a finite bound >= 0 on |func|."""
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     mean: float | None
     sup_bound: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.sup_bound is not None and not 0.0 <= self.sup_bound < math.inf:
+            raise ValueError(f"member {self.name!r}: sup_bound must be None or "
+                             f"finite and >= 0, got {self.sup_bound}")
 
 
 @dataclass(frozen=True)

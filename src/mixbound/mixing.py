@@ -337,7 +337,7 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
     scale = 1.0
     if normalize:
         sups = [mem.sup_bound for mem in members]
-        if any(s is None or not np.isfinite(s) for s in sups):
+        if None in sups:
             raise ValueError("normalization needs finite sup bounds on every member")
         scale = max(float(s) for s in sups)
         if scale == 0.0:

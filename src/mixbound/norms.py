@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixing import MixingProfile
-from .processes import centered_sums, mean_se, seeded_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,53 +308,3 @@ def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
         out[i] = math.sqrt(2.0) * float(t.sum()) ** ((r - 2.0) / (2.0 * r))
     return out[inverse]
 
-
-# -- block-average moments -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockMoment:
-    """Moment of order ``order`` of a normalized length-q block average."""
-
-    member: str
-    q: int
-    order: float
-    value: float
-    method: str           # "analytic" | "monte_carlo" | "sup_rule"
-    reps: int = 0
-    std_error: float = 0.0
-
-
-def block_moment(model, member, q: int, order: float = 2.0,
-                 reps: int = 0, seed: int = 0) -> BlockMoment:
-    """Moment of the centered, sqrt(q)-normalized block sum of f.
-
-    order = inf uses the convention sqrt(q) * sup|f| and requires a finite
-    sup bound.  The identity member under a Gaussian linear model has an
-    analytic second moment; anything else is Monte Carlo over independent
-    stationary blocks (reps >= 2 required) with a delta-method standard
-    error on the reported root.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if order == math.inf:
-        if member.sup_bound is None or not np.isfinite(member.sup_bound):
-            raise ValueError("order=inf needs a finite sup bound")
-        return BlockMoment(member=member.name, q=q, order=math.inf,
-                           value=math.sqrt(q) * float(member.sup_bound),
-                           method="sup_rule")
-    if order < 2:
-        raise ValueError("order must be in [2, inf]")
-    if order == 2.0 and member.name == "identity" and model.is_gaussian_linear:
-        return BlockMoment(member=member.name, q=q, order=2.0,
-                           value=math.sqrt(model.block_variance(q)),
-                           method="analytic")
-    if reps < 2:
-        raise ValueError("Monte Carlo block moments need reps >= 2")
-    blocks = model.sample_blocks(q, reps, seeded_rng(seed, 0x5167))   # (reps, q)
-    m_hat, se_m = mean_se(np.abs(centered_sums(member, blocks)) ** order)
-    value = m_hat ** (1.0 / order)
-    # delta method: d(m^(1/order))/dm = m^(1/order - 1) / order
-    se = se_m * value / (order * m_hat) if m_hat > 0 else 0.0
-    return BlockMoment(member=member.name, q=q, order=order, value=value,
-                       method="monte_carlo", reps=reps, std_error=se)

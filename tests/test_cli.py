@@ -560,6 +560,25 @@ def test_bad_value_file_names_the_file(capsys, tmp_path, what, argv, content, fa
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_a_cli_error(capsys, tmp_path, monkeypatch, error, message):
+    # Raised in place of the allocation: a real one could get the process killed.
+    def refuse(self, q):
+        raise error
+
+    monkeypatch.setattr(mixing.MixingProfile, "half_levels", refuse)
+    curve = tmp_path / "c.csv"
+    curve.write_text("0.5\n2.0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norms", "--profile", "iid", "--q", "100000000000",
+                  "--curve", str(curve)])
+    assert exc.value.code == f"mixbound: error: {message}"
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"table": [[0, 1], [1, 2]]}, "missing key 'weights'"),
     ({"weights": [0.5, 0.5]}, "missing key 'table'"),

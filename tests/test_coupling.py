@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -453,3 +454,26 @@ def test_strong_approx_rejects_empty_grid():
     with pytest.raises(cp.CouplingError, match="n_grid is empty"):
         cp.strong_approx_experiment(model, fc.make_class("lipschitz4", model).members,
                                     (), reps=30, seed=25)
+
+
+@pytest.mark.parametrize("sup", [math.nan, math.inf, -math.inf, -0.5])
+def test_class_member_refuses_a_bad_sup_bound(sup):
+    # Checked once, where the member is made, so no consumer re-checks it.
+    message = "sup_bound must be None or finite and >= 0"
+    with pytest.raises(ValueError, match=message):
+        fc.ClassMember("t", np.tanh, 0.0, sup_bound=sup)
+    tanh = fc.make_class("lipschitz4", pr.ar1_model(0.5)).members[1]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(tanh, sup_bound=sup)
+    # mc_means rebuilds each member with dataclasses.replace, so it re-checks.
+    object.__setattr__(tanh, "sup_bound", sup)
+    with pytest.raises(ValueError, match=message):
+        fc.mc_means([tanh], pr.ar1_model(0.5), draws=100)
+
+
+def test_class_member_keeps_a_good_sup_bound():
+    model = pr.ar1_model(0.5)
+    members = fc.make_class("lipschitz5", model).members
+    assert fc.ClassMember("zero", np.zeros_like, 0.0, sup_bound=0.0).sup_bound == 0.0
+    again = fc.mc_means(members, model, draws=100)
+    assert [m.sup_bound for m in again] == [1.0, 1.0, 0.5, 1.0, None]

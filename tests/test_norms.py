@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,6 @@ from hypothesis import strategies as st
 from mixbound import grid as gr
 from mixbound import mixing as mx
 from mixbound import norms as nm
-from mixbound import processes as pr
-from mixbound import function_classes as fc
 
 
 PROFILES = [mx.iid_profile(), mx.m_dependent_profile(7),
@@ -122,49 +122,6 @@ def test_count_sandwich_lower_always_holds():
         for q in (1, 5, 30):
             mu = nm.active_lag_count(float(u), q, prof)
             assert min(prof.inverse(min(2 * u, 1.0)), q + 1) <= mu
-
-
-def test_block_moment_analytic_ar1():
-    rho, q = 0.6, 9
-    model = pr.ar1_model(rho)
-    member = fc.make_class("identity", model).members[0]
-    got = nm.block_moment(model, member, q, order=2.0)
-    assert got.method == "analytic"
-    var = model.marginal_sd() ** 2
-    k = np.arange(1, q)
-    expect = var * (q + 2 * ((q - k) * rho**k).sum()) / q
-    assert math.isclose(got.value**2, expect, rel_tol=1e-12)
-
-
-def test_block_moment_iid_identity():
-    model = pr.iid_model()
-    member = fc.make_class("identity", model).members[0]
-    assert math.isclose(nm.block_moment(model, member, 12, 2.0).value, 1.0,
-                        rel_tol=1e-12)
-
-
-def test_block_moment_mc_matches_analytic():
-    model = pr.ar1_model(0.5)
-    member = fc.make_class("identity", model).members[0]
-    analytic = nm.block_moment(model, member, 8, order=2.0).value
-    mc = nm.block_moment(pr.ar1_model(0.5), fc.ClassMember(
-        name="linear", func=lambda x: x, mean=0.0), 8, order=2.0, reps=40000, seed=9)
-    assert mc.method == "monte_carlo"
-    assert abs(mc.value - analytic) <= 4 * mc.std_error + 1e-3
-
-
-def test_block_moment_sup_rule():
-    member = fc.ClassMember(name="b", func=np.tanh, mean=0.0, sup_bound=2.0)
-    got = nm.block_moment(pr.iid_model(), member, 9, order=math.inf)
-    assert got.value == 6.0 and got.method == "sup_rule"
-
-
-def test_block_moment_monotone_in_order():
-    model = pr.ar1_model(0.4)
-    member = fc.make_class("lipschitz4", model).members[1]
-    m2 = nm.block_moment(model, member, 8, order=2.0, reps=20000, seed=4).value
-    m4 = nm.block_moment(model, member, 8, order=4.0, reps=20000, seed=4).value
-    assert m4 >= m2 * (1 - 1e-9)
 
 
 def test_tail_truncation_bound():
@@ -444,3 +401,22 @@ def test_negative_q_is_rejected_by_the_half_levels():
                  lambda: nm.active_lag_count(0.1, -1, prof)):
         with pytest.raises(mx.ProfileError, match="q must be >= 0"):
             call()
+
+
+def _imported_modules(tree, package):
+    """Every module and ``module.name`` an ``import`` in ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, [package if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_norms_imports_nothing_from_processes():
+    # norms computes exact step-function sums; simulation stays in processes.
+    tree = ast.parse(Path(nm.__file__).read_text(encoding="utf-8"))
+    bad = [m for m in _imported_modules(tree, "mixbound")
+           if m == "mixbound.processes" or m.startswith("mixbound.processes.")]
+    assert bad == []

@@ -319,6 +319,27 @@ def test_block_variance_matches_former_form():
     assert not MODELS["lazy"].is_gaussian_linear
 
 
+def test_ar1_block_variance_closed_form():
+    rho, q = 0.6, 9
+    model = pr.ar1_model(rho)
+    k = np.arange(1, q)
+    expect = model.marginal_sd() ** 2 * (q + 2 * ((q - k) * rho**k).sum()) / q
+    assert math.isclose(model.block_variance(q), expect, rel_tol=1e-12)
+
+
+def test_iid_block_variance_is_one():
+    assert math.isclose(pr.iid_model().block_variance(12), 1.0, rel_tol=1e-12)
+
+
+def test_ar1_block_sums_match_block_variance():
+    # The simulated AR(1) block law against the analytic second moment.
+    model = pr.ar1_model(0.5)
+    member = fc.ClassMember(name="linear", func=lambda x: x, mean=0.0)
+    blocks = model.sample_blocks(8, 40000, pr.seeded_rng(9, 0x5167))
+    m_hat, se = pr.mean_se(pr.centered_sums(member, blocks) ** 2)
+    assert abs(m_hat - model.block_variance(8)) <= 4 * se
+
+
 def test_iid_moments():
     vals, _, _ = pr.simulate_many(pr.iid_model(), 4, 40000, seed=1)
     assert abs(vals.mean()) < 0.02
