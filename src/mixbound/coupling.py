@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import ndtri
 from scipy.stats import beta as _beta
-from scipy.stats import norm as _norm
 
 from .grid import divisor_chain, nearest_divisor
 from .mixing import MixingProfile, estimate_tau
@@ -359,15 +359,21 @@ def block_sums(values: np.ndarray, member, q: int) -> np.ndarray:
     return centered_sums(member, blocks)
 
 
-def _centered_pool(members, pool_paths: np.ndarray) -> np.ndarray:
-    """Block sums of a reference pool of independent stationary blocks, centered,
-    stacked on a leading member axis.
+def _reference_pool(model: ProcessModel, members, q: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Centered block sums of the blocks ``model.sample_blocks(q, POOL_SIZE,
+    rng)`` draws, bit for bit, one row per member, streamed in row chunks.
 
     The block sums have exact mean zero; centering the pool removes the
     transform's first-order location error, which would otherwise
     accumulate across blocks."""
-    sums = _centered_sums(members, pool_paths)
-    return sums - sums.mean(axis=-1, keepdims=True)
+    sums = np.empty((len(members), POOL_SIZE))
+    with _innovation_chunks(model, q, POOL_SIZE, rng) as chunks:
+        for lo, innov, starts in chunks:
+            sums[:, lo: lo + len(innov)] = _centered_sums(
+                members, _path_from(model, innov, starts, q))
+    sums -= sums.mean(axis=-1, keepdims=True)
+    return sums
 
 
 def gaussian_couple(sums: np.ndarray, sd: float,
@@ -389,7 +395,7 @@ def gaussian_couple(sums: np.ndarray, sd: float,
         srt = np.sort(pool)
         ranks = np.searchsorted(srt, sums, side="right")
         grid = (ranks + 0.5) / (srt.size + 1.0)
-        z = _norm.ppf(grid)
+        z = ndtri(grid)
     nblocks = sums.shape[-1]
     total = sd * z.sum(axis=-1) / math.sqrt(nblocks)
     return GaussianCouple(z_blocks=z, z_total=total)
@@ -444,14 +450,16 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
     for lo, hi in zip(n_grid, n_grid[1:]):   # equal points would share every stream
         if not hi > lo:
             raise CouplingError(f"n_grid must be strictly increasing: {hi} follows {lo}")
+    if not model.is_markov:
+        raise CouplingError(f"strong approximation needs a Markov process for its "
+                            f"tau term; {model.spec()} is not")
     members = list(members)
     if gamma_order == math.inf and any(m.sup_bound is None for m in members):
         raise CouplingError("gamma=inf needs finite sup bounds")
     points = []
     for n in n_grid:
         q = nearest_divisor(n, math.sqrt(n))
-        pools = _centered_pool(members, model.sample_blocks(
-            q, POOL_SIZE, seeded_rng(seed, 0x900, n)))
+        pools = _reference_pool(model, members, q, seeded_rng(seed, 0x900, n))
         couplings = []   # (sd, sorted pool or None) per member
         sig_gamma_sum = 0.0
         for mem, pool_sums in zip(members, pools):
@@ -525,8 +533,7 @@ def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
     """Slope test: deviations between coupled partial sums decay at least
     polynomially of order ``TAIL_GAMMA`` on the observed range."""
     _, replica = coupled_paths(model, n, q, reps, seed, tag=0x59)
-    pool_paths = model.sample_blocks(q, POOL_SIZE, seeded_rng(seed, 0x59AA))
-    pool_sums = _centered_pool((member,), pool_paths)[0]
+    pool_sums = _reference_pool(model, (member,), q, seeded_rng(seed, 0x59AA))[0]
     sd = float(pool_sums.std(ddof=1))
     sums = block_sums(replica, member, q)
     couple = gaussian_couple(sums, sd, pool=pool_sums)

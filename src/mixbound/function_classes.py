@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from .chaining import FunctionClass
 from .processes import ProcessModel, seeded_rng
@@ -53,7 +53,7 @@ class ProcessClass:
         """
         sd = model.marginal_sd()
         u = (np.arange(points) + 0.5) / points
-        xs = sd * _norm.ppf(u)
+        xs = sd * ndtri(u)
         table = np.stack([m.func(xs) for m in self.members])
         weights = np.full(points, 1.0 / points)
         return FunctionClass(table=table, weights=weights,

@@ -14,6 +14,8 @@ import numpy as np
 
 from .mixing import MixingProfile
 
+_LAG_SLICE = 1 << 16   # lags per slice of the Hoelder factors' level table
+
 
 @dataclass(frozen=True, eq=False)
 class QuantileCurve:
@@ -279,9 +281,10 @@ def holder_factor(q: int, r: float, profile: MixingProfile) -> float:
 def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
     """holder_factor at every q of ``qs``, bit for bit.
 
-    The half-levels and the count powers are built once, at the largest q,
-    and a buffer for the terms; each q reads its q + 1 levels and powers
-    from them and keeps its own sum.
+    The half-levels and the count powers are built once, at the largest q.
+    Where the levels are in order, the powers are turned in place into the
+    widths times their powers, so that each q's terms are a suffix of that
+    table with its own head, the level times the power, in the first slot.
     """
     if not (2.0 < r < math.inf):
         raise ValueError(f"r must be > 2 and finite, got {r}")
@@ -292,19 +295,24 @@ def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
     top = int(uniq[-1]) if uniq.size else 0
     # half_levels(top) on descending lags, so ascending with no reversed copy;
     # its suffixes are the ascending prefixes unless float rounding broke the
-    # monotonicity of theta
-    asc = 0.5 * profile.theta(np.arange(top, -1, -1))
+    # monotonicity of theta.  Built in slices, so theta's temporaries stay small.
+    asc = np.empty(top + 1)
+    for lo in range(0, top + 1, _LAG_SLICE):
+        asc[lo: lo + _LAG_SLICE] = 0.5 * profile.theta(
+            top - np.arange(lo, min(lo + _LAG_SLICE, top + 1)))
     ordered = (asc[:-1] <= asc[1:]).all()
     powers = np.arange(top + 1, 0, -1, dtype=float)
     powers **= a
-    out, terms = np.empty(uniq.size), np.empty(top + 1)
-    for i, q in enumerate(uniq.tolist()):
-        levels = asc[top - q:] if ordered else np.sort(asc[top - q:])
-        # count q + 1 - j on (levels[j - 1], levels[j]], with levels[-1] = 0
-        t = terms[: q + 1]
-        np.subtract(levels[1:], levels[:-1], out=t[1:])
-        t[0] = levels[0]
-        t *= powers[top - q:]
+    heads = asc[top - uniq] * powers[top - uniq]
+    # count q + 1 - j on (levels[j - 1], levels[j]], with levels[-1] = 0
+    if ordered:
+        for lo in range(1, top + 1, _LAG_SLICE):
+            powers[lo: lo + _LAG_SLICE] *= np.diff(asc[lo - 1: lo + _LAG_SLICE])
+    out = np.empty(uniq.size)
+    for i, q in reversed(list(enumerate(uniq.tolist()))):
+        if ordered:   # largest q first: no later suffix reads the head's slot
+            powers[top - q] = heads[i]
+        t = powers[top - q:] if ordered else \
+            np.diff(np.sort(asc[top - q:]), prepend=0.0) * powers[top - q:]
         out[i] = math.sqrt(2.0) * float(t.sum()) ** ((r - 2.0) / (2.0 * r))
     return out[inverse]
-

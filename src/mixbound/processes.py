@@ -371,7 +371,7 @@ def _simulate_core(model: ProcessModel, n: int, reps: int,
 
 
 _PATH_STREAM = 0x51A7   # seeded_rng(seed, _PATH_STREAM, tag) draws the paths
-_CHUNK = 1 << 19        # innovations per streamed row chunk
+_CHUNK = 1 << 18        # innovations per streamed row chunk
 
 
 @contextmanager

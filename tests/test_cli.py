@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mixbound import cli
-from mixbound import chaining, grid, mixing, norms, processes
+from mixbound import chaining, coupling, grid, mixing, norms, processes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -142,14 +142,20 @@ def test_couple_simulates_once(monkeypatch, capsys):
 
 
 def _count_simulations(monkeypatch):
+    """Record every whole draw (``_simulate_core``) and every streamed one
+    (``_innovation_chunks``, patched where ``coupling`` bound it too)."""
     calls = []
-    core = processes._simulate_core
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return core(*args, **kwargs)
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(processes, "_simulate_core", counting)
+    monkeypatch.setattr(processes, "_simulate_core", counting(processes._simulate_core))
+    streamed = counting(processes._innovation_chunks)
+    for module in (processes, coupling):
+        monkeypatch.setattr(module, "_innovation_chunks", streamed)
     return calls
 
 
@@ -211,6 +217,16 @@ def test_strongapprox_bad_flag_value_is_a_usage_error(flag, value, message,
     captured = capsys.readouterr()
     assert exc.value.code == 2 and f"argument {flag}: {message}" in captured.err
     assert calls == [] and not report.exists() and captured.out == ""
+
+
+def test_strongapprox_refuses_a_non_markov_process_before_simulating(monkeypatch, capsys):
+    calls = _count_simulations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strongapprox", "--process", "ma:m=3", "--class", "lipschitz4",
+                  "--n-grid", "6144,24576", "--reps", "2000"])
+    assert str(exc.value.code) == ("mixbound: error: strong approximation needs a Markov "
+                                   "process for its tau term; ma:m=3 is not")
+    assert calls == [] and capsys.readouterr().out == ""
 
 
 def test_strongapprox_refuses_unbounded_members_at_gamma_inf_before_simulating(

@@ -2,9 +2,12 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +343,46 @@ def test_coupled_chunks_match_coupled_paths(model, rows, monkeypatch):
         assert np.array_equal(np.concatenate(got_replica), replica)
         if paths:
             assert np.array_equal(np.concatenate(got_vals), vals)
+
+
+def _whole_pool(members, blocks):
+    """The former reference pool: every block held at once, summed, centered."""
+    sums = pr._centered_sums(members, blocks)
+    return sums - sums.mean(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("model", STREAM_MODELS, ids=lambda m: m.spec())
+@pytest.mark.parametrize("rows", [1, 7, 40])   # neither 7 nor 40 divides the pool
+def test_streamed_pool_matches_whole_pool(model, rows, monkeypatch):
+    q = 12
+    monkeypatch.setattr(cp, "POOL_SIZE", 100)
+    monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, q, rows))
+    members = fc.make_class("lipschitz4", pr.ar1_model(0.5)).members
+    expect = _whole_pool(members, model.sample_blocks(q, 100, pr.seeded_rng(24)))
+    got = cp._reference_pool(model, members, q, pr.seeded_rng(24))
+    assert got.shape == (len(members), 100) and np.array_equal(got, expect)
+
+
+def test_strong_approx_holds_no_whole_pool():
+    # At n = 6144 (q = 64) a whole AR(1) pool of paths and innovations is
+    # 2 x 20000 x 64 floats, 19.5 MiB; the streamed pool holds row chunks.
+    code = (
+        "import tracemalloc, scipy.signal\n"
+        "from mixbound import coupling as cp, function_classes as fc, processes as pr\n"
+        "model = pr.ar1_model(0.5)\n"
+        "members = fc.make_class('lipschitz4', model).members\n"
+        "tracemalloc.start()\n"
+        "cp.strong_approx_experiment(model, members, (6144,), reps=30, seed=5)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout.split()[-1])
+    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):

@@ -373,6 +373,52 @@ def test_holder_factors_match_former_per_q_code(prof):
     assert nm.holder_factors([], 4.0, prof).shape == (0,)
 
 
+def _per_q_holder_factors(qs, r, profile):
+    """The former ``holder_factors``: one terms buffer, refilled for every q."""
+    uniq, inverse = np.unique(np.asarray(qs, dtype=np.int64), return_inverse=True)
+    a = r / (r - 2.0)
+    top = int(uniq[-1])
+    asc = 0.5 * profile.theta(np.arange(top, -1, -1))
+    ordered = (asc[:-1] <= asc[1:]).all()
+    powers = np.arange(top + 1, 0, -1, dtype=float)
+    powers **= a
+    out, terms = np.empty(uniq.size), np.empty(top + 1)
+    for i, q in enumerate(uniq.tolist()):
+        levels = asc[top - q:] if ordered else np.sort(asc[top - q:])
+        t = terms[: q + 1]
+        np.subtract(levels[1:], levels[:-1], out=t[1:])
+        t[0] = levels[0]
+        t *= powers[top - q:]
+        out[i] = math.sqrt(2.0) * float(t.sum()) ** ((r - 2.0) / (2.0 * r))
+    return out[inverse]
+
+
+@pytest.mark.parametrize("prof", ARRAY_PROFILES + [BUMPED], ids=lambda p: p.spec())
+def test_holder_factors_match_per_q_loop_at_random_tops(prof):
+    # Tops past one slice of the level table (2^16 lags) included.
+    rng = np.random.default_rng(41)
+    for top in (0, 1, 5, 65535, 65536, 65537, *rng.integers(2, 400000, 3).tolist()):
+        qs = [top, *rng.integers(0, top + 1, 6).tolist()]
+        r = float(rng.uniform(2.1, 12.0))
+        got = nm.holder_factors(qs, r, prof)
+        assert got.tobytes() == _per_q_holder_factors(qs, r, prof).tobytes()
+
+
+def test_holder_factors_memory_on_the_envelope_grid():
+    # A4's 40-point grid up to q = 1e6: the level and power tables are 7.6 MiB
+    # each; no third table of terms and no full-size theta temporaries.
+    qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
+    for prof in (mx.m_dependent_profile(7), mx.polynomial_profile(0.5),
+                 mx.exponential_profile(0.9)):
+        tracemalloc.start()
+        try:
+            nm.holder_factors(qs, 4.0, prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 2**20, f"{prof.spec()}: traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_holder_factors_at_the_envelope_grid():
     # A4's grid: 40 lags up to 1e6, where each q reads a suffix of one table.
     qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
