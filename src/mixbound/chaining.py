@@ -60,14 +60,6 @@ class FunctionClass:
     def size(self) -> int:
         return int(self.table.shape[0])
 
-    def scaled(self, c: float) -> "FunctionClass":
-        return FunctionClass(table=c * self.table, weights=self.weights, names=self.names)
-
-    def subset(self, indices: Sequence[int]) -> "FunctionClass":
-        idx = list(indices)
-        names = tuple(self.names[i] for i in idx) if self.names else ()
-        return FunctionClass(table=self.table[idx], weights=self.weights, names=names)
-
 
 Partition = tuple[tuple[int, ...], ...]
 

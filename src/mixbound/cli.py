@@ -140,11 +140,14 @@ def _load_class_file(path: str) -> ch.FunctionClass:
     names = payload.get("names", [])
     if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
         raise ValueError(f"class file {path}: names must be a list of strings")
-    return ch.FunctionClass(
-        table=np.asarray(payload["table"], dtype=float),
-        weights=np.asarray(payload["weights"], dtype=float),
-        names=tuple(names),
-    )
+    arrays = {}
+    for key in ("table", "weights"):
+        try:   # a ragged list is a ValueError, a nested object a TypeError
+            arrays[key] = np.asarray(payload[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"class file {path}: {key} must be a rectangular "
+                             f"array of numbers") from None
+    return ch.FunctionClass(**arrays, names=tuple(names))
 
 
 # -- subcommand handlers ------------------------------------------------------

@@ -344,21 +344,6 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
 # -- Gaussian coupling --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianCouple:
-    """Standard-normal block draws coupled to one member's block sums."""
-
-    z_blocks: np.ndarray
-    z_total: np.ndarray   # sd-scaled, block-count normalized sums
-
-
-def block_sums(values: np.ndarray, member, q: int) -> np.ndarray:
-    """(reps, blocks) centered block sums of f scaled by sqrt(q)."""
-    nblocks = values.shape[1] // q
-    blocks = values[:, : nblocks * q].reshape(len(values), nblocks, q)
-    return centered_sums(member, blocks)
-
-
 def _reference_pool(model: ProcessModel, members, q: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Centered block sums of the blocks ``model.sample_blocks(q, POOL_SIZE,
@@ -377,28 +362,24 @@ def _reference_pool(model: ProcessModel, members, q: int,
 
 
 def gaussian_couple(sums: np.ndarray, sd: float,
-                    pool: np.ndarray | None = None) -> GaussianCouple:
-    """Per-block comonotone Gaussianization of block sums.
+                    sorted_pool: np.ndarray | None = None) -> np.ndarray:
+    """Coupled Gaussian totals of block sums by per-block comonotone
+    Gaussianization: the scaled, block-count-normalized sum over the last axis.
 
-    With ``pool`` (a large reference sample of independent stationary
-    block sums) each sum is pushed through the smoothed empirical
-    distribution and the standard normal quantile; without it the block
-    law is taken to be exactly Gaussian (valid for linear functions of
+    With ``sorted_pool`` (a large reference sample of independent stationary
+    block sums, sorted ascending) each sum is pushed through the smoothed
+    empirical distribution and the standard normal quantile; without it the
+    block law is taken to be exactly Gaussian (valid for linear functions of
     Gaussian models) and the transform reduces to division by sd.
-    The coupled process is the scaled, block-count-normalized total.
     """
     if sd <= 0:
         raise CouplingError("sd must be > 0")
-    if pool is None:
+    if sorted_pool is None:
         z = sums / sd
     else:
-        srt = np.sort(pool)
-        ranks = np.searchsorted(srt, sums, side="right")
-        grid = (ranks + 0.5) / (srt.size + 1.0)
-        z = ndtri(grid)
-    nblocks = sums.shape[-1]
-    total = sd * z.sum(axis=-1) / math.sqrt(nblocks)
-    return GaussianCouple(z_blocks=z, z_total=total)
+        ranks = np.searchsorted(sorted_pool, sums, side="right")
+        z = ndtri((ranks + 0.5) / (sorted_pool.size + 1.0))
+    return sd * z.sum(axis=-1) / math.sqrt(sums.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -424,7 +405,6 @@ class StrongApproxReport:
 
 
 TAU_REPS = (200, 200)    # outer and inner draws of each class tau estimate
-TAIL_GAMMA = 3.0         # the polynomial decay order the tail slope test asks for
 POOL_SIZE = 20000        # independent reference blocks of each Gaussian coupling
 
 
@@ -471,7 +451,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
                 sd = math.sqrt(model.block_variance(q))
             else:
                 sd = float(pool_sums.std(ddof=1))
-            # Sorted once here, not once per chunk; the transform sorts it anyway.
+            # Sorted once here; the transform reads it sorted in every chunk.
             couplings.append((sd, None if linear_gaussian else np.sort(pool_sums)))
             if gamma_order == math.inf:
                 sig_gamma_sum += math.sqrt(q) * float(mem.sup_bound)
@@ -485,13 +465,13 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
                 cols = slice(lo, lo + len(vals))
                 gns = _centered_sums(members, vals)
                 sums = _centered_sums(members, replica.reshape(len(replica), -1, q))
-                for i, (sd, pool) in enumerate(couplings):
+                for i, (sd, sorted_pool) in enumerate(couplings):
                     if sd == 0.0:
                         # Degenerate member: the matching Gaussian has variance zero.
                         gaps[i, cols] = np.abs(gns[i])
                     else:
-                        couple = gaussian_couple(sums[i], sd, pool=pool)
-                        gaps[i, cols] = np.abs(gns[i] - couple.z_total)
+                        gaps[i, cols] = np.abs(
+                            gns[i] - gaussian_couple(sums[i], sd, sorted_pool))
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
         tau_hat, tau_se = tau_for_class(model, members, q, seed=seed + n)
         exponent = 0.5 if gamma_order == math.inf else \
@@ -517,34 +497,3 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
     within = all(p.gap_mean <= p.bound for p in points)
     return StrongApproxReport(gamma_order=gamma_order, points=tuple(points),
                               monotone=monotone, within_bound=within)
-
-
-@dataclass(frozen=True)
-class TailSlopeReport:
-    gamma: float
-    t_grid: tuple[float, ...]
-    survival: tuple[float, ...]
-    slope: float
-    passed: bool
-
-
-def coupled_tail_decay_check(model: ProcessModel, member, n: int, q: int,
-                             reps: int, seed: int) -> TailSlopeReport:
-    """Slope test: deviations between coupled partial sums decay at least
-    polynomially of order ``TAIL_GAMMA`` on the observed range."""
-    _, replica = coupled_paths(model, n, q, reps, seed, tag=0x59)
-    pool_sums = _reference_pool(model, (member,), q, seeded_rng(seed, 0x59AA))[0]
-    sd = float(pool_sums.std(ddof=1))
-    sums = block_sums(replica, member, q)
-    couple = gaussian_couple(sums, sd, pool=pool_sums)
-    dev = np.abs((sums - sd * couple.z_blocks).sum(axis=1))
-    # Survival levels anchored in the tail; the bulk of the distribution
-    # carries no information about the polynomial decay order.
-    levels = np.array([0.2, 0.1, 0.05, 0.02])
-    t_grid = np.quantile(dev, 1.0 - levels)
-    surv = np.array([(dev >= t).mean() for t in t_grid])
-    ok = (t_grid > 0) & (surv > 0)
-    slope = ls_slope(np.log(t_grid[ok]), np.log(surv[ok]))
-    return TailSlopeReport(gamma=TAIL_GAMMA, t_grid=tuple(map(float, t_grid)),
-                           survival=tuple(map(float, surv)), slope=slope,
-                           passed=slope <= -TAIL_GAMMA)

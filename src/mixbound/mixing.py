@@ -1,4 +1,4 @@
-"""Dependence profiles and empirical mixing-coefficient estimators.
+"""Dependence profiles and the nested Monte Carlo tau estimator.
 
 A profile maps an integer lag q to a dependence weight theta(q) in [0, 1].
 Profiles are non-increasing with theta(0) = 1 by convention.  Analytic
@@ -276,7 +276,7 @@ def _parse_kv(spec: str, text: str, required=(), optional=(), last=None) -> dict
     return out
 
 
-# -- empirical estimators ------------------------------------------------
+# -- the nested tau estimator ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -286,34 +286,10 @@ class MixingEstimate:
     q: int
     value: float
     std_error: float
-    method: str
 
     def __post_init__(self) -> None:
         if self.value < 0 or self.std_error < 0:
             raise ValueError("estimate and standard error must be >= 0")
-
-
-def estimate_alpha(path, q: int) -> MixingEstimate:
-    """Empirical weak dependence coefficient at lag q from one path.
-
-    Maximizes ``|P(X_t >= t0, X_{t-q} >= s0) - P(X_t >= t0) P(X_{t-q} >= s0)|``
-    over the grid of empirical deciles, using every lag-q pair in the path.
-    Replication across independent paths, and hence a non-trivial standard
-    error, is the caller's responsibility.
-    """
-    x = np.asarray(path, dtype=float).ravel()
-    if x.size <= q + 1:
-        raise ValueError(f"path of length {x.size} too short for lag {q}")
-    t = np.quantile(x, np.linspace(0.1, 0.9, 9))
-    early = x[:-q] if q > 0 else x
-    late = x[q:] if q > 0 else x
-    n_pairs = early.size
-    a = (late[:, None] >= t[None, :]).astype(float)   # events on X_t
-    b = (early[:, None] >= t[None, :]).astype(float)  # events on X_{t-q}
-    joint = a.T @ b / n_pairs
-    gap = np.abs(joint - np.outer(a.mean(axis=0), b.mean(axis=0)))
-    return MixingEstimate(q=q, value=float(gap.max()), std_error=0.0,
-                          method="alpha_empirical")
 
 
 def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
@@ -341,7 +317,7 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
             raise ValueError("normalization needs finite sup bounds on every member")
         scale = max(float(s) for s in sups)
         if scale == 0.0:
-            return MixingEstimate(q=q, value=0.0, std_error=0.0, method="tau_nested_mc")
+            return MixingEstimate(q=q, value=0.0, std_error=0.0)
     rng = seeded_rng(seed, 0x7A11)
     starts = model.stationary_sample(outer_reps, rng)            # (outer,)
     states = np.repeat(starts, inner_reps)                        # (outer*inner,)
@@ -351,4 +327,4 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
     sums = _member_sums(members, states.reshape(outer_reps, inner_reps))
     means = np.array([mem.mean for mem in members])[:, None]
     value, se = mean_se(np.abs(sums / inner_reps - means).max(axis=0) / scale)
-    return MixingEstimate(q=q, value=value, std_error=se, method="tau_nested_mc")
+    return MixingEstimate(q=q, value=value, std_error=se)

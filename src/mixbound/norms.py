@@ -98,16 +98,6 @@ class QuantileCurve:
     def l2_norm(self) -> float:
         return self.lr_norm(2.0)
 
-    def mean(self) -> float:
-        widths, v = self._segments()
-        return float((widths * v).sum())
-
-    def truncated_mean_above(self, cut: float) -> float:
-        """E[|f| ; |f| > cut], exact for the discrete distribution."""
-        widths, v = self._segments()
-        keep = v > cut
-        return float((widths[keep] * v[keep]).sum())
-
 
 def active_lag_count(u, q: int, profile: MixingProfile):
     """Number of lags i in 0..q whose halved dependence level still covers u.

@@ -69,11 +69,6 @@ def _block_factors(ns, r: float, profile: MixingProfile, basis_size: int
     return q0s, np.asarray(factors, dtype=float)
 
 
-def effective_sample_size(n: int, r: float, profile: MixingProfile,
-                          basis_size: int = 3) -> float:
-    return n / rate_factor(n, r, profile, basis_size)
-
-
 def regime_classify(m: float, r: float) -> tuple[str, float]:
     """Regime of a polynomial-decay profile and its predicted exponent.
 
@@ -162,31 +157,26 @@ def maximal_bound(complexity: float, n: int, r: float, profile: MixingProfile,
 class RateReport:
     """Per-n rate summary: factor, effective size, regime and envelopes.
 
-    Both the factor and its square root are carried so downstream reports
-    can expose either scaling convention; the envelopes bound the square
-    root for the closed-form profiles and are None otherwise.
+    The envelopes bound the factor's square root for the closed-form
+    profiles and are None otherwise.
     """
 
     n: int
-    r: float
-    profile_spec: str
     q0: int
     factor: float
-    factor_sqrt: float
     effective_n: float
     regime: str
     lower_env: float | None
     upper_env: float | None
-    strong_rate: float | None
 
 
-def rate_report(n: int, r: float, profile: MixingProfile,
-                basis_size: int = 3) -> RateReport:
-    return _rate_reports([n], r, profile, basis_size)[0]
-
-
-def _rate_reports(ns, r: float, profile: MixingProfile, basis_size: int) -> list[RateReport]:
-    q0s, factors = _block_factors(ns, r, profile, basis_size)
+def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
+               basis_size: int = 3) -> list[RateReport]:
+    """Rate reports over every lattice member in [n_min, n_max]."""
+    members = [n for n in lattice_members(basis_size, n_max) if n >= n_min]
+    if not members:
+        raise ValueError(f"no lattice member in [{n_min}, {n_max}]")
+    q0s, factors = _block_factors(members, r, profile, basis_size)
     case = None                       # the closed-form envelope case, if any
     if profile.kind == "m_dependent":
         regime, case = "m_dependent", 1
@@ -198,26 +188,12 @@ def _rate_reports(ns, r: float, profile: MixingProfile, basis_size: int) -> list
     else:
         regime = "fast" if profile.kind == "exponential" else "unclassified"
     reports = []
-    for n, q0, factor in zip(ns, q0s.tolist(), factors.tolist()):
+    for n, q0, factor in zip(members, q0s.tolist(), factors.tolist()):
         lower, upper = (None, None) if case is None else \
             closed_form_envelopes(q0, profile.m, r, case)
-        strong = strong_approx_rate(max(n, 2), profile.m) \
-            if profile.kind == "polynomial" else None
-        reports.append(RateReport(
-            n=n, r=r, profile_spec=profile.spec(), q0=q0, factor=factor,
-            factor_sqrt=math.sqrt(factor), effective_n=n / factor, regime=regime,
-            lower_env=lower, upper_env=upper, strong_rate=strong,
-        ))
+        reports.append(RateReport(n=n, q0=q0, factor=factor, effective_n=n / factor,
+                                  regime=regime, lower_env=lower, upper_env=upper))
     return reports
-
-
-def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
-               basis_size: int = 3) -> list[RateReport]:
-    """Rate reports over every lattice member in [n_min, n_max]."""
-    members = [n for n in lattice_members(basis_size, n_max) if n >= n_min]
-    if not members:
-        raise ValueError(f"no lattice member in [{n_min}, {n_max}]")
-    return _rate_reports(members, r, profile, basis_size)
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -603,6 +603,12 @@ def test_memory_error_is_a_cli_error(capsys, tmp_path, monkeypatch, error, messa
      "names must be a list of strings"),
     ({"table": [[0, 1], [1, 2]], "weights": [0.5, 0.5], "names": {"a": 1, "b": 2}},
      "names must be a list of strings"),
+    ({"table": [[0, 1], [1]], "weights": [0.5, 0.5]},
+     "table must be a rectangular array of numbers"),
+    ({"table": [[0, 1], [1, 2]], "weights": [0.5, "a"]},
+     "weights must be a rectangular array of numbers"),
+    ({"table": [[0, 1], [1, {"a": 1}]], "weights": [0.5, 0.5]},
+     "table must be a rectangular array of numbers"),
 ])
 def test_class_file_without_table_or_weights_fails_fast(capsys, tmp_path, payload, message):
     path = tmp_path / "cls.json"

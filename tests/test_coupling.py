@@ -250,8 +250,8 @@ def test_gaussian_couple_moments():
     sums_pool = (member.func(pool).sum(axis=1) - q * member.mean) / math.sqrt(q)
     sums_pool -= sums_pool.mean()
     s2 = float(sums_pool.std(ddof=1))
-    couple = cp.gaussian_couple(cp.block_sums(replica, member, q), s2, pool=sums_pool)
-    z = couple.z_total
+    sums = pr.centered_sums(member, replica.reshape(reps, n // q, q))
+    z = cp.gaussian_couple(sums, s2, sorted_pool=np.sort(sums_pool))
     assert abs(z.mean()) <= 4 * s2 / math.sqrt(reps)
     # Cross-parity block dependence perturbs the variance at order 1/q.
     assert 0.8 * s2**2 <= z.var(ddof=1) <= 1.25 * s2**2
@@ -259,8 +259,10 @@ def test_gaussian_couple_moments():
 
 def test_gaussian_couple_analytic_route():
     sums = np.array([[0.5, -1.0, 2.0]])
-    couple = cp.gaussian_couple(sums, sd=2.0)
-    assert np.allclose(couple.z_blocks, sums / 2.0)
+    # Exactly Gaussian blocks: z = sums / sd, and the total is sd * sum(z) / sqrt(3).
+    total = cp.gaussian_couple(sums, sd=2.0)
+    assert total.shape == (1,)
+    assert np.allclose(total, sums.sum() / math.sqrt(3.0))
 
 
 def test_strong_approx_monotone_and_bounded():
@@ -278,14 +280,6 @@ def test_strong_approx_trivial_for_constant_member(monkeypatch):
                             mean=1.0, sup_bound=1.0)
     rep = cp.strong_approx_experiment(model, [member], (96,), reps=60, seed=16)
     assert rep.points[0].gap_mean < 0.2
-
-
-def test_coupled_tail_decay_slope():
-    model = pr.ar1_model(0.5)
-    member = fc.make_class("lipschitz4", model).members[1]
-    rep = cp.coupled_tail_decay_check(model, member, n=1536, q=32, reps=4000,
-                                      seed=17)
-    assert rep.gamma == 3.0 and rep.passed
 
 
 def test_strong_approx_identity_gap_machine_zero_for_iid(monkeypatch):

@@ -107,40 +107,6 @@ def test_parse_model_rejects_a_repeated_key(spec, key):
         pr.parse_model(spec)
 
 
-def test_alpha_iid_small_and_rate():
-    # Independence pushes the estimate to zero at the root-n rate: the
-    # estimate at 16x the sample size should drop by roughly 4x.
-    model = pr.iid_model()
-    vals_s, _, _ = pr.simulate_many(model, 500, 40, seed=11)
-    vals_l, _, _ = pr.simulate_many(model, 8000, 40, seed=12)
-    small = np.mean([mx.estimate_alpha(v, 2).value for v in vals_s])
-    large = np.mean([mx.estimate_alpha(v, 2).value for v in vals_l])
-    assert large < small
-    assert 2.0 <= small / large <= 8.0
-
-
-def test_alpha_m_dependent_beyond_memory():
-    model = pr.ma_model(3)
-    vals, _, _ = pr.simulate_many(model, 6000, 30, seed=13)
-    beyond = np.mean([mx.estimate_alpha(v, 5).value for v in vals])
-    within = np.mean([mx.estimate_alpha(v, 1).value for v in vals])
-    assert beyond < 0.02
-    assert within > 5 * beyond
-
-
-def test_alpha_decays_in_lag_for_ar1():
-    vals, _, _ = pr.simulate_many(pr.ar1_model(0.9), 4000, 100, seed=14)
-    near = np.array([mx.estimate_alpha(v, 1).value for v in vals])
-    far = np.array([mx.estimate_alpha(v, 20).value for v in vals])
-    # Strictly larger at the short lag with overwhelming frequency.
-    assert (near > far).mean() >= 0.95
-
-
-def test_alpha_path_too_short():
-    with pytest.raises(ValueError):
-        mx.estimate_alpha(np.arange(5.0), 4)
-
-
 def test_tau_iid_vanishes():
     model = pr.iid_model()
     members = fc.make_class("lipschitz4", model).members
@@ -185,7 +151,7 @@ def test_tau_ar1_geometric_decay_slope():
 
 def test_lazy_renewal_mixing_estimated_decay():
     # The renewal chain's coefficients are never assumed, only measured:
-    # both estimators must show decay over widening lags.
+    # the tau estimate must show decay over widening lags.
     model = pr.lazy_renewal_model(1.0)
     rng = np.random.default_rng(0)
     sample = model.stationary_sample(10**6, rng)
@@ -195,7 +161,3 @@ def test_lazy_renewal_mixing_estimated_decay():
     taus = [mx.estimate_tau(model, [member], q, 1200, 1200, seed=50 + q).value
             for q in (1, 4, 16)]
     assert taus[0] > taus[1] > taus[2]
-    paths, _, _ = pr.simulate_many(model, 4000, 40, seed=60)
-    alphas = [np.mean([mx.estimate_alpha(p, q).value for p in paths])
-              for q in (1, 4, 16)]
-    assert alphas[0] > alphas[1] > alphas[2]

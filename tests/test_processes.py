@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixbound import coupling as cp
 from mixbound import function_classes as fc
 from mixbound import mixing as mx
 from mixbound import processes as pr
@@ -218,7 +217,6 @@ def test_centered_sums_match_former_inline_forms(kind):
                     blocks = vals[:, : nblocks * q].reshape(reps, nblocks, q)
                     want = _former_block_sums(mem, vals, q)
                     assert pr.centered_sums(mem, blocks).tobytes() == want.tobytes()
-                    assert cp.block_sums(vals, mem, q).tobytes() == want.tobytes()
 
 
 # -- the row kernel: sliced, shared among cores, bit for bit --------------------
@@ -230,7 +228,7 @@ KERNEL_MEMBERS = (fc.make_class("lipschitz5", pr.iid_model()).members
 
 def _kernel_input(shape):
     rng = np.random.default_rng(11)
-    if shape == "blocks":          # block view of a path matrix, as block_sums makes
+    if shape == "blocks":          # block view of a path matrix
         return rng.standard_normal((5000, 1536))[:, : 191 * 8].reshape(5000, 191, 8)
     if shape == "columns":         # column-sliced view: rows are not contiguous
         return rng.standard_normal((300, 2051))[:, :-3]
@@ -455,16 +453,11 @@ def test_expected_sup_below_assembled_bound():
 
 def test_profile_dominates_estimated_mixing():
     # Calibration check behind the bound test above: the exponential profile
-    # dominates the empirical dependence coefficients of the autoregression.
-    # Past lag four the estimators sit on their Monte Carlo noise floor
-    # (max over a threshold grid of ~N^{-1/2} fluctuations), so the
+    # dominates the estimated dependence coefficients of the autoregression.
+    # Past lag four the estimator sits on its Monte Carlo noise floor, so the
     # comparison is made where the signal is resolvable.
     model = pr.ar1_model(0.5)
     profile = mx.exponential_profile(0.5)
-    vals, _, _ = pr.simulate_many(model, 4000, 60, seed=13)
-    for q in (1, 2, 4):
-        alpha = np.mean([mx.estimate_alpha(v, q).value for v in vals])
-        assert 2 * alpha <= profile.theta(q)
     members = fc.make_class("lipschitz4", model).members
     for q in (1, 2, 4):
         tau = mx.estimate_tau(model, members, q, 800, 800, seed=14)

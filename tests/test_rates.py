@@ -107,18 +107,18 @@ def test_maximal_bound_proportional_under_independence():
 
 
 def test_rate_report_fields():
-    rep = rt.rate_report(1536, 4.0, mx.polynomial_profile(0.5))
+    [rep] = rt.rate_table(mx.polynomial_profile(0.5), 4.0, 1536, 1536)
+    assert rep.n == 1536
     assert rep.regime == "slow"
-    assert rep.lower_env <= rep.factor_sqrt <= rep.upper_env
-    assert math.isclose(rep.factor_sqrt**2, rep.factor, rel_tol=1e-15)
+    assert rep.lower_env <= math.sqrt(rep.factor) <= rep.upper_env
     assert rep.effective_n < rep.n
-    assert rep.strong_rate is not None
 
 
 def test_effective_sample_size_diverges():
     prof = mx.polynomial_profile(0.5)
     members = [3072, 41472, 373248, 2239488]
-    eff = [rt.effective_sample_size(n, 4.0, prof) for n in members]
+    rows = {rep.n: rep for rep in rt.rate_table(prof, 4.0, members[0], members[-1])}
+    eff = [rows[n].effective_n for n in members]
     assert all(b > a for a, b in zip(eff, eff[1:]))
 
 
@@ -150,15 +150,24 @@ def test_rate_factors_match_former_per_n_code(prof):
         got = rt.rate_factors(ns, r, prof)
         assert got.tobytes() == np.array(expect).tobytes()
         assert rt.rate_factor(ns[-1], r, prof) == expect[-1]
-        assert rt.effective_sample_size(ns[-1], r, prof) == ns[-1] / expect[-1]
 
 
 @pytest.mark.parametrize("prof", RATE_PROFILES, ids=lambda p: p.spec())
 def test_rate_table_rows_are_rate_reports(prof):
+    from mixbound import grid
     table = rt.rate_table(prof, 4.0, 1000, 10**6)
-    assert [rep.n for rep in table] == [n for n in rt.lattice_members(3, 10**6) if n >= 1000]
-    for rep in table:
-        assert rep == rt.rate_report(rep.n, 4.0, prof)
+    ns = [n for n in rt.lattice_members(3, 10**6) if n >= 1000]
+    assert [rep.n for rep in table] == ns
+    factors = rt.rate_factors(ns, 4.0, prof)
+    q0s = grid.first_block_lengths(ns, prof)
+    case = 1 if prof.kind == "m_dependent" else None   # the closed-form envelope case
+    if prof.kind == "polynomial":
+        case = {"fast": 2, "critical": 3, "slow": 4}[rt.regime_classify(prof.m, 4.0)[0]]
+    for rep, n, q0, factor in zip(table, ns, q0s.tolist(), factors.tolist()):
+        assert (rep.q0, rep.factor, rep.effective_n) == (q0, factor, n / factor)
+        envelopes = (None, None) if case is None else \
+            rt.closed_form_envelopes(q0, prof.m, 4.0, case)
+        assert (rep.lower_env, rep.upper_env) == envelopes
 
 
 def test_rate_factors_reject_non_members():
