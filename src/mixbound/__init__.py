@@ -5,8 +5,8 @@ from .grid import (BlockSchedule, DivisorChain, block_schedule, divisor_chain,
                    first_block_length, first_block_lengths, lattice_members,
                    nearest_divisor)
 from .mixing import (MixingEstimate, MixingProfile, estimate_tau, exponential_profile,
-                     iid_profile, m_dependent_profile, monotone_envelope,
-                     parse_profile, polynomial_profile, tabulated_profile)
+                     iid_profile, m_dependent_profile, parse_profile,
+                     polynomial_profile, tabulated_profile)
 from .norms import (QuantileCurve, active_lag_count, dependence_norm, dependence_norms,
                     holder_factor, holder_factors)
 from .rates import (RateReport, UniversalConstants, closed_form_envelopes,

@@ -282,9 +282,11 @@ def _subset_diameters(table: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _cell_masks(parts: tuple[Partition, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(partitions, LEVEL1_CAP) cell bitmasks, padded with the empty cell 0,
-    and the sorted distinct masks of the cells with two or more members."""
+def _cell_masks(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per partition of ``size`` members into at most LEVEL1_CAP cells, in
+    enumeration order, its cell bitmasks padded with the empty cell 0; and
+    the sorted distinct masks of the cells with two or more members."""
+    parts = _partition_table(tuple(range(size)), LEVEL1_CAP)
     masks = np.zeros((len(parts), LEVEL1_CAP), dtype=np.intp)
     for r, part in enumerate(parts):
         masks[r, : len(part)] = [_mask(cell) for cell in part]
@@ -321,7 +323,7 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
         seq = PartitionSequence(levels=(trivial,))
         return 0.0, seq
     parts = tuple(partitions_into_at_most(indices, LEVEL1_CAP))
-    masks, cells = _cell_masks(parts)
+    masks, cells = _cell_masks(size)
     diam = _subset_diameters(cls.table)
     d0 = family.norm(0, diam[-1], cls.weights)
     d1 = np.zeros(len(diam))

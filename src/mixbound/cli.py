@@ -257,7 +257,7 @@ def cmd_couple(args) -> int:
     }
     checks = [{"id": "even_block_independence", "passed": even.passed}]
     if model.is_markov:
-        tau_hat, _ = cp.tau_for_class(model, members, args.q, args.seed)
+        tau_hat = mx.estimate_tau(model, members, args.q, *cp.TAU_REPS, args.seed).value
         scaled = math.sqrt(args.n) * tau_hat
         results["tau_hat"] = tau_hat
         results["sqrt_n_tau"] = scaled

@@ -143,19 +143,6 @@ def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int,
 # -- coupling gap -------------------------------------------------------------
 
 
-def tau_for_class(model: ProcessModel, members, q: int, seed: int) -> tuple[float, float]:
-    """Class-scale dependence estimate of ``TAU_REPS`` draws: cone-normalized
-    times the envelope when every member is bounded, raw nested MC otherwise."""
-    members = list(members)
-    sups = [m.sup_bound for m in members]
-    if None not in sups:
-        envelope = max(float(s) for s in sups)
-        est = estimate_tau(model, members, q, *TAU_REPS, seed, normalize=True)
-        return envelope * est.value, envelope * est.std_error
-    est = estimate_tau(model, members, q, *TAU_REPS, seed, normalize=False)
-    return est.value, est.std_error
-
-
 def coupled_paths(model: ProcessModel, n: int, q: int, reps: int, seed: int,
                   tag: int) -> tuple[np.ndarray, np.ndarray]:
     """(paths, replicas): ``reps`` stationary paths and their block-q replicas.
@@ -473,15 +460,15 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
                         gaps[i, cols] = np.abs(
                             gns[i] - gaussian_couple(sums[i], sd, sorted_pool))
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
-        tau_hat, tau_se = tau_for_class(model, members, q, seed=seed + n)
+        tau = estimate_tau(model, members, q, *TAU_REPS, seed + n)
         exponent = 0.5 if gamma_order == math.inf else \
             (gamma_order - 2.0) / (2.0 * gamma_order)
         finite_dim = (q / n) ** exponent * sig_gamma_sum
-        coupling_term = math.sqrt(n) * tau_hat
+        coupling_term = math.sqrt(n) * tau.value
         bound = finite_dim + coupling_term
         points.append(StrongApproxPoint(
             n=int(n), q=int(q), gap_mean=gap_mean, gap_se=gap_se,
-            tau_hat=tau_hat, tau_se=tau_se,
+            tau_hat=tau.value, tau_se=tau.std_error,
             finite_dim_term=finite_dim, coupling_term=coupling_term,
             bound=bound, implied_ratio=gap_mean / bound if bound > 0 else math.inf,
         ))

@@ -45,15 +45,21 @@ def _basis(basis_size: int) -> tuple[int, ...]:
 
 def _smooth_numbers(basis_size: int, limit: int) -> list[int]:
     """Every product of powers of the first ``basis_size`` primes up to
-    ``limit``, 1 included, sorted ascending."""
-    nums = [1]
-    for p in _basis(basis_size):
-        grown = []
-        for v in nums:
-            while v <= limit:
-                grown.append(v)
-                v *= p
-        nums = grown
+    ``limit``, 1 included, sorted ascending.
+
+    Depth first: each number is extended only by primes from its own largest
+    prime on, up to the first product past ``limit``, so each is made once.
+    """
+    primes = _basis(basis_size)
+    nums, stack = [], [(1, 0)] if limit >= 1 else []
+    while stack:
+        v, i = stack.pop()
+        nums.append(v)
+        for j in range(i, len(primes)):
+            w = v * primes[j]
+            if w > limit:
+                break
+            stack.append((w, j))
     return sorted(nums)
 
 

@@ -71,9 +71,7 @@ class MixingProfile:
             if arr[0] != 1.0:
                 raise ProfileError("table must start at theta(0) = 1")
             if np.any(np.diff(arr) > 0):
-                raise ProfileError(
-                    "table must be non-increasing; see monotone_envelope()"
-                )
+                raise ProfileError("table must be non-increasing")
             if self.tail not in ("zero", "hold"):
                 raise ProfileError("tail must be 'zero' or 'hold'")
 
@@ -183,24 +181,6 @@ def tabulated_profile(values: Sequence[float], tail: str = "zero") -> MixingProf
     return MixingProfile("tabulated", table=tuple(float(v) for v in values), tail=tail)
 
 
-def monotone_envelope(raw: Sequence[float], tail: str = "zero") -> MixingProfile:
-    """Smallest non-increasing majorant of a raw coefficient table.
-
-    Maps q to ``max_{q' >= q} raw(q')`` (running maximum from the right,
-    with a zero tail contributing nothing).  The first entry must already
-    equal 1 so the result is a valid profile.
-    """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ProfileError("need a non-empty 1-d value list")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ProfileError("values must lie in [0, 1]")
-    env = np.maximum.accumulate(arr[::-1])[::-1]
-    if env[0] != 1.0:
-        raise ProfileError("envelope must start at 1 (theta(0) convention)")
-    return tabulated_profile(env, tail=tail)
-
-
 def parse_profile(text: str) -> MixingProfile:
     """Parse the CLI grammar: iid | mdep:m=<int> | poly:m=<float> |
     expo:l=<float> | table:<csv path>[,tail=zero|hold]."""
@@ -293,15 +273,16 @@ class MixingEstimate:
 
 
 def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
-                 seed: int, normalize: bool = True) -> MixingEstimate:
+                 seed: int) -> MixingEstimate:
     """Nested Monte Carlo estimate of the conditional-vs-marginal gap.
 
     Estimates ``E[ sup_f | E[f(X_q) | X_0] - E f | ]`` for a finite family of
     test functions over a Markov model: the outer loop draws starting states
     from the stationary law, the inner loop propagates q steps to estimate
-    each conditional mean.  With ``normalize=True`` members are divided by
-    the family's sup envelope so the estimate refers to the unit-bounded
-    cone; this requires every member to carry a finite sup bound.
+    each conditional mean.  The estimate is on the members' own scale: the
+    class-scale tau of the strong approximation.  Dividing the members by
+    their sup envelope and multiplying the estimate back gives the same bits
+    when the envelope is a power of two, and may move the last bit otherwise.
     """
     if not model.is_markov:
         raise ValueError(f"model kind {model.kind!r} is not Markov; tau estimation unsupported")
@@ -310,14 +291,6 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
     if outer_reps < 1:
         raise ValueError("outer_reps must be >= 1")
     members = list(members)
-    scale = 1.0
-    if normalize:
-        sups = [mem.sup_bound for mem in members]
-        if None in sups:
-            raise ValueError("normalization needs finite sup bounds on every member")
-        scale = max(float(s) for s in sups)
-        if scale == 0.0:
-            return MixingEstimate(q=q, value=0.0, std_error=0.0)
     rng = seeded_rng(seed, 0x7A11)
     starts = model.stationary_sample(outer_reps, rng)            # (outer,)
     states = np.repeat(starts, inner_reps)                        # (outer*inner,)
@@ -326,5 +299,5 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
         states = model.step(states, innov)
     sums = _member_sums(members, states.reshape(outer_reps, inner_reps))
     means = np.array([mem.mean for mem in members])[:, None]
-    value, se = mean_se(np.abs(sums / inner_reps - means).max(axis=0) / scale)
+    value, se = mean_se(np.abs(sums / inner_reps - means).max(axis=0))
     return MixingEstimate(q=q, value=value, std_error=se)

@@ -89,36 +89,36 @@ def regime_classify(m: float, r: float) -> tuple[str, float]:
     return "slow", (r - m * (r - 2.0)) / (r * (m + 1.0))
 
 
-def closed_form_envelopes(q: int, m: float, r: float, case: int) -> tuple[float, float]:
+_ENVELOPE_KINDS = ("m_dependent", "polynomial")   # the profiles with closed-form envelopes
+
+
+def closed_form_envelopes(q: int, profile: MixingProfile, r: float) -> tuple[float, float]:
     """Algebraic (lower, upper) envelopes for the Hoelder factor at lag q.
 
-    Case 1 is the finite-memory profile; cases 2-4 are polynomial decay in
-    the fast / critical / slow regime respectively.  The case must match
-    the (m, r) regime.  All four cases carry the same sqrt(2) prefactor;
-    the exact factor always lies inside the returned interval on the
-    regimes exercised by the verification suite.
+    A finite-memory profile takes the finite-memory form; a polynomial-decay
+    profile takes the form of its ``regime_classify`` regime (fast, critical
+    or slow).  Every form carries the same sqrt(2) prefactor; the exact
+    factor always lies inside the returned interval on the regimes exercised
+    by the verification suite.  Other profile kinds raise ValueError.
     """
     if not (2.0 < r < math.inf):
         raise ValueError(f"r must be > 2 and finite, got {r}")
     if q < 0:
         raise ValueError("q must be >= 0")
-    a = r / (r - 2.0)
-    if case == 1:
+    if profile.kind not in _ENVELOPE_KINDS:
+        raise ValueError(f"profile {profile.spec()} has no closed-form envelopes")
+    m, a = profile.m, r / (r - 2.0)
+    if profile.kind == "m_dependent":
         lo = 2.0 ** (1.0 / r) * math.sqrt(min(1.0 + q, m))
         hi = 2.0 ** (1.0 / r) * math.sqrt(min(1.0 + q, 1.0 + m))
         return lo, hi
     c = r / (m * (r - 2.0))
     regime, _ = regime_classify(m, r)
-    expected = {2: "fast", 3: "critical", 4: "slow"}.get(case)
-    if expected is None:
-        raise ValueError("case must be 1, 2, 3 or 4")
-    if regime != expected:
-        raise ValueError(f"(m={m}, r={r}) is in the {regime} regime, not case {case}")
     root = (r - 2.0) / (2.0 * r)
-    if case == 2:
+    if regime == "fast":
         hi_in = 2.0 ** (1.0 + a - m) + 0.5 / (1.0 - c)
         lo_in = (0.5 / (1.0 - c)) * (1.0 - 2.0 ** (a - m)) - 0.5
-    elif case == 3:
+    elif regime == "critical":
         hi_in = 2.0 + 0.5 * m * math.log(1.0 + q)
         lo_in = 0.5 * m * math.log(2.0 + q) - 0.5
     else:
@@ -177,20 +177,15 @@ def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
     if not members:
         raise ValueError(f"no lattice member in [{n_min}, {n_max}]")
     q0s, factors = _block_factors(members, r, profile, basis_size)
-    case = None                       # the closed-form envelope case, if any
-    if profile.kind == "m_dependent":
-        regime, case = "m_dependent", 1
-    elif profile.kind == "polynomial":
+    if profile.kind == "polynomial":
         regime, _ = regime_classify(profile.m, r)
-        case = {"fast": 2, "critical": 3, "slow": 4}[regime]
-    elif profile.kind == "iid":
-        regime = "iid"
     else:
-        regime = "fast" if profile.kind == "exponential" else "unclassified"
+        regime = {"m_dependent": "m_dependent", "iid": "iid",
+                  "exponential": "fast"}.get(profile.kind, "unclassified")
+    envelopes = profile.kind in _ENVELOPE_KINDS
     reports = []
     for n, q0, factor in zip(members, q0s.tolist(), factors.tolist()):
-        lower, upper = (None, None) if case is None else \
-            closed_form_envelopes(q0, profile.m, r, case)
+        lower, upper = closed_form_envelopes(q0, profile, r) if envelopes else (None, None)
         reports.append(RateReport(n=n, q0=q0, factor=factor, effective_n=n / factor,
                                   regime=regime, lower_env=lower, upper_env=upper))
     return reports

@@ -372,7 +372,13 @@ def test_constant_families_match_the_scalar_forms(family, scalar, npts):
 @pytest.mark.parametrize("size", range(2, 9))
 def test_cached_level1_cells_are_the_multi_member_masks(size):
     parts = tuple(ch.partitions_into_at_most(range(size), ch.LEVEL1_CAP))
-    masks, cells = ch._cell_masks(parts)
+    masks, cells = ch._cell_masks(size)
+    # One row per partition, in the generator's order, so argmin's first
+    # minimum is the generator's first minimum.
+    assert masks.shape == (len(parts), ch.LEVEL1_CAP)
+    for row, part in zip(masks.tolist(), parts):
+        cells_of = [sum(1 << i for i in cell) for cell in part]
+        assert row == cells_of + [0] * (ch.LEVEL1_CAP - len(part))
     unique = np.unique(masks)
     assert np.array_equal(cells, unique[(unique & (unique - 1)) != 0])
     assert not (masks.flags.writeable or cells.flags.writeable)

@@ -170,12 +170,14 @@ def test_schedule_matches_scalar_scan(prof):
 
 
 def _reference_lattice(basis_size, limit):
-    """The former recursive build: exponents of 2 and 3 start at one."""
+    """The former recursive build: exponents of 2 and 3 start at one.  It
+    stops at the first prime that no longer fits, so it descends one frame
+    per prime up to ``limit / 6`` only."""
     primes = grid.first_primes(basis_size)
     members = []
 
     def extend(idx, value):
-        if idx == len(primes):
+        if idx == len(primes) or (idx >= 2 and value * primes[idx] > limit):
             members.append(value)
             return
         p = primes[idx]
@@ -195,13 +197,26 @@ def _reference_first_block(n, prof, basis_size):
     return int(divisors[np.argmax(lhs <= divisors * 2.0 ** 1)])
 
 
-@pytest.mark.parametrize("basis", [2, 3, 4])
+def _largest_prime_factors(limit):
+    """Entry v is the largest prime factor of v (1 for v = 1), by sieve."""
+    largest = [1] * (limit + 1)
+    for p in range(2, limit + 1):
+        if largest[p] == 1:
+            largest[p::p] = [p] * len(range(p, limit + 1, p))
+    return largest
+
+
+@pytest.mark.parametrize("basis", [2, 3, 4, 1000])
 def test_lattice_and_smooth_numbers_match_former_builds(basis):
-    for limit in (6, 7, 36, 1000, 10**6):
+    # The reference descends a frame per prime up to limit / 6, so the largest
+    # basis stops at a limit within the recursion depth.
+    for limit in (6, 7, 36, 1000, 10**6 if basis < 1000 else 6000):
         assert grid.lattice_members(basis, limit) == _reference_lattice(basis, limit)
-    brute = [v for v in range(1, 5001)
-             if grid.factor_over_basis(v, basis) is not None]
-    assert grid._smooth_numbers(basis, 5000) == brute
+    # The 1000th prime is 7919, so up to 20000 the largest basis misses the
+    # numbers with a prime factor from 7927 on.
+    largest, top_prime = _largest_prime_factors(20000), grid.first_primes(basis)[-1]
+    brute = [v for v in range(1, 20001) if largest[v] <= top_prime]
+    assert grid._smooth_numbers(basis, 20000) == brute
     assert grid._smooth_numbers(basis, 1) == [1]
 
 

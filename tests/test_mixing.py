@@ -54,24 +54,6 @@ def test_inverse_of_theta(prof, q):
     assert prof.inverse(prof.theta(q)) <= q
 
 
-def test_monotone_envelope():
-    env = mx.monotone_envelope([1, 0.2, 0.5, 0.1])
-    assert tuple(env.table) == (1, 0.5, 0.5, 0.1)
-    already = mx.monotone_envelope([1, 0.5, 0.25])
-    assert tuple(already.table) == (1, 0.5, 0.25)
-    with pytest.raises(mx.ProfileError):
-        mx.monotone_envelope([1, 2.0, 0.5])
-
-
-@given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=20))
-def test_envelope_dominates_input(raw):
-    raw = [1.0] + raw
-    env = mx.monotone_envelope(raw)
-    vals = np.asarray(env.table)
-    assert np.all(np.diff(vals) <= 0)
-    assert np.all(vals >= np.asarray(raw))
-
-
 def test_tabulated_rejects_nan():
     # NaN fails every range and order comparison, so it needs its own check.
     with pytest.raises(mx.ProfileError, match="table values must be finite"):
@@ -124,14 +106,49 @@ def test_tau_requires_markov_and_variance_control():
         mx.estimate_tau(pr.iid_model(), members, 2, 10, 1, seed=0)
 
 
+def _former_class_tau(model, members, q, outer, inner, seed):
+    """The former two-step class tau, inline: the nested estimate taken on the
+    unit cone (each draw's sup divided by the sup envelope), then multiplied
+    back by the envelope; taken raw when a member is unbounded."""
+    sups = [m.sup_bound for m in members]
+    scale = 1.0 if None in sups else max(sups)
+    rng = pr.seeded_rng(seed, 0x7A11)
+    states = np.repeat(model.stationary_sample(outer, rng), inner)
+    for _ in range(q):
+        states = model.step(states, model.draw_innovations(states.size, rng))
+    states = states.reshape(outer, inner)
+    sums = np.stack([m.func(states).sum(axis=-1) for m in members])
+    means = np.array([m.mean for m in members])[:, None]
+    value, se = pr.mean_se(np.abs(sums / inner - means).max(axis=0) / scale)
+    return scale * value, scale * se
+
+
+def _lazy_lipschitz4():
+    model = pr.lazy_renewal_model(1.5)
+    members = fc.make_class("lipschitz4", pr.iid_model()).members
+    return model, fc.mc_means(members, model, draws=10**5, seed=3)
+
+
+@pytest.mark.parametrize("model, members", [
+    (pr.ar1_model(0.5), fc.make_class("lipschitz4", pr.ar1_model(0.5)).members),
+    (pr.ar1_model(0.5), fc.make_class("indicator", pr.ar1_model(0.5)).members),
+    (pr.ar1_model(0.5), fc.make_class("lipschitz5", pr.ar1_model(0.5)).members),
+    _lazy_lipschitz4(),
+], ids=["ar1-lipschitz4", "ar1-indicator", "ar1-lipschitz5", "lazy-lipschitz4"])
+def test_tau_is_the_former_unit_cone_round_trip_bit_for_bit(model, members):
+    # The built-in envelopes are 1.0 (lipschitz4) and 0.5 (indicator), so the
+    # round trip is exact; lipschitz5's unbounded absval was estimated raw.
+    est = mx.estimate_tau(model, members, 4, 60, 40, seed=9)
+    assert (est.value, est.std_error) == _former_class_tau(model, members, 4, 60, 40, 9)
+
+
 def test_tau_ar1_identity_matches_analytic():
     # Conditional mean of the linear member is the contraction of the state,
     # so the target is rho^q times the half-normal moment of the marginal.
     rho, q = 0.8, 2
     model = pr.ar1_model(rho)
     member = fc.make_class("identity", model).members[0]
-    est = mx.estimate_tau(model, [member], q, outer_reps=3000, inner_reps=4000,
-                          seed=21, normalize=False)
+    est = mx.estimate_tau(model, [member], q, outer_reps=3000, inner_reps=4000, seed=21)
     target = rho**q * model.marginal_sd() * math.sqrt(2.0 / math.pi)
     assert abs(est.value - target) <= 3.0 * est.std_error + 0.01 * target
 

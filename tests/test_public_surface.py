@@ -15,8 +15,6 @@ ALLOWED_UNREAD = {
     "maximal_bound": "ROADMAP item 5: the headline bound's slack",
     "mc_expected_sup": "ROADMAP item 5: the measured side of that slack",
     "strong_approx_rate": "ROADMAP item 6: strong approximation across the phase transition",
-    "monotone_envelope": "tabulated_profile's error names it as the repair for a "
-                         "non-monotone table",
 }
 
 

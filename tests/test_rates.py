@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,14 +48,14 @@ def test_regime_classification():
 def test_envelope_case1_closed_form():
     m, r = 7, 4.0
     for q in (2, 7, 100):
-        lo, hi = rt.closed_form_envelopes(q, m, r, 1)
+        lo, hi = rt.closed_form_envelopes(q, mx.m_dependent_profile(m), r)
         assert math.isclose(lo, 2 ** (1 / r) * math.sqrt(min(1 + q, m)), rel_tol=1e-15)
         assert math.isclose(hi, 2 ** (1 / r) * math.sqrt(min(1 + q, 1 + m)), rel_tol=1e-15)
 
 
 def test_envelope_case3_upper_form():
     m, r, q = 2.0, 4.0, 50
-    _, hi = rt.closed_form_envelopes(q, m, r, 3)
+    _, hi = rt.closed_form_envelopes(q, mx.polynomial_profile(m), r)
     assert math.isclose(hi, math.sqrt(2) * (2 + 0.5 * m * math.log(1 + q)) ** (1 / (2 * m)),
                         rel_tol=1e-15)
 
@@ -63,28 +64,60 @@ def test_envelope_case4_lower_form():
     m, r, q = 0.5, 4.0, 50
     a = r / (r - 2)
     c = r / (m * (r - 2))
-    lo, _ = rt.closed_form_envelopes(q, m, r, 4)
+    lo, _ = rt.closed_form_envelopes(q, mx.polynomial_profile(m), r)
     expect = math.sqrt(2) * ((0.5 / (c - 1)) * (2 + q) ** (a - m) - 0.5) ** ((r - 2) / (2 * r))
     assert math.isclose(lo, expect, rel_tol=1e-15)
 
 
-def test_envelope_case_mismatch_rejected():
-    with pytest.raises(ValueError):
-        rt.closed_form_envelopes(10, 3.0, 4.0, 4)   # fast parameters, slow case
-    with pytest.raises(ValueError):
-        rt.closed_form_envelopes(10, 0.5, 4.0, 2)
+def _former_envelopes(q, m, r, case):
+    """The former per-case forms: 1 finite memory, 2-4 polynomial fast,
+    critical and slow, each named by its caller."""
+    a = r / (r - 2.0)
+    if case == 1:
+        return (2.0 ** (1.0 / r) * math.sqrt(min(1.0 + q, m)),
+                2.0 ** (1.0 / r) * math.sqrt(min(1.0 + q, 1.0 + m)))
+    c = r / (m * (r - 2.0))
+    if case == 2:
+        hi_in = 2.0 ** (1.0 + a - m) + 0.5 / (1.0 - c)
+        lo_in = (0.5 / (1.0 - c)) * (1.0 - 2.0 ** (a - m)) - 0.5
+    elif case == 3:
+        hi_in = 2.0 + 0.5 * m * math.log(1.0 + q)
+        lo_in = 0.5 * m * math.log(2.0 + q) - 0.5
+    else:
+        hi_in = (2.0 + 0.5 / (c - 1.0)) * (1.0 + q) ** (a - m)
+        lo_in = (0.5 / (c - 1.0)) * (2.0 + q) ** (a - m) - 0.5
+    root = (r - 2.0) / (2.0 * r)
+    return math.sqrt(2.0) * max(lo_in, 0.0) ** root, math.sqrt(2.0) * hi_in ** root
+
+
+ENVELOPE_CASES = [(1, 7.0, mx.m_dependent_profile(7)),
+                  (2, 3.0, mx.polynomial_profile(3.0)),
+                  (3, 2.0, mx.polynomial_profile(2.0)),
+                  (4, 0.5, mx.polynomial_profile(0.5))]
+
+
+@pytest.mark.parametrize("case, m, prof", ENVELOPE_CASES,
+                         ids=[prof.spec() for _, _, prof in ENVELOPE_CASES])
+def test_envelopes_read_off_the_profile_match_the_former_cases(case, m, prof):
+    qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))   # A4's grid
+    for q in qs:
+        assert rt.closed_form_envelopes(q, prof, 4.0) == _former_envelopes(q, m, 4.0, case)
+
+
+@pytest.mark.parametrize("prof", [mx.iid_profile(), mx.exponential_profile(0.5),
+                                  mx.tabulated_profile([1.0, 0.5, 0.25])],
+                         ids=lambda p: p.kind)
+def test_envelopes_refuse_a_profile_without_closed_form(prof):
+    with pytest.raises(ValueError, match=re.escape(prof.spec())):
+        rt.closed_form_envelopes(10, prof, 4.0)
 
 
 def test_envelopes_contain_exact_factor():
     qs = sorted(set(int(x) for x in np.geomspace(1, 10**4, 25)))
-    cases = [(1, 7.0, mx.m_dependent_profile(7)),
-             (2, 3.0, mx.polynomial_profile(3.0)),
-             (3, 2.0, mx.polynomial_profile(2.0)),
-             (4, 0.5, mx.polynomial_profile(0.5))]
-    for case, m, prof in cases:
+    for _, _, prof in ENVELOPE_CASES:
         for q in qs:
             b = nm.holder_factor(q, 4.0, prof)
-            lo, hi = rt.closed_form_envelopes(q, m, 4.0, case)
+            lo, hi = rt.closed_form_envelopes(q, prof, 4.0)
             assert lo * (1 - 1e-12) <= b <= hi * (1 + 1e-12)
 
 
@@ -160,13 +193,10 @@ def test_rate_table_rows_are_rate_reports(prof):
     assert [rep.n for rep in table] == ns
     factors = rt.rate_factors(ns, 4.0, prof)
     q0s = grid.first_block_lengths(ns, prof)
-    case = 1 if prof.kind == "m_dependent" else None   # the closed-form envelope case
-    if prof.kind == "polynomial":
-        case = {"fast": 2, "critical": 3, "slow": 4}[rt.regime_classify(prof.m, 4.0)[0]]
+    closed = prof.kind in ("m_dependent", "polynomial")
     for rep, n, q0, factor in zip(table, ns, q0s.tolist(), factors.tolist()):
         assert (rep.q0, rep.factor, rep.effective_n) == (q0, factor, n / factor)
-        envelopes = (None, None) if case is None else \
-            rt.closed_form_envelopes(q0, prof.m, 4.0, case)
+        envelopes = rt.closed_form_envelopes(q0, prof, 4.0) if closed else (None, None)
         assert (rep.lower_env, rep.upper_env) == envelopes
 
 
