@@ -32,13 +32,10 @@ class FunctionClass:
         Shape (members, points); row i is member i evaluated on the grid.
     weights
         Probability weights over the grid points (non-negative, sum 1).
-    names
-        Optional member labels.
     """
 
     table: np.ndarray
     weights: np.ndarray
-    names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=float)
@@ -53,8 +50,6 @@ class FunctionClass:
             raise ChainingError("weights must be non-negative and sum to 1")
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "weights", w)
-        if self.names and len(self.names) != t.shape[0]:
-            raise ChainingError("names must match the number of members")
 
     @property
     def size(self) -> int:
@@ -136,7 +131,6 @@ class NormFamily:
     """
 
     evaluator: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    label: str
 
     def norms(self, level: int, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(level, np.abs(rows), weights), dtype=float)
@@ -146,19 +140,15 @@ class NormFamily:
 
 
 def l2_family() -> NormFamily:
-    return NormFamily(
-        evaluator=lambda level, rows, w: np.sqrt((w * rows * rows).sum(axis=-1)),
-        label="constant:l2")
+    return NormFamily(lambda level, rows, w: np.sqrt((w * rows * rows).sum(axis=-1)))
 
 
 def lr_family(r: float) -> NormFamily:
     if not (0.0 < r < math.inf):
         raise ChainingError(f"r must be > 0 and finite, got {r}")
     # The root is a scalar power per row: a vector power may differ in its last bits.
-    return NormFamily(
-        evaluator=lambda level, rows, w: [
-            s ** (1.0 / r) for s in (w * rows**r).sum(axis=-1).tolist()],
-        label=f"constant:lr,r={r:g}")
+    return NormFamily(lambda level, rows, w: [
+        s ** (1.0 / r) for s in (w * rows**r).sum(axis=-1).tolist()])
 
 
 def schedule_family(schedule: BlockSchedule) -> NormFamily:
@@ -167,7 +157,7 @@ def schedule_family(schedule: BlockSchedule) -> NormFamily:
     def ev(level: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         return dependence_norms(rows, w, schedule.q_at(level), schedule.profile)
 
-    return NormFamily(evaluator=ev, label=f"schedule:n={schedule.n}")
+    return NormFamily(ev)
 
 
 # -- complexity ------------------------------------------------------------

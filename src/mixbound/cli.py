@@ -137,9 +137,6 @@ def _load_class_file(path: str) -> ch.FunctionClass:
     for key in ("table", "weights"):
         if key not in payload:
             raise ValueError(f"class file {path}: missing key {key!r}")
-    names = payload.get("names", [])
-    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
-        raise ValueError(f"class file {path}: names must be a list of strings")
     arrays = {}
     for key in ("table", "weights"):
         try:   # a ragged list is a ValueError, a nested object a TypeError
@@ -147,7 +144,7 @@ def _load_class_file(path: str) -> ch.FunctionClass:
         except (TypeError, ValueError):
             raise ValueError(f"class file {path}: {key} must be a rectangular "
                              f"array of numbers") from None
-    return ch.FunctionClass(**arrays, names=tuple(names))
+    return ch.FunctionClass(**arrays)
 
 
 # -- subcommand handlers ------------------------------------------------------

@@ -29,7 +29,7 @@ from .norms import QuantileCurve, dependence_norm
 from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
                         simulate_many, _PATH_STREAM, _centered_sums,
                         _innovation_chunks, _ma_sum, _member_sums, _path_from,
-                        _recurse)
+                        _recurse, _require_means)
 from .rates import ls_slope
 
 
@@ -200,10 +200,7 @@ def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    q: int
-    parity: str
     n_pairs: int               # adjacent-pair observations pooled into the test
-    reps: int
     pooled_corr: float
     threshold: float
     passed: bool
@@ -245,8 +242,7 @@ def block_independence_test(values: np.ndarray, q: int,
     pooled = float(np.corrcoef(a, b)[0, 1])
     n_pairs = a.size
     threshold = 3.0 / math.sqrt(n_pairs)
-    return IndependenceReport(q=q, parity=parity, n_pairs=n_pairs, reps=reps,
-                              pooled_corr=pooled, threshold=threshold,
+    return IndependenceReport(n_pairs=n_pairs, pooled_corr=pooled, threshold=threshold,
                               passed=abs(pooled) < threshold)
 
 
@@ -269,12 +265,7 @@ class TailPoint:
 class BernsteinReport:
     applicable: bool
     reason: str
-    n: int
-    q: int
-    k: int
-    reps: int
     b: float
-    sup_bound: float
     points: tuple[TailPoint, ...]
 
     @property
@@ -297,6 +288,9 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
     theoretical tail; the exact Clopper-Pearson limit is reported alongside.
     """
     _check_block_length(n, q)
+    if reps < 1:
+        raise CouplingError(f"reps must be >= 1, got {reps}")
+    _require_means((member,))
     if member.sup_bound is None:
         raise CouplingError("member needs a finite sup bound")
     b = dependence_norm(curve, q, profile)
@@ -305,9 +299,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
         return BernsteinReport(
             applicable=False,
             reason=f"tail bound inapplicable: sup bound {member.sup_bound:.6g} exceeds {cap:.6g}",
-            n=n, q=q, k=k, reps=reps, b=b, sup_bound=float(member.sup_bound),
-            points=(),
-        )
+            b=b, points=())
     gstar = np.empty(reps)
     with _coupled_chunks(model, n, q, reps, seed, 0xBE00 + k, paths=False) as chunks:
         for lo, _, replica in chunks:
@@ -323,9 +315,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
         points.append(TailPoint(u=float(u), threshold=threshold, exceedances=x,
                                 frequency=freq, wald_ucl=wald, clopper_ucl=clopper,
                                 bound=bound, passed=wald <= bound))
-    return BernsteinReport(applicable=True, reason="", n=n, q=q, k=k, reps=reps,
-                           b=b, sup_bound=float(member.sup_bound),
-                           points=tuple(points))
+    return BernsteinReport(applicable=True, reason="", b=b, points=tuple(points))
 
 
 # -- Gaussian coupling --------------------------------------------------------
@@ -385,7 +375,6 @@ class StrongApproxPoint:
 
 @dataclass(frozen=True)
 class StrongApproxReport:
-    gamma_order: float
     points: tuple[StrongApproxPoint, ...]
     monotone: bool
     within_bound: bool
@@ -411,6 +400,8 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
     """
     if not (gamma_order >= 2):   # NaN fails every comparison
         raise CouplingError("gamma_order must be in [2, inf]")
+    if reps < 2:
+        raise CouplingError(f"reps must be >= 2 for a standard error, got {reps}")
     n_grid = tuple(n_grid)
     if not n_grid:
         raise CouplingError("n_grid is empty")
@@ -421,6 +412,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
         raise CouplingError(f"strong approximation needs a Markov process for its "
                             f"tau term; {model.spec()} is not")
     members = list(members)
+    _require_means(members)
     if gamma_order == math.inf and any(m.sup_bound is None for m in members):
         raise CouplingError("gamma=inf needs finite sup bounds")
     points = []
@@ -482,5 +474,5 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
 
     monotone = all(decreases(lo, hi) for lo, hi in zip(points, points[1:]))
     within = all(p.gap_mean <= p.bound for p in points)
-    return StrongApproxReport(gamma_order=gamma_order, points=tuple(points),
-                              monotone=monotone, within_bound=within)
+    return StrongApproxReport(points=tuple(points), monotone=monotone,
+                              within_bound=within)

@@ -38,12 +38,7 @@ class ClassMember:
 class ProcessClass:
     """A finite family of test functions tied to one model's marginal."""
 
-    name: str
     members: tuple[ClassMember, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     def tabulate(self, model: ProcessModel, points: int = 2001) -> FunctionClass:
         """Evaluate the members on a quantile grid of the marginal law.
@@ -56,8 +51,7 @@ class ProcessClass:
         xs = sd * ndtri(u)
         table = np.stack([m.func(xs) for m in self.members])
         weights = np.full(points, 1.0 / points)
-        return FunctionClass(table=table, weights=weights,
-                             names=tuple(m.name for m in self.members))
+        return FunctionClass(table=table, weights=weights)
 
 
 def _gaussian_means(model: ProcessModel) -> dict[str, float]:
@@ -116,12 +110,14 @@ def make_class(name: str, model: ProcessModel) -> ProcessClass:
                     sup_bound=_MEMBER_DEFS[m][1])
         for m in _CATALOG[name]
     )
-    return ProcessClass(name=name, members=members)
+    return ProcessClass(members=members)
 
 
 def mc_means(members, model: ProcessModel, draws: int = 10**7,
              seed: int = 0) -> tuple[ClassMember, ...]:
     """Replace member means by a high-precision stationary Monte Carlo pass."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = seeded_rng(seed, 0xAEA5)
     if model.kind == "ma":
         sample = model.sample_blocks(max(1, draws // 10**4), 10**4, rng).ravel()

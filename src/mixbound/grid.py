@@ -112,7 +112,6 @@ def _member_exponents(n: int, basis_size: int) -> dict[int, int]:
 class DivisorChain:
     """Sorted divisor set of an admissible n with its checked gap ratio."""
 
-    n: int
     divisors: tuple[int, ...]
     max_ratio: float  # largest ratio between consecutive divisors
 
@@ -135,7 +134,7 @@ def divisor_chain(n: int, basis_size: int = 3) -> DivisorChain:
     divisors.sort()
     arr = np.asarray(divisors, dtype=float)
     max_ratio = float((arr[1:] / arr[:-1]).max()) if len(divisors) > 1 else 1.0
-    return DivisorChain(n=n, divisors=tuple(divisors), max_ratio=max_ratio)
+    return DivisorChain(divisors=tuple(divisors), max_ratio=max_ratio)
 
 
 def nearest_member(n: int, basis_size: int = 3) -> int:
@@ -163,14 +162,8 @@ class BlockSchedule:
     and is truncated at its first 1 (the tail is constant).
     """
 
-    n: int
     profile: MixingProfile
     q_seq: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        """Index of the first 1 in the schedule."""
-        return len(self.q_seq) - 1
 
     def q_at(self, k: int) -> int:
         """q at level k, extending the constant-1 tail past truncation."""
@@ -200,7 +193,7 @@ def block_schedule(n: int, profile: MixingProfile, basis_size: int = 3) -> Block
     else:
         raise GridError(f"schedule for n={n} did not reach 1 within "
                         f"{SCHEDULE_MAX_DEPTH} levels")
-    return BlockSchedule(n=n, profile=profile, q_seq=tuple(seq))
+    return BlockSchedule(profile=profile, q_seq=tuple(seq))
 
 
 def first_block_length(n: int, profile: MixingProfile, basis_size: int = 3) -> int:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .processes import _member_sums, mean_se, seeded_rng
+from .processes import _member_sums, _require_means, mean_se, seeded_rng
 
 
 class ProfileError(ValueError):
@@ -263,7 +263,6 @@ def _parse_kv(spec: str, text: str, required=(), optional=(), last=None) -> dict
 class MixingEstimate:
     """One Monte Carlo mixing-coefficient estimate at a single lag."""
 
-    q: int
     value: float
     std_error: float
 
@@ -290,7 +289,10 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
         raise ValueError("inner_reps must be >= 2 for variance control")
     if outer_reps < 1:
         raise ValueError("outer_reps must be >= 1")
+    if q < 0:
+        raise ValueError(f"q must be >= 0, got {q}")
     members = list(members)
+    _require_means(members)
     rng = seeded_rng(seed, 0x7A11)
     starts = model.stationary_sample(outer_reps, rng)            # (outer,)
     states = np.repeat(starts, inner_reps)                        # (outer*inner,)
@@ -300,4 +302,4 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
     sums = _member_sums(members, states.reshape(outer_reps, inner_reps))
     means = np.array([mem.mean for mem in members])[:, None]
     value, se = mean_se(np.abs(sums / inner_reps - means).max(axis=0))
-    return MixingEstimate(q=q, value=value, std_error=se)
+    return MixingEstimate(value=value, std_error=se)

@@ -70,20 +70,13 @@ class QuantileCurve:
     @classmethod
     def constant(cls, level: float) -> "QuantileCurve":
         """Curve of an |f| that is almost surely equal to ``level``."""
-        if level < 0:
-            raise ValueError("level must be >= 0")
+        if not 0.0 <= level < math.inf:   # NaN fails it too
+            raise ValueError(f"level must be finite and >= 0, got {level}")
         if level == 0:
             return cls(breaks=(), values=())
         return cls(breaks=(1.0,), values=(float(level),))
 
-    # -- evaluation and exact moments -------------------------------------
-
-    def q_at(self, u):
-        """Right-continuous evaluation; vectorized over u."""
-        u_arr = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self.breaks, u_arr, side="right")
-        out = self._steps[idx]
-        return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+    # -- exact moments ------------------------------------------------------
 
     def _segments(self):
         return np.diff(self.breaks, prepend=0.0), self.values

@@ -90,8 +90,19 @@ def _member_sums(members, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(_by_rows(sums, values), -1, 0))
 
 
+def _require_means(members) -> None:
+    """Refuse members without a stationary mean: they cannot be centered.
+    Callers that draw call this first, so nothing is drawn for them."""
+    missing = [m.name for m in members if m.mean is None]
+    if missing:
+        raise ModelError(
+            f"members {missing} have no stationary mean; build the class with "
+            f"means attached (see function_classes.make_class and mc_means)")
+
+
 def _centered_sums(members, values: np.ndarray) -> np.ndarray:
     """``centered_sums`` of each member, stacked on a leading member axis."""
+    _require_means(members)
     length = values.shape[-1]
     shift = np.array([length * m.mean for m in members])
     shift = shift.reshape(shift.shape + (1,) * (values.ndim - 1))
@@ -419,14 +430,7 @@ def empirical_process_many(values: np.ndarray, members) -> np.ndarray:
     cannot be centered and are rejected with a pointer to the class
     builders, which attach analytic or high-precision Monte Carlo means.
     """
-    members = list(members)
-    missing = [m.name for m in members if m.mean is None]
-    if missing:
-        raise ModelError(
-            f"members {missing} have no stationary mean; build the class with "
-            f"means attached (see function_classes.make_class)"
-        )
-    g = _centered_sums(members, values)
+    g = _centered_sums(list(members), values)
     return g.max(axis=0) - g.min(axis=0)
 
 
@@ -434,6 +438,8 @@ def sup_samples(model: ProcessModel, members, n: int, reps: int, seed: int,
                 tag: int = 0) -> np.ndarray:
     """``empirical_process_many`` of the paths ``simulate_many(model, n, reps,
     seed, tag)`` draws, built and reduced in row chunks."""
+    members = list(members)
+    _require_means(members)
     sups = np.empty(reps)
     with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
         for lo, innov, starts in chunks:

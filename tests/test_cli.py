@@ -246,8 +246,7 @@ def test_strongapprox_records_gamma_as_a_number(gamma, recorded, capsys, monkeyp
 
     def fake(model, members, n_grid, reps, seed, gamma_order):
         seen.append(gamma_order)
-        return cli.cp.StrongApproxReport(gamma_order=gamma_order, points=(),
-                                         monotone=True, within_bound=True)
+        return cli.cp.StrongApproxReport(points=(), monotone=True, within_bound=True)
 
     monkeypatch.setattr(cli.cp, "strong_approx_experiment", fake)
     extra = [] if gamma is None else ["--gamma", gamma]
@@ -599,10 +598,10 @@ def test_memory_error_is_a_cli_error(capsys, tmp_path, monkeypatch, error, messa
     ({"table": [[0, 1], [1, 2]]}, "missing key 'weights'"),
     ({"weights": [0.5, 0.5]}, "missing key 'table'"),
     ([[0, 1], [1, 2]], "top level must be a JSON object"),
-    ({"table": [[0, 1], [1, 2]], "weights": [0.5, 0.5], "names": 5},
-     "names must be a list of strings"),
-    ({"table": [[0, 1], [1, 2]], "weights": [0.5, 0.5], "names": {"a": 1, "b": 2}},
-     "names must be a list of strings"),
+    ({"table": "ab", "weights": [0.5, 0.5]},
+     "table must be a rectangular array of numbers"),
+    ({"table": [[0, 1], [1, 2]], "weights": [0.5, [0.5]]},
+     "weights must be a rectangular array of numbers"),
     ({"table": [[0, 1], [1]], "weights": [0.5, 0.5]},
      "table must be a rectangular array of numbers"),
     ({"table": [[0, 1], [1, 2]], "weights": [0.5, "a"]},

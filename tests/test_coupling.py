@@ -514,3 +514,54 @@ def test_class_member_keeps_a_good_sup_bound():
     assert fc.ClassMember("zero", np.zeros_like, 0.0, sup_bound=0.0).sup_bound == 0.0
     again = fc.mc_means(members, model, draws=100)
     assert [m.sup_bound for m in again] == [1.0, 1.0, 0.5, 1.0, None]
+
+
+def _no_draws(monkeypatch):
+    """Make every seeded stream raise, so a test sees whether a call drew."""
+    def boom(*args):
+        raise AssertionError("drew before refusing")
+    for module in (pr, mx, cp, fc):
+        monkeypatch.setattr(module, "seeded_rng", boom)
+
+
+_NO_MEAN = fc.ClassMember(name="nomean", func=np.sin, mean=None, sup_bound=1.0)
+
+_MEAN_READERS = {
+    "estimate_tau": lambda: mx.estimate_tau(pr.ar1_model(0.5), [_NO_MEAN], 2, 10, 10, seed=1),
+    "centered_sums": lambda: pr.centered_sums(_NO_MEAN, np.zeros((3, 96))),
+    "sup_samples": lambda: pr.sup_samples(pr.iid_model(), [_NO_MEAN], 96, 3, seed=1),
+    "bernstein_check": lambda: cp.bernstein_check(
+        pr.iid_model(), _NO_MEAN, nm.QuantileCurve.constant(1.0), mx.iid_profile(),
+        n=384, q=8, k=2, reps=10, seed=1),
+    "strong_approx_experiment": lambda: cp.strong_approx_experiment(
+        pr.ar1_model(0.5), [_NO_MEAN], (384,), reps=10, seed=1),
+}
+
+
+@pytest.mark.parametrize("call", _MEAN_READERS.values(), ids=_MEAN_READERS.keys())
+def test_member_without_mean_refused_before_drawing(call, monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(pr.ModelError,
+                       match=r"\['nomean'\] have no stationary mean; .*make_class"):
+        call()
+
+
+_BAD_SIZES = {
+    "estimate_tau-q": ("q", lambda members: mx.estimate_tau(
+        pr.ar1_model(0.5), members, -3, 10, 10, seed=1)),
+    "mc_means-draws": ("draws", lambda members: fc.mc_means(
+        members, pr.ar1_model(0.5), draws=0)),
+    "bernstein_check-reps": ("reps", lambda members: cp.bernstein_check(
+        pr.iid_model(), members[0], nm.QuantileCurve.constant(1.0), mx.iid_profile(),
+        n=384, q=8, k=2, reps=0, seed=1)),
+    "strong_approx_experiment-reps": ("reps", lambda members: cp.strong_approx_experiment(
+        pr.ar1_model(0.5), members, (384,), reps=1, seed=1)),
+}
+
+
+@pytest.mark.parametrize("arg, call", _BAD_SIZES.values(), ids=_BAD_SIZES.keys())
+def test_monte_carlo_sizes_refused_before_drawing(arg, call, monkeypatch):
+    members = fc.make_class("lipschitz4", pr.ar1_model(0.5)).members
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{arg} must be >= "):
+        call(members)

@@ -31,7 +31,8 @@ def brute_force_norm(curve, q, profile, points=10**6):
     u = (np.arange(points) + 0.5) / points
     half = np.sort(profile.half_levels(q))
     mu = half.size - np.searchsorted(half, u, side="left")
-    return math.sqrt(2.0 * float(np.mean(mu * curve.q_at(u) ** 2)))
+    q_u = np.append(curve.values, 0.0)[np.searchsorted(curve.breaks, u, side="right")]
+    return math.sqrt(2.0 * float(np.mean(mu * q_u ** 2)))
 
 
 def test_active_lag_count_examples():
@@ -53,7 +54,6 @@ def test_active_lag_count_monotone(u, q):
 def test_quantile_curve_from_discrete():
     c = nm.QuantileCurve.from_discrete([0, 1], [0.7, 0.3])
     assert c.breaks.tolist() == [0.3] and c.values.tolist() == [1.0]
-    assert c.q_at(0.1) == 1.0 and c.q_at(0.3) == 0.0
     assert math.isclose(c.l2_norm(), math.sqrt(0.3))
 
 
@@ -62,6 +62,12 @@ def test_two_point_norm_under_independence():
     got = nm.dependence_norm(c, 5, mx.iid_profile())
     assert math.isclose(got, math.sqrt(2 * 0.3), rel_tol=1e-14)
     assert math.isclose(got, brute_force_norm(c, 5, mx.iid_profile()), rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -1.0])
+def test_constant_curve_refuses_a_non_finite_or_negative_level(level):
+    with pytest.raises(ValueError, match="level must be finite and >= 0"):
+        nm.QuantileCurve.constant(level)
 
 
 def test_constant_curve_norm_factors_out():
@@ -135,7 +141,7 @@ def test_tail_truncation_bound():
         prof = profiles[rng.integers(len(profiles))]
         n = int(rng.choice(gr.lattice_members(3, 3000)[3:]))
         sched = gr.block_schedule(n, prof)
-        levels = [k2 for k2 in range(sched.depth + 1) if sched.q_seq[k2] > 1]
+        levels = [k2 for k2, q in enumerate(sched.q_seq) if q > 1]
         if not levels:
             continue
         k2 = int(rng.choice(levels))

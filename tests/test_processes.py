@@ -430,7 +430,7 @@ def test_mc_expected_sup_flat_in_n_for_iid():
 
 
 def _discretized(members, model, points=1501):
-    return fc.ProcessClass(name="tmp", members=tuple(members)).tabulate(model, points)
+    return fc.ProcessClass(members=tuple(members)).tabulate(model, points)
 
 
 def test_expected_sup_below_assembled_bound():
