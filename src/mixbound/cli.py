@@ -71,16 +71,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _require_lattice(n: int, basis_size: int = 3) -> None:
-    if not gr.in_lattice(n, basis_size):
-        suggestion = gr.nearest_member(n, basis_size)
-        raise CliError(
-            f"n={n} is not an admissible sample size; nearest member is {suggestion}")
-
-
-def _require_reps(reps: int) -> None:
-    if reps < 2:
-        raise CliError(f"--reps must be >= 2 for a standard error, got {reps}")
+def _model_members(args) -> tuple:
+    """The ``--process`` model and the members of its ``--class``, once
+    ``--reps`` is known to give a standard error."""
+    if args.reps < 2:
+        raise CliError(f"--reps must be >= 2 for a standard error, got {args.reps}")
+    model = pr.parse_model(args.process)
+    return model, fc.make_class(args.cls, model).members
 
 
 def _report(t0: float, timing: bool, output: str | None, **fields) -> int:
@@ -113,14 +110,13 @@ def _parse_norm_family(text: str, basis_size: int) -> ch.NormFamily:
     if head == "constant":
         name, _, fields = rest.partition(",")
         if name == "l2":
-            mx._parse_kv(text, fields)  # takes no fields
+            pr._parse_kv(text, fields)  # takes no fields
             return ch.l2_family()
         if name == "lr":
-            return ch.lr_family(mx._parse_kv(text, fields, {"r": float})["r"])
+            return ch.lr_family(pr._parse_kv(text, fields, {"r": float})["r"])
         raise CliError(f"unknown constant norm {name!r}")
     if head == "schedule":
-        kv = mx._parse_kv(text, rest, {"n": int, "profile": str}, last="profile")
-        _require_lattice(kv["n"], basis_size)
+        kv = pr._parse_kv(text, rest, {"n": int, "profile": str}, last="profile")
         profile = mx.parse_profile(kv["profile"])
         return ch.schedule_family(gr.block_schedule(kv["n"], profile, basis_size))
     raise CliError(f"cannot parse norm family {text!r}")
@@ -151,9 +147,8 @@ def _load_class_file(path: str) -> ch.FunctionClass:
 
 
 def cmd_schedule(args) -> int:
-    _require_lattice(args.n, args.basis_size)
-    profile = mx.parse_profile(args.profile)
     chain = gr.divisor_chain(args.n, args.basis_size)
+    profile = mx.parse_profile(args.profile)
     sched = gr.block_schedule(args.n, profile, args.basis_size)
     _emit(dumps_canonical({
         "n": args.n,
@@ -209,10 +204,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require_reps(args.reps)
-    model = pr.parse_model(args.process)
-    members = fc.make_class(args.cls, model).members
-    _require_lattice(args.n)
+    model, members = _model_members(args)
+    gr.member_exponents(args.n)   # sup_samples takes any n; keep it on the lattice
     sups = pr.sup_samples(model, members, args.n, args.reps, args.seed)
     mean_sup, std_error = pr.mean_se(sups)
     csv_text = _csv_text(("rep", "sup_value"),
@@ -231,10 +224,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    _require_reps(args.reps)
-    model = pr.parse_model(args.process)
-    members = fc.make_class(args.cls, model).members
-    _require_lattice(args.n)
+    model, members = _model_members(args)
     cp._check_block_length(args.n, args.q)                 # before any simulation
     cp._parity_blocks(args.n, args.q, args.reps, "even")
     t0 = time.perf_counter()
@@ -267,13 +257,9 @@ def cmd_couple(args) -> int:
 
 
 def cmd_strongapprox(args) -> int:
-    _require_reps(args.reps)
+    model, members = _model_members(args)
     if not args.gamma >= 2:                                  # NaN fails it too
         raise CliError(f"--gamma must be >= 2 or inf, got {args.gamma}")
-    model = pr.parse_model(args.process)
-    members = fc.make_class(args.cls, model).members
-    for n in args.n_grid:
-        _require_lattice(n)
     t0 = time.perf_counter()
     rep = cp.strong_approx_experiment(model, members, args.n_grid, reps=args.reps,
                                       seed=args.seed, gamma_order=args.gamma)
@@ -315,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process (parsing leaves it as is).
 
     Each subcommand takes ``--output`` and, of ``--seed``, ``--timing`` and
-    ``--basis-size``, only those its handler reads."""
+    ``--basis-size``, only those its handler reads; the Monte Carlo ones
+    share ``--process``, ``--class`` and ``--reps``."""
     parser = argparse.ArgumentParser(
         prog="mixbound",
         description="block schedules, dependence-adapted norms, chaining "
@@ -325,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of flag values; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, seed=False, timing=False, basis=False):
+    def add(name, func, summary, seed=False, timing=False, basis=False, model=False):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--output", default=None)
         if seed:
@@ -335,6 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="include wall clock in the JSON (breaks byte stability)")
         if basis:
             p.add_argument("--basis-size", type=int, default=3)
+        if model:
+            p.add_argument("--process", required=True)
+            p.add_argument("--class", dest="cls", required=True)
+            p.add_argument("--reps", type=int, default=200)
         p.set_defaults(func=func)
         return p
 
@@ -360,26 +351,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="constant:l2 | constant:lr,r=4 | schedule:n=...,profile=...")
 
     p = add("simulate", cmd_simulate, "replicated sup statistics (CSV + summary)",
-            seed=True)
-    p.add_argument("--process", required=True)
-    p.add_argument("--class", dest="cls", required=True)
+            seed=True, model=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=200)
 
-    p = add("couple", cmd_couple, "replica coupling gap report", seed=True, timing=True)
-    p.add_argument("--process", required=True)
-    p.add_argument("--class", dest="cls", required=True)
+    p = add("couple", cmd_couple, "replica coupling gap report", seed=True, timing=True,
+            model=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--reps", type=int, default=200)
 
     p = add("strongapprox", cmd_strongapprox, "Gaussian coupling gap across an n grid",
-            seed=True, timing=True)
-    p.add_argument("--process", required=True)
-    p.add_argument("--class", dest="cls", required=True)
+            seed=True, timing=True, model=True)
     p.add_argument("--n-grid", type=_int_list, default=(384, 1536, 6144))
     p.add_argument("--gamma", type=float, default=math.inf)
-    p.add_argument("--reps", type=int, default=200)
 
     p = add("verify", cmd_verify, "run an acceptance suite", seed=True, timing=True)
     p.add_argument("--suite", default="all",

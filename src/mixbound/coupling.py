@@ -415,9 +415,9 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
     _require_means(members)
     if gamma_order == math.inf and any(m.sup_bound is None for m in members):
         raise CouplingError("gamma=inf needs finite sup bounds")
+    qs = [nearest_divisor(n, math.sqrt(n)) for n in n_grid]   # refuses an off-lattice n
     points = []
-    for n in n_grid:
-        q = nearest_divisor(n, math.sqrt(n))
+    for n, q in zip(n_grid, qs):
         pools = _reference_pool(model, members, q, seeded_rng(seed, 0x900, n))
         couplings = []   # (sd, sorted pool or None) per member
         sig_gamma_sum = 0.0

@@ -92,19 +92,13 @@ def factor_over_basis(n: int, basis_size: int = 3) -> dict[int, int] | None:
     return exps if rem == 1 else None
 
 
-def in_lattice(n: int, basis_size: int = 3) -> bool:
-    exps = factor_over_basis(n, basis_size)
-    return exps is not None and exps[2] >= 1 and exps[3] >= 1
-
-
-def _member_exponents(n: int, basis_size: int) -> dict[int, int]:
-    """Exponent map of a lattice member; GridError for a non-member."""
+def member_exponents(n: int, basis_size: int = 3) -> dict[int, int]:
+    """Exponent map of a lattice member over the first ``basis_size`` primes;
+    any other n is a GridError naming the nearest member."""
     exps = factor_over_basis(n, basis_size)
     if exps is None or exps[2] < 1 or exps[3] < 1:
-        raise GridError(
-            f"n={n} is not in the lattice over the first {basis_size} primes "
-            f"(needs factors 2 and 3 only over the basis)"
-        )
+        raise GridError(f"n={n} is not in the lattice over the first {basis_size} "
+                        f"primes; nearest member is {nearest_member(n, basis_size)}")
     return exps
 
 
@@ -115,11 +109,6 @@ class DivisorChain:
     divisors: tuple[int, ...]
     max_ratio: float  # largest ratio between consecutive divisors
 
-    @property
-    def gap_ok(self) -> bool:
-        """True when every consecutive pair (q, q') satisfies q' <= 2q."""
-        return self.max_ratio <= 2.0
-
 
 def divisor_chain(n: int, basis_size: int = 3) -> DivisorChain:
     """Exact divisor set of a lattice member, gap ratio verified.
@@ -127,7 +116,7 @@ def divisor_chain(n: int, basis_size: int = 3) -> DivisorChain:
     Non-members are rejected: the factor-two gap property is only
     guaranteed on the admissible lattice.
     """
-    factors = [(p, e) for p, e in _member_exponents(n, basis_size).items() if e > 0]
+    factors = [(p, e) for p, e in member_exponents(n, basis_size).items() if e > 0]
     divisors = [1]
     for p, e in factors:
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
@@ -138,10 +127,9 @@ def divisor_chain(n: int, basis_size: int = 3) -> DivisorChain:
 
 
 def nearest_member(n: int, basis_size: int = 3) -> int:
-    """Closest lattice member to n (ties resolved downward)."""
-    hi = max(12, 4 * n)
-    members = lattice_members(basis_size, hi)
-    arr = np.asarray(members)
+    """Closest lattice member to n (ties resolved downward).  A member 6 * 2^k
+    lies in (n, 2n], so none past max(12, 2n) can be closer."""
+    arr = np.asarray(lattice_members(basis_size, max(12, 2 * n)))
     idx = int(np.argmin(np.abs(arr - n)))
     return int(arr[idx])
 
@@ -210,7 +198,7 @@ def first_block_lengths(ns, profile: MixingProfile, basis_size: int = 3) -> np.n
     """
     ns = [int(n) for n in ns]
     for n in ns:
-        _member_exponents(n, basis_size)
+        member_exponents(n, basis_size)
     smooth = np.asarray(_smooth_numbers(basis_size, max(ns, default=1)))
     half, twice = 0.5 * profile.theta(smooth), smooth * 2.0
     out = np.empty(len(ns), dtype=np.int64)

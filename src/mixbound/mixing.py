@@ -8,19 +8,21 @@ decay; a tabulated family handles everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .processes import _member_sums, _require_means, mean_se, seeded_rng
+from .processes import _member_sums, _parse_kv, _require_means, mean_se, seeded_rng
 
 
 class ProfileError(ValueError):
     """Invalid profile parameters or an undefined profile operation."""
 
 
-_KINDS = ("iid", "m_dependent", "polynomial", "exponential", "tabulated")
+# The fields each kind reads; a profile refuses any other that is off its default.
+_FIELDS = {"iid": (), "m_dependent": ("m",), "polynomial": ("m",),
+           "exponential": ("l",), "tabulated": ("table", "tail")}
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,11 @@ class MixingProfile:
     tail: str = "zero"
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _FIELDS:
             raise ProfileError(f"unknown profile kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            if f.name not in _FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ProfileError(f"{self.kind} takes no {f.name}")
         if self.kind == "m_dependent":
             if self.m is None or self.m < 1 or int(self.m) != self.m:
                 raise ProfileError("m_dependent needs a positive integer m")
@@ -216,44 +221,6 @@ def _read_values(path: str, what: str) -> np.ndarray:
     except ValueError as exc:   # decode and number-conversion errors are ValueErrors
         raise ValueError(f"{what} file {path}: {exc}") from None
     return values
-
-
-_TYPE_NAMES = {int: "an integer", float: "a number"}
-
-
-def _parse_kv(spec: str, text: str, required=(), optional=(), last=None) -> dict:
-    """The comma-separated key=value fields ``text`` of ``spec``.  ``required``
-    and ``optional`` map keys to types: every required key must appear, and
-    each value is converted by its key's type.  The ``last`` key's value runs
-    to the end of the text.  Raises ValueError naming the spec and a missing,
-    unknown or repeated key, or a key whose value its type refuses."""
-    types = dict(required) | dict(optional)
-    parts = text.split(",")
-    out: dict = {}
-    for i, part in enumerate(parts):
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in types:
-            raise ValueError(f"unknown key {key!r} in {spec!r}; expected "
-                             f"{', '.join(types) or 'no keys'}")
-        if key in out:
-            raise ValueError(f"repeated key {key!r} in {spec!r}")
-        if key == last:
-            value = ",".join([value] + parts[i + 1:])
-        value = value.strip()
-        try:
-            out[key] = types[key](value)
-        except ValueError:
-            raise ValueError(f"key {key!r} in {spec!r} must be "
-                             f"{_TYPE_NAMES[types[key]]}, got {value!r}") from None
-        if key == last:
-            break
-    missing = [key for key in required if key not in out]
-    if missing:
-        raise ValueError(f"missing key {missing[0]!r} in {spec!r}")
-    return out
 
 
 # -- the nested tau estimator ---------------------------------------------

@@ -269,11 +269,47 @@ def lazy_renewal_model(tail_m: float) -> ProcessModel:
     return ProcessModel("lazy_renewal", tail_m=tail_m)
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse_kv(spec: str, text: str, required=(), optional=(), last=None) -> dict:
+    """The comma-separated key=value fields ``text`` of ``spec``.  ``required``
+    and ``optional`` map keys to types: every required key must appear, and
+    each value is converted by its key's type.  The ``last`` key's value runs
+    to the end of the text.  Raises ValueError naming the spec and a missing,
+    unknown or repeated key, or a key whose value its type refuses."""
+    types = dict(required) | dict(optional)
+    parts = text.split(",")
+    out: dict = {}
+    for i, part in enumerate(parts):
+        if not part:
+            continue
+        key, _, value = part.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} in {spec!r}; expected "
+                             f"{', '.join(types) or 'no keys'}")
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in {spec!r}")
+        if key == last:
+            value = ",".join([value] + parts[i + 1:])
+        value = value.strip()
+        try:
+            out[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"key {key!r} in {spec!r} must be "
+                             f"{_TYPE_NAMES[types[key]]}, got {value!r}") from None
+        if key == last:
+            break
+    missing = [key for key in required if key not in out]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in {spec!r}")
+    return out
+
+
 def parse_model(text: str) -> ProcessModel:
     """Parse the CLI grammar: iid[:scale=<float>] | ar1:rho=<float>[,sigma=<float>]
     | ma:m=<int>[,sigma=<float>] | lazy:m=<float>."""
-    from .mixing import _parse_kv  # mixing imports this module
-
     text = text.strip()
     head, _, rest = text.partition(":")
     if head == "iid":

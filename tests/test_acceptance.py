@@ -1,15 +1,18 @@
 """End-to-end acceptance run: every criterion at full scale, one printed
 pass/fail line each, plus the byte-level determinism check of the verify
 command across repeated runs and against the recorded reference digests."""
+import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from mixbound import acceptance as ac
-from mixbound import cli
+from mixbound import cli, grid, norms
 
 SEED = 7
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -48,6 +51,38 @@ def test_suites_keep_their_criteria_in_order():
 def test_a01_divisor_gap():
     result = _run("A1")
     assert result.details["worst_ratio"] <= 2.0
+
+
+def _plant(monkeypatch, module, name, call, change):
+    """Make call number ``call`` (from 1) of ``module.name`` return ``change``
+    of its result; every other call is left as it is."""
+    fn, count = getattr(module, name), []
+
+    def planting(*args, **kwargs):
+        count.append(1)
+        out = fn(*args, **kwargs)
+        return change(out) if len(count) == call else out
+    monkeypatch.setattr(module, name, planting)
+
+
+@pytest.mark.parametrize("ratio", [2.5, math.nan])
+def test_a01_fails_on_one_planted_gap(ratio, monkeypatch):
+    _plant(monkeypatch, grid, "divisor_chain", 100,
+           lambda chain: dataclasses.replace(chain, max_ratio=ratio))
+    result = ac.CRITERIA["A1"](seed=SEED)
+    assert not result.passed and not result.details["worst_ratio"] <= 2.0
+
+
+@pytest.mark.parametrize("call, factor", [(5, 1.0 + 1e-9), (5, math.nan),
+                                          (25, 1.5), (25, 0.5), (25, math.nan)])
+def test_a06_fails_on_one_planted_norm(call, factor, monkeypatch):
+    # Calls 1-20 score flat curves and calls 21-40 general ones.
+    _plant(monkeypatch, norms, "dependence_norm", call, lambda value: value * factor)
+    result = ac.CRITERIA["A6"](seed=SEED)
+    lo, hi = result.details["general_curve_ratio_range"]
+    in_bound = result.details["flat_curve_worst_rel_err"] <= 1e-12 and \
+        1.0 - 1e-12 <= lo and hi <= math.sqrt(2.0) * (1 + 1e-12)
+    assert not result.passed and not in_bound
 
 
 def test_a02_schedule_forms():

@@ -188,6 +188,30 @@ def test_couple_names_q_not_dividing_n_before_simulating(monkeypatch, capsys):
     assert calls == [] and capsys.readouterr().out == ""
 
 
+_OFF_LATTICE = {
+    "schedule": ["schedule", "--n", "97", "--profile", "iid"],
+    "gamma": ["gamma", "--class-file", "{cls}", "--norms", "schedule:n=97,profile=iid"],
+    "simulate": ["simulate", "--process", "iid", "--class", "halfpair", "--n", "97",
+                 "--reps", "30"],
+    "couple": ["couple", "--process", "ar1:rho=0.5", "--class", "lipschitz4", "--n", "97",
+               "--q", "6", "--reps", "30"],
+    "strongapprox": ["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
+                     "--n-grid", "97", "--reps", "30"],
+}
+
+
+@pytest.mark.parametrize("argv", _OFF_LATTICE.values(), ids=_OFF_LATTICE.keys())
+def test_off_lattice_n_names_the_nearest_member_before_simulating(argv, monkeypatch,
+                                                                  capsys, tmp_path):
+    cls = _class_file(tmp_path)
+    calls = _count_simulations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(cls=cls) for a in argv])
+    assert str(exc.value.code) == ("mixbound: error: n=97 is not in the lattice over "
+                                   "the first 3 primes; nearest member is 96")
+    assert calls == [] and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("grid, message", [
     ("384,384", "n_grid must be strictly increasing: 384 follows 384"),
     ("1536,384", "n_grid must be strictly increasing: 384 follows 1536"),
@@ -803,8 +827,10 @@ def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
     for name, p in subs.items():
         options = [a for a in p._actions if a.option_strings and a.dest != "help"]
         assert {s for a in options for s in a.option_strings} == FLAGS[name], name
-        handler = p.get_default("func")
-        reads = set(re.findall(r"args\.(\w+)", inspect.getsource(handler)))
+        source = inspect.getsource(p.get_default("func"))
+        if "_model_members(args)" in source:   # the shared Monte Carlo preamble
+            source += inspect.getsource(cli._model_members)
+        reads = set(re.findall(r"args\.(\w+)", source))
         assert {a.dest for a in options} == reads, name
 
 

@@ -16,6 +16,7 @@ from scipy.stats import ks_2samp
 from mixbound import cli
 from mixbound import coupling as cp
 from mixbound import function_classes as fc
+from mixbound import grid
 from mixbound import mixing as mx
 from mixbound import norms as nm
 from mixbound import processes as pr
@@ -544,6 +545,15 @@ def test_member_without_mean_refused_before_drawing(call, monkeypatch):
     with pytest.raises(pr.ModelError,
                        match=r"\['nomean'\] have no stationary mean; .*make_class"):
         call()
+
+
+def test_off_lattice_grid_point_refused_before_drawing(monkeypatch):
+    model = pr.ar1_model(0.5)
+    members = fc.make_class("lipschitz4", model).members
+    _no_draws(monkeypatch)
+    with pytest.raises(grid.GridError, match=r"^n=1000 is not in the lattice over the first 3 "
+                                        r"primes; nearest member is 972$"):
+        cp.strong_approx_experiment(model, members, (384, 1000), reps=50, seed=1)
 
 
 _BAD_SIZES = {

@@ -30,7 +30,7 @@ def test_basis_below_two_is_rejected_everywhere(basis):
     prof = mixing.iid_profile()
     for call in (lambda: grid.factor_over_basis(1, basis),
                  lambda: grid.factor_over_basis(0, basis),
-                 lambda: grid.in_lattice(8, basis),
+                 lambda: grid.member_exponents(8, basis),
                  lambda: grid.divisor_chain(8, basis),
                  lambda: grid.block_schedule(8, prof, basis),
                  lambda: grid.first_block_lengths([8], prof, basis),
@@ -43,8 +43,9 @@ def test_basis_below_two_is_rejected_everywhere(basis):
 @given(a=st.integers(1, 10), b=st.integers(1, 6), c=st.integers(0, 4))
 def test_lattice_membership_by_construction(a, b, c):
     n = 2**a * 3**b * 5**c
-    assert grid.in_lattice(n, 3)
-    assert not grid.in_lattice(7 * n, 3)
+    assert grid.member_exponents(n, 3) == {2: a, 3: b, 5: c}
+    with pytest.raises(grid.GridError, match=f"n={7 * n} is not in the lattice"):
+        grid.member_exponents(7 * n, 3)
 
 
 def test_divisor_chain_values():
@@ -64,7 +65,7 @@ def test_divisor_chain_rejects_non_members():
 def test_divisor_gap_property(a, b, c):
     n = 2**a * 3**b * 5**c
     chain = grid.divisor_chain(n)
-    assert chain.gap_ok
+    assert chain.max_ratio <= 2.0
     assert chain.divisors[0] == 1 and chain.divisors[-1] == n
 
 
@@ -239,3 +240,21 @@ def test_first_block_lengths_reject_non_members(bad):
         grid.first_block_lengths([12, bad, 36], mixing.iid_profile())
     with pytest.raises(grid.GridError):
         grid.first_block_length(bad, mixing.iid_profile())
+
+
+@pytest.mark.parametrize("basis", [2, 3, 10])
+def test_nearest_member_matches_the_former_build_to_4n(basis):
+    # The former search built the lattice up to max(12, 4n); up to 2n suffices.
+    members = np.asarray(grid.lattice_members(basis, 4 * 5000))
+    for n in range(1, 5001):
+        former = members[members <= max(12, 4 * n)]
+        assert grid.nearest_member(n, basis) == int(former[np.argmin(np.abs(former - n))]), n
+
+
+@pytest.mark.parametrize("n, basis, nearest", [(13, 3, 12), (97, 3, 96), (0, 2, 6),
+                                               (7 * 384, 3, 2700), (77, 4, 72)])
+def test_non_member_refusal_names_the_nearest_member(n, basis, nearest):
+    assert grid.nearest_member(n, basis) == nearest
+    with pytest.raises(grid.GridError, match=rf"^n={n} is not in the lattice over the first "
+                                             rf"{basis} primes; nearest member is {nearest}$"):
+        grid.member_exponents(n, basis)

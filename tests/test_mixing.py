@@ -178,3 +178,40 @@ def test_lazy_renewal_mixing_estimated_decay():
     taus = [mx.estimate_tau(model, [member], q, 1200, 1200, seed=50 + q).value
             for q in (1, 4, 16)]
     assert taus[0] > taus[1] > taus[2]
+
+
+@pytest.mark.parametrize("kind, kwargs, field", [
+    ("polynomial", dict(m=2.0, tail="bogus"), "tail"),
+    ("exponential", dict(l=0.5, m=3.0), "m"),
+    ("iid", dict(l=0.5), "l"),
+    ("m_dependent", dict(m=2, table=(1.0,)), "table"),
+    ("tabulated", dict(table=(1.0, 0.5), m=1.0), "m"),
+])
+def test_profile_refuses_a_field_its_kind_does_not_read(kind, kwargs, field):
+    with pytest.raises(mx.ProfileError, match=f"^{kind} takes no {field}$"):
+        mx.MixingProfile(kind, **kwargs)
+
+
+@pytest.mark.parametrize("draws", [1, 5000, 10**4, 15000, 19999, 20000])
+def test_mc_means_averages_exactly_the_draws_asked_for(draws, monkeypatch):
+    model = pr.ma_model(3)
+    seen = []
+    sample_blocks = pr.ProcessModel.sample_blocks
+
+    def spy(self, q, reps, rng):
+        seen.append((q, reps))
+        return sample_blocks(self, q, reps, rng)
+
+    monkeypatch.setattr(pr.ProcessModel, "sample_blocks", spy)
+    sizes = []
+    probe = fc.ClassMember("probe", lambda x: sizes.append(x.size) or x, mean=None)
+    fc.mc_means([probe], model, draws=draws)
+    assert seen == [(-(-draws // 10**4), 10**4)] and sizes == [draws]
+
+
+def test_mc_means_of_whole_stretches_are_the_former_means():
+    model = pr.ma_model(3)
+    members = fc.make_class("lipschitz4", model).members
+    former = model.sample_blocks(2, 10**4, pr.seeded_rng(3, 0xAEA5)).ravel()
+    assert [m.mean for m in fc.mc_means(members, model, draws=20000, seed=3)] == \
+        [float(m.func(former).mean()) for m in members]
