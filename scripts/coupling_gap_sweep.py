@@ -22,8 +22,11 @@ def main() -> None:
     model = processes.ar1_model(args.rho)
     members = function_classes.make_class("lipschitz5", model).members
     qs = [int(q) for q in args.qs.split(",")]
-    sweep = coupling.coupling_gap_sweep(model, members, args.n, qs,
-                                        args.reps, args.seed)
+    try:
+        sweep = coupling.coupling_gap_sweep(model, members, args.n, qs,
+                                            args.reps, args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
     for q, mean, se in zip(sweep.qs, sweep.means, sweep.std_errors):
         print(f"q={q:4d}  mean gap {mean:.5f} +- {se:.5f}")
     print(f"log-gap slope {sweep.log_slope:+.4f} vs log(rho) {math.log(args.rho):+.4f}")

@@ -19,6 +19,9 @@ def main() -> None:
     args = ap.parse_args()
 
     members = [n for n in grid.lattice_members(3, args.n_max) if n >= args.n_min]
+    if len(members) < 2:
+        ap.error(f"[{args.n_min}, {args.n_max}] holds {len(members)} lattice "
+                 f"point(s); a slope needs two")
     print(f"lattice points: {len(members)} in [{members[0]}, {members[-1]}]")
     crit = args.r / (args.r - 2.0)
     for m in (2 * crit, crit, 0.25 * crit):

@@ -55,14 +55,16 @@ SUITES: dict[str, tuple[str, ...]] = {}
 def _criterion(cid: str, suite: str, title: str):
     """Register a check as ``cid`` in ``CRITERIA`` and ``SUITES[suite]``, in definition order.
 
-    The check takes the seed and returns (passed, details); the
-    registered function times it and wraps the pair in a CriterionResult.
+    The registered function takes the run's seed and passes the check the
+    criterion's own, derived from (seed, criterion id); the check returns
+    (passed, details), which the registered function times and wraps in a
+    CriterionResult.
     """
     def register(check):
         @functools.wraps(check)
         def run(seed: int) -> CriterionResult:
             t0 = time.perf_counter()
-            passed, details = check(seed)
+            passed, details = check(_derive_seed(seed, int(cid[1:])))
             return CriterionResult(cid=cid, title=title, passed=bool(passed),
                                    seconds=time.perf_counter() - t0, details=details)
         CRITERIA[cid] = run
@@ -96,7 +98,7 @@ def _smallest_divisor_at_least(n: int, x: float) -> int:
             "under long memory, non-increasing levels")
 def criterion_schedule_forms(seed: int) -> tuple[bool, dict]:
     members = gr.lattice_members(3, 2500)[:50]
-    rng = np.random.default_rng(_derive_seed(seed, 2))
+    rng = np.random.default_rng(seed)
     iid = mx.iid_profile()
     failures = []
     for n in members:
@@ -176,34 +178,25 @@ def criterion_rate_regimes(seed: int) -> tuple[bool, dict]:
     r = 4.0
     members = [n for n in gr.lattice_members(3, 10**7) if n >= 10**3]
     ns = np.asarray(members, dtype=float)
-    checks = {}
-
-    fast = rt.rate_factors(members, r, mx.polynomial_profile(3.0))
-    slope_fast = rt.loglog_slope(ns, fast)
-    checks["fast_slope"] = slope_fast
-    ok = abs(slope_fast) <= 0.05
-
+    slope_fast = rt.loglog_slope(ns, rt.rate_factors(members, r, mx.polynomial_profile(3.0)))
     slow = rt.rate_factors(members, r, mx.polynomial_profile(0.5)).tolist()
     slope_slow = rt.loglog_slope(ns, slow)
     _, predicted = rt.regime_classify(0.5, r)
-    checks["slow_slope"] = slope_slow
-    checks["slow_predicted"] = predicted
-    ok &= abs(slope_slow - predicted) <= 0.05
 
     tail = [n for n in members if n >= 10**5]
     crit = rt.rate_factors(tail, r, mx.polynomial_profile(2.0)).tolist()
     crit_ratio = [f / math.log(n) ** 0.5 for n, f in zip(tail, crit)]
-    band = max(crit_ratio) / min(crit_ratio)
-    checks["critical_band"] = band
-    ok &= band <= 3.0
+    band = float(np.max(crit_ratio) / np.min(crit_ratio))   # NaN if any ratio is
 
     eff = [n / f for n, f in zip(members, slow)]   # the effective sample sizes
     tail_eff = eff[-20:]
     growing = all(b > a for a, b in zip(tail_eff, tail_eff[1:])) or \
         rt.loglog_slope(ns[-40:], eff[-40:]) > 0.2
-    checks["effective_n_growing"] = growing
-    ok &= growing
-    return ok, {"lattice_points": len(members), **checks}
+    return (abs(slope_fast) <= 0.05 and abs(slope_slow - predicted) <= 0.05
+            and band <= 3.0 and growing), {
+        "lattice_points": len(members), "fast_slope": slope_fast,
+        "slow_slope": slope_slow, "slow_predicted": predicted,
+        "critical_band": band, "effective_n_growing": growing}
 
 
 # -- A6: independence norm identity ------------------------------------------------
@@ -211,7 +204,7 @@ def criterion_rate_regimes(seed: int) -> tuple[bool, dict]:
 
 @_criterion("A6", "norms", "independence collapses the norm to the plain second moment")
 def criterion_iid_norm(seed: int) -> tuple[bool, dict]:
-    rng = np.random.default_rng(_derive_seed(seed, 6))
+    rng = np.random.default_rng(seed)
     iid = mx.iid_profile()
     # Under independence the weight collapses to the unit indicator on
     # (0, 1/2]; the norm then equals the second moment exactly on flat
@@ -306,7 +299,7 @@ def _random_classes(rng, size, count):
 @_criterion("A7", "chaining", "exact partition search equals brute-force enumeration; "
             "greedy never beats it")
 def criterion_complexity_oracle(seed: int) -> tuple[bool, dict]:
-    rng = np.random.default_rng(_derive_seed(seed, 7))
+    rng = np.random.default_rng(seed)
     families = [ch.l2_family(), ch.lr_family(4.0),
                 ch.schedule_family(gr.block_schedule(36, mx.polynomial_profile(1.0))),
                 ch.schedule_family(gr.block_schedule(48, mx.exponential_profile(0.7)))]
@@ -335,7 +328,7 @@ def criterion_complexity_oracle(seed: int) -> tuple[bool, dict]:
 
 @_criterion("A8", "chaining", "telescoping identity with stopping thresholds holds pointwise")
 def criterion_chain_identity(seed: int) -> tuple[bool, dict]:
-    rng = np.random.default_rng(_derive_seed(seed, 8))
+    rng = np.random.default_rng(seed)
     profiles = [mx.polynomial_profile(0.7), mx.exponential_profile(0.9),
                 mx.iid_profile(), mx.m_dependent_profile(4)]
     worst = 0.0
@@ -374,7 +367,7 @@ def criterion_half_normal(seed: int) -> tuple[bool, dict]:
     reps = 2000
     model = pr.iid_model()
     member = fc.make_class("identity", model).members[0]
-    vals, _, _ = pr.simulate_many(model, 384, reps, _derive_seed(seed, 9))
+    vals, _, _ = pr.simulate_many(model, 384, reps, seed)
     est, se = pr.mean_se(np.abs(pr.centered_sums(member, vals)))
     target = math.sqrt(2.0 / math.pi)
     return abs(est - target) <= 3.0 * se, {
@@ -387,33 +380,19 @@ def criterion_half_normal(seed: int) -> tuple[bool, dict]:
 @_criterion("A10", "coupling", "replica gap vanishes for memoryless cases and contracts "
             "geometrically for the autoregression")
 def criterion_coupling_exactness(seed: int) -> tuple[bool, dict]:
-    s = _derive_seed(seed, 10)
-    details: dict = {}
-    ok = True
-
-    iid = pr.iid_model()
-    cls_iid = fc.make_class("lipschitz5", iid)
-    sups = cp.gap_samples(iid, cls_iid.members, 384, 12, 20, s)
-    details["iid_max_gap"] = float(sups.max())
-    ok &= bool(sups.max() == 0.0)
-
-    ma = pr.ma_model(3)
-    cls_ma = fc.make_class("lipschitz5", ma)
-    for q in (6, 12):
-        sups = cp.gap_samples(ma, cls_ma.members, 384, q, 20, s)
-        details[f"ma_q{q}_max_gap"] = float(sups.max())
-        ok &= bool(sups.max() == 0.0)
-
-    ar = pr.ar1_model(0.9)
-    cls_ar = fc.make_class("lipschitz5", ar)
-    sweep = cp.coupling_gap_sweep(ar, cls_ar.members, 384, (8, 16, 32), 200, s)
-    target = math.log(0.9)
-    details["ar1_gap_means"] = list(sweep.means)
-    details["ar1_log_slope"] = sweep.log_slope
-    details["ar1_slope_band"] = [1.3 * target, 0.7 * target]
-    ok &= all(a > b for a, b in zip(sweep.means, sweep.means[1:]))
-    ok &= 1.3 * target <= sweep.log_slope <= 0.7 * target
-    return ok, details
+    iid, ma, ar = pr.iid_model(), pr.ma_model(3), pr.ar1_model(0.9)
+    exact = {key: float(cp.gap_samples(model, fc.make_class("lipschitz5", model).members,
+                                       384, q, 20, seed).max())
+             for key, model, q in (("iid_max_gap", iid, 12), ("ma_q6_max_gap", ma, 6),
+                                   ("ma_q12_max_gap", ma, 12))}
+    sweep = cp.coupling_gap_sweep(ar, fc.make_class("lipschitz5", ar).members, 384,
+                                  (8, 16, 32), 200, seed)
+    lo, hi = 1.3 * math.log(0.9), 0.7 * math.log(0.9)
+    return (all(gap == 0.0 for gap in exact.values())
+            and all(a > b for a, b in zip(sweep.means, sweep.means[1:]))
+            and lo <= sweep.log_slope <= hi), {
+        **exact, "ar1_gap_means": list(sweep.means), "ar1_log_slope": sweep.log_slope,
+        "ar1_slope_band": [lo, hi]}
 
 
 # -- A11: block independence ------------------------------------------------------------
@@ -422,9 +401,8 @@ def criterion_coupling_exactness(seed: int) -> tuple[bool, dict]:
 @_criterion("A11", "coupling", "replica same-parity blocks uncorrelated; raw short blocks "
             "fail the same test")
 def criterion_block_independence(seed: int) -> tuple[bool, dict]:
-    s = _derive_seed(seed, 11)
     model = pr.ar1_model(0.9)
-    vals, replica = cp.coupled_paths(model, 384, 8, 200, s, tag=0)
+    vals, replica = cp.coupled_paths(model, 384, 8, 200, seed, tag=0)
     even = cp.block_independence_test(replica, 8, "even")
     odd = cp.block_independence_test(replica, 8, "odd")
     raw = cp.block_independence_test(vals, 2, "even")
@@ -441,30 +419,22 @@ def criterion_block_independence(seed: int) -> tuple[bool, dict]:
 @_criterion("A12", "coupling", "replica tail frequencies consistent with the block exponential "
             "bound")
 def criterion_bernstein_tails(seed: int) -> tuple[bool, dict]:
-    s = _derive_seed(seed, 12)
     reps = 5000
-    runs = []
-    ok = True
-    setups = [
-        (pr.iid_model(), mx.iid_profile()),
-        (pr.ar1_model(0.5), mx.exponential_profile(0.5)),
-    ]
-    for model, profile in setups:
-        member = fc.make_class("indicator", model).members[0]
-        curve = nm.QuantileCurve.constant(0.5)  # |f| is identically one half
-        for k in (2, 3):
-            rep = cp.bernstein_check(model, member, curve, profile,
-                                     n=1536, q=8, k=k, reps=reps, seed=s)
-            ok &= rep.passed
-            runs.append({
-                "model": model.spec(), "k": k, "applicable": rep.applicable,
-                "points": [
-                    {"u": p.u, "freq": p.frequency, "wald_ucl": p.wald_ucl,
-                     "clopper_ucl": p.clopper_ucl, "bound": p.bound,
-                     "passed": p.passed} for p in rep.points
-                ],
-            })
-    return ok, {"reps": reps, "runs": runs}
+    curve = nm.QuantileCurve.constant(0.5)  # |f| is identically one half
+    checks = [(model, k, cp.bernstein_check(
+        model, fc.make_class("indicator", model).members[0], curve, profile,
+        n=1536, q=8, k=k, reps=reps, seed=seed))
+        for model, profile in [(pr.iid_model(), mx.iid_profile()),
+                               (pr.ar1_model(0.5), mx.exponential_profile(0.5))]
+        for k in (2, 3)]
+    return all(rep.passed for _, _, rep in checks), {"reps": reps, "runs": [{
+        "model": model.spec(), "k": k, "applicable": rep.applicable,
+        "points": [
+            {"u": p.u, "freq": p.frequency, "wald_ucl": p.wald_ucl,
+             "clopper_ucl": p.clopper_ucl, "bound": p.bound,
+             "passed": p.passed} for p in rep.points
+        ],
+    } for model, k, rep in checks]}
 
 
 # -- A13: variance bound ------------------------------------------------------------------
@@ -488,18 +458,14 @@ def _certified_norm_sq_lower(sd: float, q: int, profile: mx.MixingProfile, base)
 @_criterion("A13", "norms", "analytic block variance below twice the squared dependence norm")
 def criterion_variance_bound(seed: int) -> tuple[bool, dict]:
     rows = []
-    ok = True
     base = np.linspace(0.0, 1.0, 100001)
     for rho in (0.5, 0.9):
         model = pr.ar1_model(rho)
         profile = mx.exponential_profile(rho)  # dominates twice the true mixing level
-        for q in (4, 8, 16, 32):
-            sigma2_sq = model.block_variance(q)
-            bound = 2.0 * _certified_norm_sq_lower(model.marginal_sd(), q, profile, base)
-            rows.append({"rho": rho, "q": q, "sigma2_sq": sigma2_sq,
-                         "twice_norm_sq_lower": bound})
-            ok &= sigma2_sq <= bound
-    return ok, {"rows": rows}
+        rows += [{"rho": rho, "q": q, "sigma2_sq": model.block_variance(q),
+                  "twice_norm_sq_lower": 2.0 * _certified_norm_sq_lower(
+                      model.marginal_sd(), q, profile, base)} for q in (4, 8, 16, 32)]
+    return all(row["sigma2_sq"] <= row["twice_norm_sq_lower"] for row in rows), {"rows": rows}
 
 
 # -- A14: strong approximation trend -------------------------------------------------------
@@ -508,12 +474,11 @@ def criterion_variance_bound(seed: int) -> tuple[bool, dict]:
 @_criterion("A14", "coupling", "Gaussian coupling gap non-increasing in n and below "
             "the assembled bound")
 def criterion_strong_approx(seed: int) -> tuple[bool, dict]:
-    s = _derive_seed(seed, 14)
     reps = 400
     model = pr.ar1_model(0.5)
     members = fc.make_class("lipschitz4", model).members
     rep = cp.strong_approx_experiment(model, members, (384, 1536, 6144),
-                                      reps=reps, seed=s)
+                                      reps=reps, seed=seed)
     points = [{
         "n": p.n, "q": p.q, "gap_mean": p.gap_mean, "gap_se": p.gap_se,
         "bound": p.bound, "implied_ratio": p.implied_ratio,

@@ -119,22 +119,19 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
 
 
 @contextmanager
-def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int,
-                    tag: int, paths: bool = True):
-    """Row chunks ``(lo, paths, replicas)`` of ``coupled_paths(model, n, q,
-    reps, seed, tag)``, bit for bit, streamed as ``_innovation_chunks`` streams
-    them.  With ``paths=False`` the paths are None, and only their block zero,
-    which the replicas share, is built."""
+def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int, tag: int):
+    """Row chunks ``(lo, innovations, starts, replicas)`` of ``coupled_paths(model, n,
+    q, reps, seed, tag)``, bit for bit, streamed as ``_innovation_chunks`` streams them;
+    ``_path_from(model, innovations, starts, n)`` builds the paths, whose block zero the
+    replicas copy."""
     _check_block_length(n, q)
     draws = _replica_draws(model, n, q, reps, seeded_rng(seed, _REPLICA_STREAM, tag))
 
     def build(chunks):
         for lo, innov, starts in chunks:
-            vals = _path_from(model, innov, starts, n) if paths else None
-            head = vals[:, :q] if paths else \
-                _path_from(model, innov[:, :q + model.m], starts, q)
+            head = _path_from(model, innov[:, :q + model.m], starts, q)
             own = None if draws is None else draws[lo: lo + len(innov)]
-            yield lo, vals, _replica_from(model, head, innov, own, q)
+            yield lo, innov, starts, _replica_from(model, head, innov, own, q)
 
     with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
         yield build(chunks)
@@ -184,6 +181,8 @@ def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
     Raises ValueError where a mean gap is 0, as it is at every q when the
     replica is exact (iid, or MA(m) with q >= m): the log slope is undefined.
     """
+    if len(set(qs)) < 2:   # refused before anything is drawn
+        raise CouplingError(f"a slope needs two distinct block lengths, got {sorted(set(qs))}")
     means, ses = zip(*(mean_se(gap_samples(model, members, n, q, reps, seed))
                        for q in qs))
     exact = [int(q) for q, mean in zip(qs, means) if mean <= 0.0]
@@ -301,8 +300,8 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
             reason=f"tail bound inapplicable: sup bound {member.sup_bound:.6g} exceeds {cap:.6g}",
             b=b, points=())
     gstar = np.empty(reps)
-    with _coupled_chunks(model, n, q, reps, seed, 0xBE00 + k, paths=False) as chunks:
-        for lo, _, replica in chunks:
+    with _coupled_chunks(model, n, q, reps, seed, 0xBE00 + k) as chunks:
+        for lo, _, _, replica in chunks:
             gstar[lo: lo + len(replica)] = centered_sums(member, replica)
     points = []
     for u in (1.0, 1.5, 2.0):
@@ -323,7 +322,7 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
 
 def _reference_pool(model: ProcessModel, members, q: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Centered block sums of the blocks ``model.sample_blocks(q, POOL_SIZE,
+    """Centered block sums of the blocks ``_simulate_core(model, q, POOL_SIZE,
     rng)`` draws, bit for bit, one row per member, streamed in row chunks.
 
     The block sums have exact mean zero; centering the pool removes the
@@ -440,9 +439,9 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
         del pools, pool_sums   # the sorted copies are all the stream needs
         gaps = np.empty((len(members), reps))
         with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
-            for lo, vals, replica in chunks:
-                cols = slice(lo, lo + len(vals))
-                gns = _centered_sums(members, vals)
+            for lo, innov, starts, replica in chunks:
+                cols = slice(lo, lo + len(innov))
+                gns = _centered_sums(members, _path_from(model, innov, starts, n))
                 sums = _centered_sums(members, replica.reshape(len(replica), -1, q))
                 for i, (sd, sorted_pool) in enumerate(couplings):
                     if sd == 0.0:

@@ -115,14 +115,9 @@ def make_class(name: str, model: ProcessModel) -> ProcessClass:
 
 def mc_means(members, model: ProcessModel, draws: int = 10**7,
              seed: int = 0) -> tuple[ClassMember, ...]:
-    """Replace member means by their averages over ``draws`` stationary values:
-    ``draws`` independent draws, or for a moving average the first ``draws``
-    values of 10^4 independent stationary stretches of length ceil(draws / 10^4)."""
+    """Replace member means by their averages over ``draws`` independent
+    stationary values."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    rng = seeded_rng(seed, 0xAEA5)
-    if model.kind == "ma":
-        sample = model.sample_blocks(-(-draws // 10**4), 10**4, rng).ravel()[:draws]
-    else:
-        sample = model.stationary_sample(draws, rng)
+    sample = model.stationary_sample(draws, seeded_rng(seed, 0xAEA5))
     return tuple(replace(m, mean=float(m.func(sample).mean())) for m in members)

@@ -117,19 +117,19 @@ class MixingProfile:
         Returns 0 whenever u >= 1.  For tabulated profiles with a ``hold``
         tail that never drops below u the inverse does not exist.
         """
-        if u < 0:
-            raise ProfileError("u must be >= 0")
+        if not u >= 0:   # NaN fails every comparison
+            raise ProfileError(f"u must be >= 0, got {u}")
         if u >= 1.0:
             return 0
         if self.kind == "iid":
             return 1
         if self.kind == "m_dependent":
             return int(self.m)
+        if u == 0.0 and self.kind in ("polynomial", "exponential"):
+            raise ProfileError(f"inverse undefined: {self.kind} theta never reaches 0")
         if self.kind == "polynomial":
             guess = u ** (-1.0 / self.m) - 1.0
         elif self.kind == "exponential":
-            if u == 0.0:
-                raise ProfileError("inverse undefined: exponential theta never reaches 0")
             guess = math.log(u) / math.log(self.l)
         else:
             tab = np.asarray(self.table, dtype=float)

@@ -100,7 +100,7 @@ def active_lag_count(u, q: int, profile: MixingProfile):
     the half-levels are built once, and a scalar u gives an ``int``.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0):
+    if not np.all(u_arr > 0):   # NaN fails every comparison
         raise ValueError("u must be > 0 (the u = 0 endpoint is handled by limits)")
     counts = _lag_counts(profile.half_levels(q), u_arr)
     return int(counts) if u_arr.ndim == 0 else counts

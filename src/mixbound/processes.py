@@ -218,15 +218,14 @@ class ProcessModel:
     # -- sampling primitives ----------------------------------------------
 
     def stationary_sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind in ("iid", "ar1"):
+        """``size`` independent draws from the stationary marginal law."""
+        if self.is_gaussian_linear:
             return self.marginal_sd() * rng.standard_normal(size)
-        if self.kind == "lazy_renewal":
-            # Invariant law: mass 1/(1 + zeta(s)) at 0, else Zipf(s), s = tail_m + 1.
-            s = self.tail_m + 1.0
-            z = float(_zeta(s, 1))
-            return np.where(rng.random(size) < 1.0 / (1.0 + z),
-                            0.0, rng.zipf(s, size).astype(float))
-        raise ModelError("the moving average is not sampled pointwise; simulate a path")
+        # Invariant law: mass 1/(1 + zeta(s)) at 0, else Zipf(s), s = tail_m + 1.
+        s = self.tail_m + 1.0
+        z = float(_zeta(s, 1))
+        return np.where(rng.random(size) < 1.0 / (1.0 + z),
+                        0.0, rng.zipf(s, size).astype(float))
 
     def draw_innovations(self, size: int | tuple[int, ...],
                          rng: np.random.Generator) -> np.ndarray:
@@ -241,10 +240,6 @@ class ProcessModel:
             fresh = np.floor(u ** (-1.0 / (self.tail_m + 1.0)))
             return np.where(state >= 1.0, state - 1.0, fresh)
         raise ModelError(f"model kind {self.kind!r} exposes no one-step recursion")
-
-    def sample_blocks(self, q: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-        """(reps, q) matrix of independent stationary length-q stretches."""
-        return _simulate_core(self, q, reps, rng)[0]
 
 
 def _shortest(x: float) -> str:

@@ -192,7 +192,11 @@ def rate_table(profile: MixingProfile, r: float, n_min: int, n_max: int,
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x (centred normal equation)."""
+    """Least-squares slope of y against x (centred normal equation); raises
+    ValueError unless x holds two distinct values."""
+    distinct = np.unique(x)
+    if distinct.size < 2:
+        raise ValueError(f"a slope needs two distinct x, got {distinct.tolist()}")
     xc = x - x.mean()
     return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
 

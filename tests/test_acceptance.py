@@ -1,6 +1,7 @@
 """End-to-end acceptance run: every criterion at full scale, one printed
 pass/fail line each, plus the byte-level determinism check of the verify
 command across repeated runs and against the recorded reference digests."""
+import ast
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,9 @@ import pytest
 import scipy
 
 from mixbound import acceptance as ac
-from mixbound import cli, grid, norms
+from mixbound import cli, grid, norms, rates
+from mixbound import coupling as cp
+from mixbound import processes as pr
 
 SEED = 7
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -46,6 +49,28 @@ def test_suites_keep_their_criteria_in_order():
         "all": tuple(f"A{i}" for i in range(1, 15)),
     }
     assert list(ac.SUITES) == ["grid", "norms", "rates", "chaining", "coupling", "all"]
+
+
+# A7, A12 and A14 are the slow three; the parse below covers them.
+@pytest.mark.parametrize("cid", [c for c in ac.CRITERIA if c not in ("A7", "A12", "A14")])
+def test_the_registrar_derives_each_criterion_seed_once(cid, monkeypatch):
+    derive, seen = ac._derive_seed, []
+
+    def spy(seed, ordinal):
+        seen.append((seed, ordinal))
+        return derive(seed, ordinal)
+    monkeypatch.setattr(ac, "_derive_seed", spy)
+    ac.CRITERIA[cid](seed=SEED)
+    assert seen == [(SEED, int(cid[1:]))]
+
+
+def test_only_the_registrar_derives_a_seed():
+    tree = ast.parse(Path(ac.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_derive_seed"]
+    registrar = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_criterion")
+    assert len(calls) == 1 and calls[0] in set(ast.walk(registrar))
 
 
 def test_a01_divisor_gap():
@@ -105,6 +130,19 @@ def test_a05_rate_regimes():
     assert result.details["critical_band"] <= 3.0
 
 
+@pytest.mark.parametrize("name, call, change", [
+    ("loglog_slope", 1, lambda slope: 0.06),                  # the fast slope
+    ("loglog_slope", 2, lambda slope: math.nan),              # the slow slope
+    ("rate_factors", 3, lambda f: np.where(np.arange(f.size) == 5, math.nan, f)),
+])
+def test_a05_fails_on_one_planted_value(name, call, change, monkeypatch):
+    _plant(monkeypatch, rates, name, call, change)
+    d = ac.CRITERIA["A5"](seed=SEED)
+    in_bound = abs(d.details["fast_slope"]) <= 0.05 and d.details["critical_band"] <= 3.0 \
+        and abs(d.details["slow_slope"] - d.details["slow_predicted"]) <= 0.05
+    assert not d.passed and not in_bound
+
+
 def test_a06_iid_norm_identity():
     _run("A6")
 
@@ -131,6 +169,18 @@ def test_a10_coupling_exactness():
     assert result.details["ma_q12_max_gap"] == 0.0
 
 
+@pytest.mark.parametrize("call, change", [
+    (1, lambda gaps: gaps + 1e-3),       # iid is no longer exact
+    (3, lambda gaps: gaps * math.nan),   # MA(3) at q = 12
+    (5, lambda gaps: gaps * math.nan),   # the AR(1) sweep at q = 16
+    (6, lambda gaps: gaps * 10.0),       # the AR(1) sweep stops decreasing
+])
+def test_a10_fails_on_one_planted_gap(call, change, monkeypatch):
+    _plant(monkeypatch, cp, "gap_samples", call, change)
+    result = ac.CRITERIA["A10"](seed=SEED)
+    assert not result.passed
+
+
 def test_a11_block_independence():
     _run("A11")
 
@@ -141,8 +191,39 @@ def test_a12_bernstein_tails():
         assert run["applicable"]
 
 
+@pytest.mark.parametrize("wald, applicable, passed", [
+    (0.0, True, True), (0.2, True, False), (math.nan, True, False), (0.0, False, False)])
+def test_a12_fails_on_one_planted_tail(wald, applicable, passed, monkeypatch):
+    calls = []
+
+    def fake(model, member, curve, profile, n, q, k, reps, seed):
+        calls.append(k)
+        planted = len(calls) == 3
+        ucl = wald if planted else 0.0
+        point = cp.TailPoint(u=1.0, threshold=1.0, exceedances=0, frequency=0.0,
+                             wald_ucl=ucl, clopper_ucl=ucl, bound=0.1, passed=ucl <= 0.1)
+        return cp.BernsteinReport(applicable=applicable or not planted, reason="",
+                                  b=0.5, points=(point,))
+    monkeypatch.setattr(cp, "bernstein_check", fake)
+    result = ac.CRITERIA["A12"](seed=SEED)
+    assert calls == [2, 3, 2, 3] and result.passed is passed
+
+
 def test_a13_variance_bound():
     _run("A13")
+
+
+@pytest.mark.parametrize("module, name, call, change", [
+    (ac, "_certified_norm_sq_lower", 3, lambda lower: 0.0),
+    (ac, "_certified_norm_sq_lower", 8, lambda lower: math.nan),
+    (pr.ProcessModel, "block_variance", 6, lambda var: math.nan),
+])
+def test_a13_fails_on_one_planted_row(module, name, call, change, monkeypatch):
+    _plant(monkeypatch, module, name, call, change)
+    result = ac.CRITERIA["A13"](seed=SEED)
+    assert not result.passed
+    assert not all(row["sigma2_sq"] <= row["twice_norm_sq_lower"]
+                   for row in result.details["rows"])
 
 
 def test_a14_strong_approx():

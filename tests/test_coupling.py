@@ -180,6 +180,18 @@ def test_gap_sweep_rejects_an_exact_replica(recwarn, model, qs, exact):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("qs", [(), (8,), (8, 8)])
+def test_gap_sweep_needs_two_block_lengths_before_it_draws(qs, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sweep drew before refusing")
+
+    monkeypatch.setattr(cp, "gap_samples", no_draw)
+    model = pr.ar1_model(0.9)
+    with pytest.raises(cp.CouplingError, match="two distinct block lengths"):
+        cp.coupling_gap_sweep(model, fc.make_class("lipschitz5", model).members,
+                              384, qs, 20, 1)
+
+
 def test_block_independence_replica_passes_raw_fails():
     model = pr.ar1_model(0.9)
     vals, innov, _ = pr.simulate_many(model, 384, 200, seed=10)
@@ -247,7 +259,7 @@ def test_gaussian_couple_moments():
     vals, innov, _ = pr.simulate_many(model, n, reps, seed=13)
     replica = cp.replicate_many(model, vals, innov, q, seed=13)
     rng = np.random.default_rng(14)
-    pool = model.sample_blocks(q, 20000, rng)
+    pool = pr._simulate_core(model, q, 20000, rng)[0]
     sums_pool = (member.func(pool).sum(axis=1) - q * member.mean) / math.sqrt(q)
     sums_pool -= sums_pool.mean()
     s2 = float(sums_pool.std(ddof=1))
@@ -323,21 +335,17 @@ def test_coupled_chunks_match_coupled_paths(model, rows, monkeypatch):
     n, q, reps = 96, 4, 40
     monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, n, rows))
     vals, replica = cp.coupled_paths(model, n, q, reps, seed=21, tag=q)
-    for paths in (True, False):
-        got_vals, got_replica, los = [], [], []
-        with cp._coupled_chunks(model, n, q, reps, 21, q, paths=paths) as chunks:
-            for lo, v, r in chunks:
-                assert len(r) == min(rows, reps - lo)
-                los.append(lo)
-                got_replica.append(r.copy())   # the buffers are drawn over
-                if paths:
-                    got_vals.append(v.copy())
-                else:
-                    assert v is None
-        assert los == list(range(0, reps, rows))
-        assert np.array_equal(np.concatenate(got_replica), replica)
-        if paths:
-            assert np.array_equal(np.concatenate(got_vals), vals)
+    got_vals, got_replica, los = [], [], []
+    with cp._coupled_chunks(model, n, q, reps, 21, q) as chunks:
+        for lo, innov, starts, r in chunks:
+            assert len(innov) == len(starts) == len(r) == min(rows, reps - lo)
+            los.append(lo)
+            # The buffers are drawn over, so copy before the next chunk.
+            got_vals.append(pr._path_from(model, innov, starts, n).copy())
+            got_replica.append(r.copy())
+    assert los == list(range(0, reps, rows))
+    assert np.array_equal(np.concatenate(got_vals), vals)
+    assert np.array_equal(np.concatenate(got_replica), replica)
 
 
 def _whole_pool(members, blocks):
@@ -353,7 +361,7 @@ def test_streamed_pool_matches_whole_pool(model, rows, monkeypatch):
     monkeypatch.setattr(cp, "POOL_SIZE", 100)
     monkeypatch.setattr(pr, "_CHUNK", _chunk_for_rows(model, q, rows))
     members = fc.make_class("lipschitz4", pr.ar1_model(0.5)).members
-    expect = _whole_pool(members, model.sample_blocks(q, 100, pr.seeded_rng(24)))
+    expect = _whole_pool(members, pr._simulate_core(model, q, 100, pr.seeded_rng(24))[0])
     got = cp._reference_pool(model, members, q, pr.seeded_rng(24))
     assert got.shape == (len(members), 100) and np.array_equal(got, expect)
 
@@ -412,7 +420,7 @@ def _raise_mid_stream(model, monkeypatch):
     started = []
     with pytest.raises(_Stop):
         with cp._coupled_chunks(model, 96, 4, 40, 23, 4) as chunks:
-            for lo, _, _ in chunks:
+            for lo, _, _, _ in chunks:
                 started.extend(set(threading.enumerate()) - before)
                 if lo > 0:
                     raise _Stop
@@ -448,7 +456,7 @@ def test_producer_raise_reaches_the_caller(monkeypatch):
     seen = []
     with pytest.raises(_Stop):
         with cp._coupled_chunks(pr.ar1_model(0.5), 96, 4, 40, 24, 4) as chunks:
-            for lo, _, _ in chunks:
+            for lo, _, _, _ in chunks:
                 seen.append(lo)
     assert seen == [0] and threading.active_count() == count
 

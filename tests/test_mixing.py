@@ -60,6 +60,17 @@ def test_tabulated_rejects_nan():
         mx.tabulated_profile([1.0, math.nan, 0.3])
 
 
+@pytest.mark.parametrize("prof", [mx.polynomial_profile(1.5), mx.exponential_profile(0.5),
+                                  mx.m_dependent_profile(3), mx.iid_profile(),
+                                  mx.tabulated_profile([1.0, 0.5])], ids=lambda p: p.spec())
+def test_inverse_refuses_nan_and_a_level_theta_never_reaches(prof):
+    with pytest.raises(mx.ProfileError, match="u must be >= 0, got nan"):
+        prof.inverse(math.nan)
+    if prof.kind in ("polynomial", "exponential"):
+        with pytest.raises(mx.ProfileError, match=f"{prof.kind} theta never reaches 0"):
+            prof.inverse(0.0)
+
+
 def test_tabulated_inverse_undefined():
     prof = mx.tabulated_profile([1.0, 0.5, 0.5], tail="hold")
     with pytest.raises(mx.ProfileError):
@@ -196,22 +207,14 @@ def test_profile_refuses_a_field_its_kind_does_not_read(kind, kwargs, field):
 def test_mc_means_averages_exactly_the_draws_asked_for(draws, monkeypatch):
     model = pr.ma_model(3)
     seen = []
-    sample_blocks = pr.ProcessModel.sample_blocks
+    stationary_sample = pr.ProcessModel.stationary_sample
 
-    def spy(self, q, reps, rng):
-        seen.append((q, reps))
-        return sample_blocks(self, q, reps, rng)
+    def spy(self, size, rng):
+        seen.append(size)
+        return stationary_sample(self, size, rng)
 
-    monkeypatch.setattr(pr.ProcessModel, "sample_blocks", spy)
+    monkeypatch.setattr(pr.ProcessModel, "stationary_sample", spy)
     sizes = []
     probe = fc.ClassMember("probe", lambda x: sizes.append(x.size) or x, mean=None)
     fc.mc_means([probe], model, draws=draws)
-    assert seen == [(-(-draws // 10**4), 10**4)] and sizes == [draws]
-
-
-def test_mc_means_of_whole_stretches_are_the_former_means():
-    model = pr.ma_model(3)
-    members = fc.make_class("lipschitz4", model).members
-    former = model.sample_blocks(2, 10**4, pr.seeded_rng(3, 0xAEA5)).ravel()
-    assert [m.mean for m in fc.mc_means(members, model, draws=20000, seed=3)] == \
-        [float(m.func(former).mean()) for m in members]
+    assert seen == [draws] and sizes == [draws]

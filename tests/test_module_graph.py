@@ -1,8 +1,9 @@
-"""The modules of ``mixbound`` import one another without a cycle.
+"""The modules of ``mixbound`` import one another without a cycle, and
+each loads every name it imports.
 
 Every relative import counts, a function-level one included: an import
 hidden inside a function to dodge a cycle is still a cycle.  ``__init__.py``
-imports every module and is left out.
+imports every module to export it and is left out.
 """
 import ast
 from pathlib import Path
@@ -65,3 +66,31 @@ def test_a_function_level_import_closes_a_cycle():
     graph = _module_graph()
     graph["processes"] |= {"mixing"}
     assert _cycle(graph) == ["mixing", "processes", "mixing"]
+
+
+def _unread_imports(source: str) -> set[str]:
+    """The names an import in ``source`` binds that the module never loads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - loaded
+
+
+def test_every_module_loads_what_it_imports():
+    unread = {p.stem: sorted(_unread_imports(p.read_text(encoding="utf-8")))
+              for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert len(unread) >= 11
+    assert not {name: names for name, names in unread.items() if names}
+
+
+def test_an_import_read_nowhere_is_found():
+    source = ("from __future__ import annotations\nimport os, numpy as np\n"
+              "import scipy.special\nfrom .grid import divisor_chain, nearest_divisor\n\n"
+              "def f(x: np.ndarray):\n    import math\n    return divisor_chain(x)\n")
+    assert _unread_imports(source) == {"os", "scipy", "nearest_divisor", "math"}

@@ -355,8 +355,9 @@ def test_active_lag_count_array_matches_scalar_reference(prof):
         scalar = nm.active_lag_count(float(us[3]), q, prof)
         assert type(scalar) is int and scalar == got[3]
     assert nm.active_lag_count(np.full((2, 3), 0.25), 4, prof).shape == (2, 3)
-    with pytest.raises(ValueError, match="u must be > 0"):
-        nm.active_lag_count(np.array([0.1, 0.0]), 3, prof)
+    for bad in (np.array([0.1, 0.0]), np.array([0.1, math.nan]), math.nan):
+        with pytest.raises(ValueError, match="u must be > 0"):
+            nm.active_lag_count(bad, 3, prof)
 
 
 @pytest.mark.parametrize("prof", ARRAY_PROFILES, ids=lambda p: p.spec())

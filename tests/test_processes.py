@@ -325,6 +325,14 @@ def test_ar1_block_variance_closed_form():
     assert math.isclose(model.block_variance(q), expect, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_ma_stationary_sample_matches_the_path_marginal(sigma):
+    # MA(m) is a sum of Gaussians, so its marginal is N(0, marginal_sd()^2).
+    model = pr.ma_model(3, sigma=sigma)
+    v_hat, se = pr.mean_se(model.stationary_sample(10**5, pr.seeded_rng(4)) ** 2)
+    assert abs(v_hat - model.marginal_sd() ** 2) <= 4 * se
+
+
 def test_iid_block_variance_is_one():
     assert math.isclose(pr.iid_model().block_variance(12), 1.0, rel_tol=1e-12)
 
@@ -333,7 +341,7 @@ def test_ar1_block_sums_match_block_variance():
     # The simulated AR(1) block law against the analytic second moment.
     model = pr.ar1_model(0.5)
     member = fc.ClassMember(name="linear", func=lambda x: x, mean=0.0)
-    blocks = model.sample_blocks(8, 40000, pr.seeded_rng(9, 0x5167))
+    blocks = pr._simulate_core(model, 8, 40000, pr.seeded_rng(9, 0x5167))[0]
     m_hat, se = pr.mean_se(pr.centered_sums(member, blocks) ** 2)
     assert abs(m_hat - model.block_variance(8)) <= 4 * se
 

@@ -200,6 +200,13 @@ def test_rate_table_rows_are_rate_reports(prof):
         assert (rep.lower_env, rep.upper_env) == envelopes
 
 
+@pytest.mark.parametrize("x", [[], [2.0], [3.0, 3.0, 3.0]])
+def test_a_slope_needs_two_distinct_x(x):
+    x = np.asarray(x)
+    with pytest.raises(ValueError, match="a slope needs two distinct x"):
+        rt.ls_slope(x, np.ones_like(x))
+
+
 def test_rate_factors_reject_non_members():
     from mixbound import grid
     with pytest.raises(grid.GridError, match="n=1000 is not in the lattice"):

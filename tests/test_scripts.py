@@ -30,3 +30,15 @@ def test_script_runs(name, args, summary):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert re.search(summary, proc.stdout, re.MULTILINE), proc.stdout
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("rate_sweep.py", ["--n-min", "1000", "--n-max", "1001"],
+     "[1000, 1001] holds 0 lattice point(s); a slope needs two"),
+    ("coupling_gap_sweep.py", ["--qs", "8"],
+     "a slope needs two distinct block lengths, got [8]"),
+])
+def test_script_refuses_a_slope_of_fewer_than_two_points(name, args, message):
+    proc = run_script(name, *args)
+    assert proc.returncode == 2 and message in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
