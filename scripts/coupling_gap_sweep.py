@@ -10,20 +10,24 @@ import math
 from mixbound import coupling, function_classes, processes
 
 
+def block_lengths(text: str) -> list[int]:
+    """``--qs``: comma-separated integers; a bad one is a usage error."""
+    return [int(q) for q in text.split(",")]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--rho", type=float, default=0.9)
     ap.add_argument("--n", type=int, default=384)
-    ap.add_argument("--qs", default="8,16,32")
+    ap.add_argument("--qs", type=block_lengths, default="8,16,32")
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
     model = processes.ar1_model(args.rho)
     members = function_classes.make_class("lipschitz5", model).members
-    qs = [int(q) for q in args.qs.split(",")]
     try:
-        sweep = coupling.coupling_gap_sweep(model, members, args.n, qs,
+        sweep = coupling.coupling_gap_sweep(model, members, args.n, args.qs,
                                             args.reps, args.seed)
     except ValueError as exc:
         ap.error(str(exc))

@@ -5,6 +5,7 @@ polynomial-decay regimes and print the fitted growth exponents.
 Usage: python scripts/rate_sweep.py [--n-max 10000000] [--r 4]
 """
 import argparse
+import math
 
 import numpy as np
 
@@ -17,6 +18,8 @@ def main() -> None:
     ap.add_argument("--n-min", type=int, default=10**3)
     ap.add_argument("--r", type=float, default=4.0)
     args = ap.parse_args()
+    if not 2.0 < args.r < math.inf:   # the critical power r / (r - 2) needs r > 2
+        ap.error(f"--r must be > 2 and finite, got {args.r}")
 
     members = [n for n in grid.lattice_members(3, args.n_max) if n >= args.n_min]
     if len(members) < 2:

@@ -48,17 +48,24 @@ def _check_block_length(n: int, q: int) -> None:
 
 
 def _replica_draws(model: ProcessModel, n: int, q: int, reps: int,
-                   rng: np.random.Generator) -> np.ndarray | None:
-    """Everything the replica stream draws, per rep: (reps, nblocks) fresh block
-    starts for the recursive kinds, the moving average's (reps, nblocks - 1,
-    m - q) fresh noise when its memory reaches past one block, else None."""
+                   rng: np.random.Generator):
+    """``draws(lo, rows)``, called on row chunks in order, gives all the replica
+    stream draws for those reps: (rows, nblocks) fresh block starts for the
+    recursive kinds, the moving average's (rows, nblocks - 1, m - q) fresh noise
+    when its memory reaches past one block, else None.  Only AR(1)'s row-major
+    fill is drawn per chunk (the same bits); the rest is drawn whole, up front."""
     nblocks, k = n // q, max(0, model.m - q)
-    if model.kind in ("ar1", "lazy_renewal"):
-        return model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
-    if k and nblocks > 1:
-        fresh = model.sigma * rng.standard_normal((nblocks - 1, reps, k))
-        return fresh.transpose(1, 0, 2)
-    return None
+    if model.kind == "ar1":
+        return lambda lo, rows: model.stationary_sample(rows * nblocks, rng).reshape(
+            rows, nblocks)
+    if model.kind == "lazy_renewal":   # all the uniforms, then all the Zipf values
+        whole = model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
+    elif k and nblocks > 1:   # block-major
+        whole = model.sigma * rng.standard_normal((nblocks - 1, reps, k))
+        whole = whole.transpose(1, 0, 2)
+    else:
+        return lambda lo, rows: None
+    return lambda lo, rows: whole[lo: lo + rows]
 
 
 def _replicate_recursive(model: ProcessModel, head: np.ndarray,
@@ -115,7 +122,7 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
     """Vectorized replica paths from stored paths and innovations (internal)."""
     rng = seeded_rng(seed, _REPLICA_STREAM, tag)
     draws = _replica_draws(model, values.shape[1], q, len(values), rng)
-    return _replica_from(model, values[:, :q], innovations, draws, q)
+    return _replica_from(model, values[:, :q], innovations, draws(0, len(values)), q)
 
 
 @contextmanager
@@ -130,8 +137,8 @@ def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int, t
     def build(chunks):
         for lo, innov, starts in chunks:
             head = _path_from(model, innov[:, :q + model.m], starts, q)
-            own = None if draws is None else draws[lo: lo + len(innov)]
-            yield lo, innov, starts, _replica_from(model, head, innov, own, q)
+            yield lo, innov, starts, _replica_from(model, head, innov,
+                                                   draws(lo, len(innov)), q)
 
     with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
         yield build(chunks)
@@ -183,6 +190,8 @@ def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
     """
     if len(set(qs)) < 2:   # refused before anything is drawn
         raise CouplingError(f"a slope needs two distinct block lengths, got {sorted(set(qs))}")
+    if reps < 2:
+        raise CouplingError(f"reps must be >= 2 for a standard error, got {reps}")
     means, ses = zip(*(mean_se(gap_samples(model, members, n, q, reps, seed))
                        for q in qs))
     exact = [int(q) for q, mean in zip(qs, means) if mean <= 0.0]

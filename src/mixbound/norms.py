@@ -264,10 +264,11 @@ def holder_factor(q: int, r: float, profile: MixingProfile) -> float:
 def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
     """holder_factor at every q of ``qs``, bit for bit.
 
-    The half-levels and the count powers are built once, at the largest q.
-    Where the levels are in order, the powers are turned in place into the
-    widths times their powers, so that each q's terms are a suffix of that
-    table with its own head, the level times the power, in the first slot.
+    The count powers are built once, at the largest q, and the half-levels
+    slice by slice.  Where the levels are in order, each slice turns its
+    powers in place into the widths times their powers, so that each q's
+    terms are a suffix of that table with its own head, the level times the
+    power, in the first slot; no level table is held whole.
     """
     if not (2.0 < r < math.inf):
         raise ValueError(f"r must be > 2 and finite, got {r}")
@@ -276,26 +277,29 @@ def holder_factors(qs, r: float, profile: MixingProfile) -> np.ndarray:
         raise ValueError("q must be >= 0")
     a = r / (r - 2.0)
     top = int(uniq[-1]) if uniq.size else 0
-    # half_levels(top) on descending lags, so ascending with no reversed copy;
-    # its suffixes are the ascending prefixes unless float rounding broke the
-    # monotonicity of theta.  Built in slices, so theta's temporaries stay small.
-    asc = np.empty(top + 1)
+    slots = top - uniq   # q's terms start at slot top - q
+
+    def levels(lo: int) -> np.ndarray:   # half_levels(top) on descending lags: ascending
+        return 0.5 * profile.theta(top - np.arange(lo, min(lo + _LAG_SLICE, top + 1)))
+
+    powers, heads = np.arange(top + 1, 0, -1, dtype=float), np.empty(uniq.size)
+    powers **= a   # (top + 1 - j)^a at slot j, in place: one table
+    last = 0.0   # count q + 1 - j on (levels[j - 1], levels[j]], with levels[-1] = 0
     for lo in range(0, top + 1, _LAG_SLICE):
-        asc[lo: lo + _LAG_SLICE] = 0.5 * profile.theta(
-            top - np.arange(lo, min(lo + _LAG_SLICE, top + 1)))
-    ordered = (asc[:-1] <= asc[1:]).all()
-    powers = np.arange(top + 1, 0, -1, dtype=float)
-    powers **= a
-    heads = asc[top - uniq] * powers[top - uniq]
-    # count q + 1 - j on (levels[j - 1], levels[j]], with levels[-1] = 0
-    if ordered:
-        for lo in range(1, top + 1, _LAG_SLICE):
-            powers[lo: lo + _LAG_SLICE] *= np.diff(asc[lo - 1: lo + _LAG_SLICE])
+        lev = levels(lo)
+        ordered = last <= lev[0] and bool((lev[:-1] <= lev[1:]).all())
+        if not ordered:   # float pow broke theta's monotonicity: sort per q
+            asc = np.concatenate([levels(j) for j in range(0, top + 1, _LAG_SLICE)])
+            powers = np.arange(top + 1, 0, -1, dtype=float) ** a
+            break
+        at = (lo <= slots) & (slots < lo + lev.size)
+        heads[at] = lev[slots[at] - lo] * powers[slots[at]]
+        powers[lo: lo + lev.size] *= np.diff(lev, prepend=last)
+        last = lev[-1]
     out = np.empty(uniq.size)
-    for i, q in reversed(list(enumerate(uniq.tolist()))):
+    for i, s in reversed(list(enumerate(slots.tolist()))):
         if ordered:   # largest q first: no later suffix reads the head's slot
-            powers[top - q] = heads[i]
-        t = powers[top - q:] if ordered else \
-            np.diff(np.sort(asc[top - q:]), prepend=0.0) * powers[top - q:]
+            powers[s] = heads[i]
+        t = powers[s:] if ordered else np.diff(np.sort(asc[s:]), prepend=0.0) * powers[s:]
         out[i] = math.sqrt(2.0) * float(t.sum()) ** ((r - 2.0) / (2.0 * r))
     return out[inverse]

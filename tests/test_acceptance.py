@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 from mixbound import acceptance as ac
-from mixbound import cli, grid, norms, rates
+from mixbound import chaining, cli, grid, norms, rates
 from mixbound import coupling as cp
 from mixbound import processes as pr
 
@@ -123,6 +123,16 @@ def test_a04_envelopes():
     _run("A4")
 
 
+def test_a04_margin_shows_one_planted_nan(monkeypatch):
+    # Case 2's sixth q; the other cases keep their finite margins.
+    _plant(monkeypatch, norms, "holder_factors", 2,
+           lambda f: np.where(np.arange(f.size) == 5, math.nan, f))
+    result = ac.CRITERIA["A4"](seed=SEED)
+    margins = result.details["min_margins"]
+    assert not result.passed and math.isnan(margins["case2"])
+    assert all(math.isfinite(margins[f"case{c}"]) for c in (1, 3, 4))
+
+
 def test_a05_rate_regimes():
     result = _run("A5")
     assert abs(result.details["fast_slope"]) <= 0.05
@@ -156,6 +166,14 @@ def test_a08_chain_identity():
     result = _run("A8")
     assert result.details["max_residual"] < 1e-12
     assert result.details["binding_cases"] >= 5
+
+
+@pytest.mark.parametrize("residual", [math.nan, 1.0])
+def test_a08_fails_on_one_planted_residual(residual, monkeypatch):
+    _plant(monkeypatch, chaining, "chain_decomposition", 3,
+           lambda dec: dataclasses.replace(dec, residual=residual))
+    result = ac.CRITERIA["A8"](seed=SEED)
+    assert not result.passed and not result.details["max_residual"] < 1e-12
 
 
 def test_a09_half_normal():

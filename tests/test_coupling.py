@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,22 @@ def test_strong_approx_holds_no_whole_pool():
     assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_bernstein_check_holds_no_whole_replica_draws():
+    # A12's AR(1) shape: the replica block starts are 5000 x 192 floats, 7.3 MiB
+    # drawn whole; each row chunk draws its own.
+    model = pr.ar1_model(0.5)
+    args = (model, fc.make_class("indicator", model).members[0],
+            nm.QuantileCurve.constant(0.5), mx.exponential_profile(0.5))
+    cp.bernstein_check(*args, n=96, q=8, k=2, reps=10, seed=7)   # the lazy imports
+    tracemalloc.start()
+    try:
+        cp.bernstein_check(*args, n=1536, q=8, k=2, reps=5000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
     monkeypatch.setattr(cp, "TAU_REPS", (30, 30))   # the tau estimate is not streamed
     monkeypatch.setattr(cp, "POOL_SIZE", 500)
@@ -404,7 +421,9 @@ def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):
         return tails, approx
 
     whole = run()
-    for chunk in (1, 5 * 384 + 1):   # one row; 5 rows at n = 384, 21 at n = 96
+    # One row; 5 rows at n = 384 and 20 at n = 96; 7 and 28, which split the
+    # 50 and 30 reps unevenly.
+    for chunk in (1, 5 * 384 + 1, 7 * 384):
         monkeypatch.setattr(pr, "_CHUNK", chunk)
         assert run() == whole
 
@@ -574,6 +593,8 @@ _BAD_SIZES = {
         n=384, q=8, k=2, reps=0, seed=1)),
     "strong_approx_experiment-reps": ("reps", lambda members: cp.strong_approx_experiment(
         pr.ar1_model(0.5), members, (384,), reps=1, seed=1)),
+    "coupling_gap_sweep-reps": ("reps", lambda members: cp.coupling_gap_sweep(
+        pr.ar1_model(0.5), members, 96, (4, 8), reps=1, seed=1)),
 }
 
 

@@ -1,5 +1,6 @@
 """Smoke tests for the sweep scripts: each runs as a user runs it, at a small
-size, and must exit 0 and print its summary line."""
+size, and must exit 0 and print its summary line; bad input exits 2 with a
+usage message."""
 import os
 import re
 import subprocess
@@ -39,6 +40,21 @@ def test_script_runs(name, args, summary):
      "a slope needs two distinct block lengths, got [8]"),
 ])
 def test_script_refuses_a_slope_of_fewer_than_two_points(name, args, message):
-    proc = run_script(name, *args)
+    assert_usage_error(run_script(name, *args), message)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("rate_sweep.py", ["--r", "2"], "--r must be > 2 and finite, got 2.0"),
+    ("rate_sweep.py", ["--r", "1"], "--r must be > 2 and finite, got 1.0"),
+    ("coupling_gap_sweep.py", ["--qs", "8,x"],
+     "argument --qs: invalid block_lengths value: '8,x'"),
+    ("coupling_gap_sweep.py", ["--reps", "1"],
+     "reps must be >= 2 for a standard error, got 1"),
+])
+def test_script_refuses_bad_input_as_a_usage_error(name, args, message):
+    assert_usage_error(run_script(name, *args), message)
+
+
+def assert_usage_error(proc, message):
     assert proc.returncode == 2 and message in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
