@@ -21,8 +21,8 @@ from .processes import (ProcessModel, ar1_model, empirical_process_many, iid_mod
                         simulate_many)
 from .function_classes import ClassMember, ProcessClass, catalog_names, make_class
 from .coupling import (BernsteinReport, bernstein_check, block_independence_test,
-                       coupled_paths, coupling_gap_sweep, gaussian_couple,
-                       strong_approx_experiment, sup_gaps)
+                       coupled_paths, gaussian_couple, strong_approx_experiment,
+                       sup_gaps)
 from .report import ExperimentReport, dumps_canonical
 
 __version__ = "0.1.0"

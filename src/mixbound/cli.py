@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -267,12 +268,7 @@ def cmd_strongapprox(args) -> int:
         t0, args.timing, args.output, command="strongapprox",
         inputs={"process": model.spec(), "class": args.cls, "n_grid": args.n_grid,
                 "gamma": args.gamma, "reps": args.reps, "seed": args.seed},
-        results={"points": [{
-            "n": p.n, "q": p.q, "gap_mean": p.gap_mean, "gap_se": p.gap_se,
-            "tau_hat": p.tau_hat, "finite_dim_term": p.finite_dim_term,
-            "coupling_term": p.coupling_term, "bound": p.bound,
-            "implied_ratio": p.implied_ratio,
-        } for p in rep.points]},
+        results={"points": [dataclasses.asdict(p) for p in rep.points]},
         checks=[
             {"id": "gap_monotone_non_increasing", "passed": rep.monotone},
             {"id": "gap_below_assembled_bound", "passed": rep.within_bound},

@@ -30,7 +30,6 @@ from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
                         simulate_many, _PATH_STREAM, _centered_sums,
                         _innovation_chunks, _ma_sum, _member_sums, _path_from,
                         _recurse, _require_means)
-from .rates import ls_slope
 
 
 class CouplingError(ValueError):
@@ -173,36 +172,6 @@ def gap_samples(model: ProcessModel, members, n: int, q: int, reps: int,
     return sup_gaps(*coupled_paths(model, n, q, reps, seed, tag=q), members)
 
 
-@dataclass(frozen=True)
-class GapSweep:
-    qs: tuple[int, ...]
-    means: tuple[float, ...]
-    std_errors: tuple[float, ...]
-    log_slope: float
-
-
-def coupling_gap_sweep(model: ProcessModel, members, n: int, qs, reps: int,
-                       seed: int) -> GapSweep:
-    """Mean sup-gap against block length with the fitted log-linear slope.
-
-    Raises ValueError where a mean gap is 0, as it is at every q when the
-    replica is exact (iid, or MA(m) with q >= m): the log slope is undefined.
-    """
-    if len(set(qs)) < 2:   # refused before anything is drawn
-        raise CouplingError(f"a slope needs two distinct block lengths, got {sorted(set(qs))}")
-    if reps < 2:
-        raise CouplingError(f"reps must be >= 2 for a standard error, got {reps}")
-    means, ses = zip(*(mean_se(gap_samples(model, members, n, q, reps, seed))
-                       for q in qs))
-    exact = [int(q) for q, mean in zip(qs, means) if mean <= 0.0]
-    if exact:
-        raise CouplingError(f"the replica of {model.spec()} is exact at q = {exact}: "
-                            f"its mean gap is 0, so the log slope is undefined")
-    slope = ls_slope(np.asarray(qs, dtype=float), np.log(np.asarray(means)))
-    return GapSweep(qs=tuple(int(q) for q in qs), means=means, std_errors=ses,
-                    log_slope=slope)
-
-
 # -- block independence -------------------------------------------------------
 
 
@@ -303,10 +272,11 @@ def bernstein_check(model: ProcessModel, member, curve: QuantileCurve,
         raise CouplingError("member needs a finite sup bound")
     b = dependence_norm(curve, q, profile)
     cap = 2.0 * math.sqrt(n) * b / (q * math.sqrt(2.0**k))
-    if member.sup_bound > cap:
+    if not member.sup_bound <= cap:   # a NaN scale makes the bound inapplicable too
         return BernsteinReport(
             applicable=False,
-            reason=f"tail bound inapplicable: sup bound {member.sup_bound:.6g} exceeds {cap:.6g}",
+            reason=f"tail bound inapplicable: sup bound {member.sup_bound:.6g} "
+                   f"is not at most {cap:.6g}",
             b=b, points=())
     gstar = np.empty(reps)
     with _coupled_chunks(model, n, q, reps, seed, 0xBE00 + k) as chunks:
@@ -374,7 +344,6 @@ class StrongApproxPoint:
     gap_mean: float
     gap_se: float
     tau_hat: float
-    tau_se: float
     finite_dim_term: float
     coupling_term: float
     bound: float
@@ -424,6 +393,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
     if gamma_order == math.inf and any(m.sup_bound is None for m in members):
         raise CouplingError("gamma=inf needs finite sup bounds")
     qs = [nearest_divisor(n, math.sqrt(n)) for n in n_grid]   # refuses an off-lattice n
+    exponent = 0.5 if gamma_order == math.inf else (gamma_order - 2.0) / (2.0 * gamma_order)
     points = []
     for n, q in zip(n_grid, qs):
         pools = _reference_pool(model, members, q, seeded_rng(seed, 0x900, n))
@@ -461,14 +431,11 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
                             gns[i] - gaussian_couple(sums[i], sd, sorted_pool))
         gap_mean, gap_se = mean_se(gaps.max(axis=0))
         tau = estimate_tau(model, members, q, *TAU_REPS, seed + n)
-        exponent = 0.5 if gamma_order == math.inf else \
-            (gamma_order - 2.0) / (2.0 * gamma_order)
         finite_dim = (q / n) ** exponent * sig_gamma_sum
         coupling_term = math.sqrt(n) * tau.value
         bound = finite_dim + coupling_term
         points.append(StrongApproxPoint(
-            n=int(n), q=int(q), gap_mean=gap_mean, gap_se=gap_se,
-            tau_hat=tau.value, tau_se=tau.std_error,
+            n=int(n), q=int(q), gap_mean=gap_mean, gap_se=gap_se, tau_hat=tau.value,
             finite_dim_term=finite_dim, coupling_term=coupling_term,
             bound=bound, implied_ratio=gap_mean / bound if bound > 0 else math.inf,
         ))

@@ -254,8 +254,8 @@ def estimate_tau(model, members, q: int, outer_reps: int, inner_reps: int,
         raise ValueError(f"model kind {model.kind!r} is not Markov; tau estimation unsupported")
     if inner_reps < 2:
         raise ValueError("inner_reps must be >= 2 for variance control")
-    if outer_reps < 1:
-        raise ValueError("outer_reps must be >= 1")
+    if outer_reps < 2:
+        raise ValueError(f"outer_reps must be >= 2 for a standard error, got {outer_reps}")
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     members = list(members)

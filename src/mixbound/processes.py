@@ -31,10 +31,12 @@ def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def mean_se(x) -> tuple[float, float]:
-    """Sample mean and its standard error s / sqrt(size); 0.0 for one sample."""
+    """Sample mean and its standard error s / sqrt(size); raises ValueError on
+    fewer than two samples, which have no standard error."""
     x = np.asarray(x)
-    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    return float(x.mean()), se
+    if x.size < 2:
+        raise ValueError(f"a standard error needs two samples or more, got {x.size}")
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 _SLICE = 1 << 14        # input elements per slice, so that temporaries stay in cache

@@ -162,6 +162,13 @@ def test_a07_complexity_oracle():
     assert result.details["greedy_violations"] == 0
 
 
+def test_a07_fails_on_one_planted_nan(monkeypatch):
+    # The 40th of the 100 greedy searches against the exact one.
+    _plant(monkeypatch, chaining, "complexity_greedy", 40, lambda value: math.nan)
+    result = ac.CRITERIA["A7"](seed=SEED)
+    assert not result.passed and result.details["greedy_violations"] == 1
+
+
 def test_a08_chain_identity():
     result = _run("A8")
     assert result.details["max_residual"] < 1e-12
@@ -203,6 +210,19 @@ def test_a11_block_independence():
     _run("A11")
 
 
+def test_a11_fails_on_one_planted_nan(monkeypatch):
+    # One NaN on the raw paths makes the raw q = 2 correlation NaN; the
+    # replicas, drawn before it is planted, keep theirs.
+    def plant(out):
+        vals, replica = out
+        vals = vals.copy()
+        vals[0, 0] = math.nan
+        return vals, replica
+    _plant(monkeypatch, cp, "coupled_paths", 1, plant)
+    result = ac.CRITERIA["A11"](seed=SEED)
+    assert math.isnan(result.details["raw_q2_corr"]) and not result.passed
+
+
 def test_a12_bernstein_tails():
     result = _run("A12")
     for run in result.details["runs"]:
@@ -225,6 +245,15 @@ def test_a12_fails_on_one_planted_tail(wald, applicable, passed, monkeypatch):
     monkeypatch.setattr(cp, "bernstein_check", fake)
     result = ac.CRITERIA["A12"](seed=SEED)
     assert calls == [2, 3, 2, 3] and result.passed is passed
+
+
+def test_a12_fails_on_one_planted_nan(monkeypatch):
+    # The scale b of the third run (AR(1), k = 2) is NaN: that run's bound is
+    # inapplicable, not passed on zero exceedances of a NaN threshold.
+    _plant(monkeypatch, cp, "dependence_norm", 3, lambda b: math.nan)
+    result = ac.CRITERIA["A12"](seed=SEED)
+    assert [run["applicable"] for run in result.details["runs"]] == [True, True, False, True]
+    assert not result.passed
 
 
 def test_a13_variance_bound():

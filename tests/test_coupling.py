@@ -3,7 +3,6 @@ import json
 import math
 import multiprocessing
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -21,6 +20,7 @@ from mixbound import grid
 from mixbound import mixing as mx
 from mixbound import norms as nm
 from mixbound import processes as pr
+from mixbound import rates as rt
 
 
 def test_build_replica_requires_divisor():
@@ -160,37 +160,16 @@ def test_coupling_gap_ratio_reported(capsys):
 
 
 def test_gap_sweep_contraction():
+    # A10's AR(1) contraction check, at a second seed.
     model = pr.ar1_model(0.9)
     members = fc.make_class("lipschitz5", model).members
-    sweep = cp.coupling_gap_sweep(model, members, 384, (8, 16, 32), reps=200, seed=9)
-    assert all(a > b for a, b in zip(sweep.means, sweep.means[1:]))
+    qs = (8, 16, 32)
+    means = [float(cp.gap_samples(model, members, 384, q, reps=200, seed=9).mean())
+             for q in qs]
+    assert all(a > b for a, b in zip(means, means[1:]))
+    slope = rt.ls_slope(np.asarray(qs, dtype=float), np.log(means))
     target = math.log(0.9)
-    assert 1.3 * target <= sweep.log_slope <= 0.7 * target
-
-
-@pytest.mark.parametrize("model, qs, exact", [(pr.ma_model(3), (6, 12), "[6, 12]"),
-                                              (pr.iid_model(), (4, 8), "[4, 8]"),
-                                              (pr.ma_model(3), (2, 4), "[4]")])
-def test_gap_sweep_rejects_an_exact_replica(recwarn, model, qs, exact):
-    # The replica is exact for iid and at q >= m for MA(m): a mean gap of 0
-    # has no logarithm, so the sweep fails rather than fit a nan slope.
-    members = fc.make_class("lipschitz4", model).members
-    with pytest.raises(ValueError, match=f"replica of {model.spec()} is exact at q = "
-                       + re.escape(exact)):
-        cp.coupling_gap_sweep(model, members, 384, qs, reps=30, seed=9)
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-@pytest.mark.parametrize("qs", [(), (8,), (8, 8)])
-def test_gap_sweep_needs_two_block_lengths_before_it_draws(qs, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("the sweep drew before refusing")
-
-    monkeypatch.setattr(cp, "gap_samples", no_draw)
-    model = pr.ar1_model(0.9)
-    with pytest.raises(cp.CouplingError, match="two distinct block lengths"):
-        cp.coupling_gap_sweep(model, fc.make_class("lipschitz5", model).members,
-                              384, qs, 20, 1)
+    assert 1.3 * target <= slope <= 0.7 * target
 
 
 def test_block_independence_replica_passes_raw_fails():
@@ -586,6 +565,8 @@ def test_off_lattice_grid_point_refused_before_drawing(monkeypatch):
 _BAD_SIZES = {
     "estimate_tau-q": ("q", lambda members: mx.estimate_tau(
         pr.ar1_model(0.5), members, -3, 10, 10, seed=1)),
+    "estimate_tau-outer_reps": ("outer_reps", lambda members: mx.estimate_tau(
+        pr.ar1_model(0.5), members, 3, 1, 10, seed=1)),
     "mc_means-draws": ("draws", lambda members: fc.mc_means(
         members, pr.ar1_model(0.5), draws=0)),
     "bernstein_check-reps": ("reps", lambda members: cp.bernstein_check(
@@ -593,8 +574,6 @@ _BAD_SIZES = {
         n=384, q=8, k=2, reps=0, seed=1)),
     "strong_approx_experiment-reps": ("reps", lambda members: cp.strong_approx_experiment(
         pr.ar1_model(0.5), members, (384,), reps=1, seed=1)),
-    "coupling_gap_sweep-reps": ("reps", lambda members: cp.coupling_gap_sweep(
-        pr.ar1_model(0.5), members, 96, (4, 8), reps=1, seed=1)),
 }
 
 

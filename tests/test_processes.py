@@ -287,8 +287,10 @@ def test_mean_se_matches_former_inline_form():
         assert pr.mean_se(x) == (float(x.mean()),
                                  float(x.std(ddof=1) / math.sqrt(size)))
         assert all(type(v) is float for v in pr.mean_se(x))
-    mean, se = pr.mean_se(np.array([2.5]))
-    assert (mean, se) == (2.5, 0.0) and type(se) is float
+    for few in (np.array([2.5]), np.array([])):   # no standard error: refused
+        with pytest.raises(ValueError, match=f"^a standard error needs two samples or "
+                           f"more, got {few.size}$"):
+            pr.mean_se(few)
 
 
 @pytest.mark.parametrize("tags", [(), (0x51A7,), (0x51A7, 0xE5), (0xC0FF, 12, 3)])
