@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import BlockSchedule, block_schedule
 from .mixing import MixingProfile
-from .norms import QuantileCurve, dependence_norm, dependence_norms
+from .norms import QuantileCurve, dependence_norm, dependence_norms, homogeneous_norms
 
 EXACT_SEARCH_LIMIT = 8
 LEVEL1_CAP = 4  # cardinality cap 2^(2^l) at l = 1
@@ -133,7 +133,7 @@ class NormFamily:
     evaluator: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
     def norms(self, level: int, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(level, np.abs(rows), weights), dtype=float)
+        return homogeneous_norms(lambda a: self.evaluator(level, a, weights), np.abs(rows))
 
     def norm(self, level: int, vec: np.ndarray, weights: np.ndarray) -> float:
         return float(self.norms(level, np.reshape(vec, (1, -1)), weights)[0])

@@ -23,7 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtri
 from scipy.stats import beta as _beta
 
-from .grid import divisor_chain, nearest_divisor
+from .function_classes import _LINEAR_MEMBERS
+from .grid import divisor_chain, member_exponents, nearest_divisor
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, dependence_norm
 from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
@@ -46,27 +47,6 @@ def _check_block_length(n: int, q: int) -> None:
         raise CouplingError(f"q={q} does not divide n={n}")
 
 
-def _replica_draws(model: ProcessModel, n: int, q: int, reps: int,
-                   rng: np.random.Generator):
-    """``draws(lo, rows)``, called on row chunks in order, gives all the replica
-    stream draws for those reps: (rows, nblocks) fresh block starts for the
-    recursive kinds, the moving average's (rows, nblocks - 1, m - q) fresh noise
-    when its memory reaches past one block, else None.  Only AR(1)'s row-major
-    fill is drawn per chunk (the same bits); the rest is drawn whole, up front."""
-    nblocks, k = n // q, max(0, model.m - q)
-    if model.kind == "ar1":
-        return lambda lo, rows: model.stationary_sample(rows * nblocks, rng).reshape(
-            rows, nblocks)
-    if model.kind == "lazy_renewal":   # all the uniforms, then all the Zipf values
-        whole = model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks)
-    elif k and nblocks > 1:   # block-major
-        whole = model.sigma * rng.standard_normal((nblocks - 1, reps, k))
-        whole = whole.transpose(1, 0, 2)
-    else:
-        return lambda lo, rows: None
-    return lambda lo, rows: whole[lo: lo + rows]
-
-
 def _replicate_recursive(model: ProcessModel, head: np.ndarray,
                          innovations: np.ndarray, state0: np.ndarray,
                          q: int) -> np.ndarray:
@@ -84,32 +64,45 @@ def _replicate_recursive(model: ProcessModel, head: np.ndarray,
 
 
 def _replicate_ma(model: ProcessModel, innovations: np.ndarray, q: int,
-                  fresh: np.ndarray | None) -> np.ndarray:
+                  fresh: np.ndarray) -> np.ndarray:
     """Replica for the moving average; innovations carries the m-term prepad."""
     reps, total = innovations.shape
     # Block j reads innovation columns qj .. qj + q + m - 1 (times qj+1-m .. qj+q).
     windows = sliding_window_view(innovations, q + model.m, axis=1)[:, ::q]
     # Times at or before q(j-1), the first k = m - q columns of block j >= 1,
     # are replaced by fresh noise so block j is independent of blocks <= j-2;
-    # block zero keeps its true prehistory.  Without fresh noise (k = 0) the
-    # windows are read in place.
-    if fresh is not None:
+    # block zero keeps its true prehistory.  Without fresh noise (k = 0, or one
+    # block) the windows are read in place: for q >= m the replica is the path.
+    if fresh.size:
         windows = windows.copy()
         windows[:, 1:, :fresh.shape[-1]] = fresh
     return _ma_sum(model.weights, windows, q).reshape(reps, total - model.m)
 
 
-def _replica_from(model: ProcessModel, head: np.ndarray, innovations: np.ndarray,
-                  draws: np.ndarray | None, q: int) -> np.ndarray:
-    """Replicas from a row chunk of the paths' innovations, the paths' block
-    zero ``head`` and the ``_replica_draws`` rows for them."""
+def _replicas(model: ProcessModel, n: int, q: int, reps: int,
+              rng: np.random.Generator):
+    """``build(lo, head, innovations)``, called on row chunks in order, gives the
+    replicas of those reps from their innovations and their paths' block zero
+    ``head``.  The replica stream's draws: AR(1)'s (rows, nblocks) fresh block
+    starts are drawn per chunk (a row-major fill: the bits of one whole draw);
+    the renewal chain's (all the uniforms, then all the Zipf values) and the
+    moving average's (nblocks - 1, reps, m - q) fresh noise (block-major, empty
+    unless its memory reaches past one block) are drawn whole, up front."""
+    nblocks = n // q
     if model.kind == "iid":
-        return innovations   # the path is its innovations and its own replica
+        return lambda lo, head, innov: innov   # the path is its own replica
     if model.kind == "ma":
-        # When q >= m the lead-in covers the whole moving-average window and
-        # the reconstruction reproduces the path bit for bit.
-        return _replicate_ma(model, innovations, q, draws)
-    return _replicate_recursive(model, head, innovations, draws, q)
+        fresh = model.sigma * rng.standard_normal((nblocks - 1, reps, max(0, model.m - q)))
+        return lambda lo, head, innov: _replicate_ma(
+            model, innov, q, fresh.transpose(1, 0, 2)[lo: lo + len(innov)])
+    whole = (None if model.kind == "ar1" else
+             model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks))
+
+    def build(lo, head, innov):
+        starts = (model.stationary_sample(len(innov) * nblocks, rng).reshape(-1, nblocks)
+                  if whole is None else whole[lo: lo + len(innov)])
+        return _replicate_recursive(model, head, innov, starts, q)
+    return build
 
 
 _REPLICA_STREAM = 0xC0FF   # seeded_rng(seed, _REPLICA_STREAM, tag) draws the replicas
@@ -119,9 +112,9 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
                    innovations: np.ndarray, q: int, seed: int,
                    tag: int = 0) -> np.ndarray:
     """Vectorized replica paths from stored paths and innovations (internal)."""
-    rng = seeded_rng(seed, _REPLICA_STREAM, tag)
-    draws = _replica_draws(model, values.shape[1], q, len(values), rng)
-    return _replica_from(model, values[:, :q], innovations, draws(0, len(values)), q)
+    build = _replicas(model, values.shape[1], q, len(values),
+                      seeded_rng(seed, _REPLICA_STREAM, tag))
+    return build(0, values[:, :q], innovations)
 
 
 @contextmanager
@@ -131,16 +124,11 @@ def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int, t
     ``_path_from(model, innovations, starts, n)`` builds the paths, whose block zero the
     replicas copy."""
     _check_block_length(n, q)
-    draws = _replica_draws(model, n, q, reps, seeded_rng(seed, _REPLICA_STREAM, tag))
-
-    def build(chunks):
-        for lo, innov, starts in chunks:
-            head = _path_from(model, innov[:, :q + model.m], starts, q)
-            yield lo, innov, starts, _replica_from(model, head, innov,
-                                                   draws(lo, len(innov)), q)
-
+    build = _replicas(model, n, q, reps, seeded_rng(seed, _REPLICA_STREAM, tag))
     with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
-        yield build(chunks)
+        yield ((lo, innov, starts,
+                build(lo, _path_from(model, innov[:, :q + model.m], starts, q), innov))
+               for lo, innov, starts in chunks)
 
 
 # -- coupling gap -------------------------------------------------------------
@@ -392,7 +380,9 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
     _require_means(members)
     if gamma_order == math.inf and any(m.sup_bound is None for m in members):
         raise CouplingError("gamma=inf needs finite sup bounds")
-    qs = [nearest_divisor(n, math.sqrt(n)) for n in n_grid]   # refuses an off-lattice n
+    for n in n_grid:   # an off-lattice n is refused before its square root is taken
+        member_exponents(n)
+    qs = [nearest_divisor(n, math.sqrt(n)) for n in n_grid]
     exponent = 0.5 if gamma_order == math.inf else (gamma_order - 2.0) / (2.0 * gamma_order)
     points = []
     for n, q in zip(n_grid, qs):
@@ -400,8 +390,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
         couplings = []   # (sd, sorted pool or None) per member
         sig_gamma_sum = 0.0
         for mem, pool_sums in zip(members, pools):
-            linear_gaussian = (model.is_gaussian_linear
-                               and mem.name in ("identity", "negated"))
+            linear_gaussian = model.is_gaussian_linear and mem.name in _LINEAR_MEMBERS
             if linear_gaussian:
                 # Block sums are exactly Gaussian: analytic scale, identity
                 # transform, no pool noise in the coupling.
@@ -412,9 +401,10 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
             couplings.append((sd, None if linear_gaussian else np.sort(pool_sums)))
             if gamma_order == math.inf:
                 sig_gamma_sum += math.sqrt(q) * float(mem.sup_bound)
-            else:
-                sig_gamma_sum += float(
-                    (np.abs(pool_sums) ** gamma_order).mean() ** (1.0 / gamma_order))
+            else:   # M * mean((|x| / M)^gamma)^(1/gamma), M = max |x|: finite, at most M
+                top = float(np.abs(pool_sums).max())
+                sig_gamma_sum += top and top * float(
+                    ((np.abs(pool_sums) / top) ** gamma_order).mean() ** (1.0 / gamma_order))
         del pools, pool_sums   # the sorted copies are all the stream needs
         gaps = np.empty((len(members), reps))
         with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
@@ -448,6 +438,6 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
         return lo.gap_mean - hi.gap_mean >= 1.645 * se
 
     monotone = all(decreases(lo, hi) for lo, hi in zip(points, points[1:]))
-    within = all(p.gap_mean <= p.bound for p in points)
+    within = all(p.gap_mean <= p.bound < math.inf for p in points)
     return StrongApproxReport(points=tuple(points), monotone=monotone,
                               within_bound=within)

@@ -80,6 +80,7 @@ _MEMBER_DEFS: dict[str, tuple[Callable, float | None, float | None]] = {
     "absval": (np.abs, None, 1.0),
     "sign_centered": (lambda x: np.where(x > 0, 0.5, -0.5), 0.5, None),
 }
+_LINEAR_MEMBERS = frozenset({"identity", "negated"})   # x -> +-x
 
 _CATALOG: dict[str, tuple[str, ...]] = {
     "identity": ("identity",),

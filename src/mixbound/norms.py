@@ -230,9 +230,24 @@ def dependence_norm(curve: QuantileCurve, q: int, profile: MixingProfile) -> flo
     Reduces to a pure second-moment quantity when the profile vanishes past
     lag zero, and grows with q at the rate the profile's tail dictates.
     """
-    integral = _weight_integrals(curve.breaks[None], curve._steps[None],
-                                 profile.half_levels(q))[0]
-    return math.sqrt(2.0 * float(integral))
+    half = profile.half_levels(q)
+    return float(homogeneous_norms(lambda steps: np.sqrt(2.0 * _weight_integrals(
+        curve.breaks[None], steps, half)), curve._steps[None])[0])
+
+
+def homogeneous_norms(norm, a: np.ndarray) -> np.ndarray:
+    """``norm(a)`` for a degree-one ``norm`` of the rows of ``a`` >= 0: a row whose
+    norm overflows is scored again scaled by 2^-e, e the exponent of its largest
+    entry, and scaled back; a norm still past the float range is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(norm(a), dtype=float)
+        big = ~np.isfinite(out)
+        if big.any():
+            e = np.frexp(a[big].max(axis=-1))[1]
+            out[big] = np.ldexp(norm(np.ldexp(a[big], -e[:, None])), e)
+    if not np.isfinite(out).all():
+        raise ValueError("a norm overflows the float range")
+    return out
 
 
 def dependence_norms(rows, weights, q: int, profile: MixingProfile) -> np.ndarray:

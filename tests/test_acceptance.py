@@ -320,3 +320,26 @@ def test_norms_reports_match_the_recorded_digests(tmp_path):
         assert cli.main(["norms", "--profile", "poly:m=1.5", "--q", str(q), "--r", "4",
                          "--curve", str(curve), "--output", str(out)]) == 0
         _check_recorded(out.read_bytes(), "exact", f"norms/q{q}")
+
+
+def test_montecarlo_outputs_match_the_recorded_digests(tmp_path):
+    """The benchmark's ``couple`` and ``strongapprox`` reports, and its renewal
+    chain's paths and replicas, at the reference seed are the bytes recorded.
+    Between them they read the AR(1) replica starts drawn per row chunk, the
+    renewal chain's drawn whole, and a moving average rebuilt within one block."""
+    for process, q in (("ar1:rho=0.9", 32), ("ma:m=3", 12)):
+        out = tmp_path / "couple.json"
+        assert cli.main(["couple", "--process", process, "--class", "lipschitz5",
+                         "--n", "1536", "--q", str(q), "--reps", "1000",
+                         "--seed", str(SEED), "--output", str(out)]) == 0
+        _check_recorded(out.read_bytes(), "montecarlo", f"couple/{process}/json")
+    out = tmp_path / "strongapprox.json"
+    assert cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
+                     "--n-grid", "384,1536,6144", "--reps", "400", "--seed", str(SEED),
+                     "--output", str(out)]) == 0
+    _check_recorded(out.read_bytes(), "montecarlo", "strongapprox/json")
+    model = pr.lazy_renewal_model(1.5)
+    vals, innov, _ = pr.simulate_many(model, 1536, 1000, SEED)
+    _check_recorded(vals.tobytes(), "montecarlo", "lazy/paths")
+    replica = cp.replicate_many(model, vals, innov, 32, SEED)
+    _check_recorded(replica.tobytes(), "montecarlo", "lazy/replica")

@@ -215,14 +215,15 @@ def test_off_lattice_n_names_the_nearest_member_before_simulating(argv, monkeypa
 @pytest.mark.parametrize("grid, message", [
     ("384,384", "n_grid must be strictly increasing: 384 follows 384"),
     ("1536,384", "n_grid must be strictly increasing: 384 follows 1536"),
+    ("-384,384", "n=-384 is not in the lattice over the first 3 primes; nearest member is 6"),
 ])
 def test_strongapprox_rejects_bad_grid_before_simulating(grid, message, monkeypatch,
                                                          capsys, tmp_path):
     calls = _count_simulations(monkeypatch)
     report = tmp_path / "sa.json"
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(SystemExit) as exc:   # "=": a leading "-" is not read as a flag
         cli.main(["strongapprox", "--process", "ar1:rho=0.5", "--class", "lipschitz4",
-                  "--n-grid", grid, "--reps", "30", "--output", str(report)])
+                  f"--n-grid={grid}", "--reps", "30", "--output", str(report)])
     assert str(exc.value.code) == f"mixbound: error: {message}"   # exit status 1
     assert calls == [] and not report.exists() and capsys.readouterr().out == ""
 
@@ -338,6 +339,45 @@ def test_gamma_rejects_non_finite_class(capsys, tmp_path, family, field):
     with pytest.raises(SystemExit, match="must be finite"):
         cli.main(["gamma", "--class-file", str(class_file), "--norms", family])
     assert capsys.readouterr().out == ""
+
+
+def test_norms_of_a_sample_whose_squares_overflow(capsys, tmp_path):
+    # Q^2 = 4e320 overflows; the norm itself, 2e160, does not.
+    curve_file = tmp_path / "curve.csv"
+    curve_file.write_text("1e160\n2e160\n")
+    code, out = run_cli(capsys, "norms", "--profile", "iid", "--q", "1",
+                        "--curve", str(curve_file))
+    assert code == 0 and json.loads(out)["q_norm"] == 2e160
+
+
+def test_norms_refuses_a_norm_past_the_float_range(capsys, tmp_path):
+    curve_file = tmp_path / "curve.csv"
+    curve_file.write_text("1e308\n1.5e308\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norms", "--profile", "poly:m=1", "--q", "1000",
+                  "--curve", str(curve_file)])
+    assert str(exc.value.code) == "mixbound: error: a norm overflows the float range"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("family", ["constant:l2", "constant:lr,r=4",
+                                    "schedule:n=384,profile=poly:m=1"])
+def test_gamma_of_a_class_whose_powers_overflow(family, capsys, tmp_path):
+    # Scaled by 1e200, every family's squares or fourth powers overflow; the
+    # complexity is the unscaled one times 1e200, with the same witness.
+    table = np.random.default_rng(1).normal(0, 1, (4, 10))
+    payloads = []
+    for scale in (1.0, 1e200):
+        class_file = tmp_path / "cls.json"
+        class_file.write_text(json.dumps({"table": (scale * table).tolist(),
+                                          "weights": (np.ones(10) / 10).tolist()}))
+        code, out = run_cli(capsys, "gamma", "--class-file", str(class_file),
+                            "--norms", family)
+        assert code == 0
+        payloads.append(json.loads(out))
+    small, big = payloads
+    assert math.isclose(big["gamma"], 1e200 * small["gamma"], rel_tol=1e-10)
+    assert big["witness_partitions"] == small["witness_partitions"]
 
 
 def test_gamma_subcommand(capsys, tmp_path):

@@ -297,6 +297,36 @@ def test_strong_approx_identity_geometric_decay_for_ar1(monkeypatch):
     assert gaps[0] > 100 * gaps[1] > 100 * gaps[2]
 
 
+def test_strong_approx_moment_term_stays_finite_at_a_large_gamma(monkeypatch):
+    # |pool sum|^2000 overflows; the moment is taken as M * mean((|x| / M)^gamma)^(1/gamma)
+    # with M = max |x|: at gamma = 4 the plain L^4 moment to rounding, and at most M.
+    monkeypatch.setattr(cp, "POOL_SIZE", 2000)
+    model = pr.ar1_model(0.5)
+    members = fc.make_class("lipschitz4", model).members
+    n, q = 384, 16
+    pools = cp._reference_pool(model, members, q, pr.seeded_rng(20, 0x900, n))
+
+    def moment_sum(gamma):
+        point = cp.strong_approx_experiment(model, members, (n,), reps=20, seed=20,
+                                            gamma_order=gamma).points[0]
+        assert math.isfinite(point.bound)
+        return point.finite_dim_term / (q / n) ** ((gamma - 2.0) / (2.0 * gamma))
+
+    plain = sum(float((np.abs(p) ** 4.0).mean() ** 0.25) for p in pools)
+    assert math.isclose(moment_sum(4.0), plain, rel_tol=1e-12)
+    tops = float(np.abs(pools).max(axis=1).sum())
+    assert 0.99 * tops < moment_sum(2000.0) <= tops * (1.0 + 1e-12)
+
+
+def test_strong_approx_fails_its_bound_check_on_an_infinite_bound(monkeypatch):
+    monkeypatch.setattr(cp, "POOL_SIZE", 2000)
+    monkeypatch.setattr(cp, "estimate_tau", lambda *args: mx.MixingEstimate(math.inf, 0.0))
+    model = pr.ar1_model(0.5)
+    rep = cp.strong_approx_experiment(model, fc.make_class("lipschitz4", model).members,
+                                      (384,), reps=20, seed=21)
+    assert rep.points[0].bound == math.inf and not rep.within_bound
+
+
 # -- the row-chunk stream --------------------------------------------------------
 
 STREAM_MODELS = [pr.iid_model(1.3), pr.ar1_model(0.9, sigma=0.7),
@@ -560,6 +590,10 @@ def test_off_lattice_grid_point_refused_before_drawing(monkeypatch):
     with pytest.raises(grid.GridError, match=r"^n=1000 is not in the lattice over the first 3 "
                                         r"primes; nearest member is 972$"):
         cp.strong_approx_experiment(model, members, (384, 1000), reps=50, seed=1)
+    # A negative point is refused by the same rule, before its square root is taken.
+    with pytest.raises(grid.GridError, match=r"^n=-384 is not in the lattice over the first 3 "
+                                        r"primes; nearest member is 6$"):
+        cp.strong_approx_experiment(model, members, (-384, 384), reps=50, seed=1)
 
 
 _BAD_SIZES = {
