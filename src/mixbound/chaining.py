@@ -113,7 +113,8 @@ def cell_diameter(cls: FunctionClass, cell: Sequence[int]) -> np.ndarray:
     cell gives the zero vector.
     """
     rows = cls.table[list(cell)]
-    return rows.max(axis=0) - rows.min(axis=0)
+    with np.errstate(over="ignore"):   # an infinite diameter's norm is refused
+        return rows.max(axis=0) - rows.min(axis=0)
 
 
 # -- norm families ---------------------------------------------------------
@@ -237,14 +238,20 @@ def _sequence_value(cls: FunctionClass, seq: PartitionSequence,
                     cell_norms: CellNorms) -> float:
     if not seq.fully_separated():
         raise ChainingError("sequence must reach singleton cells")
-    per_member = np.zeros(cls.size)
+    per_member = [0.0] * cls.size   # float sums: one past the range is inf, refused below
     for level, part in enumerate(seq.levels):
         coeff = 2.0 ** (level / 2.0)
         cells = [cell for cell in part if len(cell) > 1]
         for cell, d in zip(cells, cell_norms(level, cells)):
             for i in cell:
                 per_member[i] += coeff * d
-    return math.sqrt(2.0) * float(per_member.max())
+    return _finite(math.sqrt(2.0) * max(per_member))
+
+
+def _finite(value) -> float:
+    if not math.isfinite(value):
+        raise ChainingError("the partition complexity overflows the float range")
+    return float(value)
 
 
 def _separation_level(size: int) -> int:
@@ -314,19 +321,20 @@ def complexity_exact(cls: FunctionClass, family: NormFamily
         return 0.0, seq
     parts = tuple(partitions_into_at_most(indices, LEVEL1_CAP))
     masks, cells = _cell_masks(size)
-    diam = _subset_diameters(cls.table)
-    d0 = family.norm(0, diam[-1], cls.weights)
-    d1 = np.zeros(len(diam))
-    d1[cells] = family.norms(1, diam[cells], cls.weights)
     sqrt2 = math.sqrt(2.0)
-    vals = sqrt2 * (d0 + sqrt2 * d1[masks].max(axis=1))
+    with np.errstate(over="ignore"):   # inf diameters' norms are refused; inf sums lose
+        diam = _subset_diameters(cls.table)
+        d0 = family.norm(0, diam[-1], cls.weights)
+        d1 = np.zeros(len(diam))
+        d1[cells] = family.norms(1, diam[cells], cls.weights)
+        vals = sqrt2 * (d0 + sqrt2 * d1[masks].max(axis=1))
     best = int(np.argmin(vals))
     best_p1 = parts[best]
     levels: list[Partition] = [trivial, best_p1]
     if any(len(c) > 1 for c in best_p1):
         levels.append(singles)  # cap at level 2 is 16 >= size
     best_seq = PartitionSequence(levels=tuple(levels))
-    return float(vals[best]), best_seq
+    return _finite(vals[best]), best_seq
 
 
 def complexity_greedy(cls: FunctionClass, family: NormFamily) -> float:

@@ -28,7 +28,7 @@ from .grid import divisor_chain, member_exponents, nearest_divisor
 from .mixing import MixingProfile, estimate_tau
 from .norms import QuantileCurve, dependence_norm
 from .processes import (ProcessModel, centered_sums, mean_se, seeded_rng,
-                        simulate_many, _PATH_STREAM, _centered_sums,
+                        simulate_many, _PATH_STREAM, _centered_sums, _chunk_rows,
                         _innovation_chunks, _ma_sum, _member_sums, _path_from,
                         _recurse, _require_means)
 
@@ -47,13 +47,11 @@ def _check_block_length(n: int, q: int) -> None:
         raise CouplingError(f"q={q} does not divide n={n}")
 
 
-def _replicate_recursive(model: ProcessModel, head: np.ndarray,
-                         innovations: np.ndarray, state0: np.ndarray,
-                         q: int) -> np.ndarray:
-    """Replica paths for recursive kinds; innovations has shape (reps, n)."""
+def _replicate_recursive(model: ProcessModel, head: np.ndarray, innovations: np.ndarray,
+                         state0: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """Replica paths for recursive kinds, into ``out``; innovations is (reps, n)."""
     reps, n = innovations.shape
     nblocks = n // q
-    out = np.empty((reps, n))
     out[:, :q] = head  # block zero: no lead-in room, copy the path
     blocks = innovations.reshape(reps, nblocks, q)
     # Every block j >= 1 at once: a lead-in through block j-1 from a fresh
@@ -64,9 +62,8 @@ def _replicate_recursive(model: ProcessModel, head: np.ndarray,
 
 
 def _replicate_ma(model: ProcessModel, innovations: np.ndarray, q: int,
-                  fresh: np.ndarray) -> np.ndarray:
-    """Replica for the moving average; innovations carries the m-term prepad."""
-    reps, total = innovations.shape
+                  fresh: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Replica for the moving average, into ``out``; innovations carry the m-term prepad."""
     # Block j reads innovation columns qj .. qj + q + m - 1 (times qj+1-m .. qj+q).
     windows = sliding_window_view(innovations, q + model.m, axis=1)[:, ::q]
     # Times at or before q(j-1), the first k = m - q columns of block j >= 1,
@@ -76,43 +73,44 @@ def _replicate_ma(model: ProcessModel, innovations: np.ndarray, q: int,
     if fresh.size:
         windows = windows.copy()
         windows[:, 1:, :fresh.shape[-1]] = fresh
-    return _ma_sum(model.weights, windows, q).reshape(reps, total - model.m)
+    _ma_sum(model.weights, windows, q, out.reshape(len(out), -1, q))
+    return out
 
 
-def _replicas(model: ProcessModel, n: int, q: int, reps: int,
+def _replicas(model: ProcessModel, n: int, q: int, reps: int, rows: int,
               rng: np.random.Generator):
-    """``build(lo, head, innovations)``, called on row chunks in order, gives the
-    replicas of those reps from their innovations and their paths' block zero
-    ``head``.  The replica stream's draws: AR(1)'s (rows, nblocks) fresh block
-    starts are drawn per chunk (a row-major fill: the bits of one whole draw);
-    the renewal chain's (all the uniforms, then all the Zipf values) and the
-    moving average's (nblocks - 1, reps, m - q) fresh noise (block-major, empty
-    unless its memory reaches past one block) are drawn whole, up front."""
+    """``build(lo, head, innovations)``, called on chunks of up to ``rows`` rows in order,
+    gives the replicas of those reps from their innovations and their paths' block zero
+    ``head``, in one buffer that the next call draws over.  The replica stream's draws:
+    AR(1)'s (rows, nblocks) fresh block starts are drawn per chunk (a row-major fill: the
+    bits of one whole draw); the renewal chain's (all the uniforms, then all the Zipf
+    values) and the moving average's (nblocks - 1, reps, m - q) fresh noise (block-major,
+    empty unless its memory reaches past one block) are drawn whole, up front."""
     nblocks = n // q
     if model.kind == "iid":
         return lambda lo, head, innov: innov   # the path is its own replica
+    buf = np.empty((rows, n))
     if model.kind == "ma":
         fresh = model.sigma * rng.standard_normal((nblocks - 1, reps, max(0, model.m - q)))
         return lambda lo, head, innov: _replicate_ma(
-            model, innov, q, fresh.transpose(1, 0, 2)[lo: lo + len(innov)])
+            model, innov, q, fresh.transpose(1, 0, 2)[lo: lo + len(innov)], buf[: len(innov)])
     whole = (None if model.kind == "ar1" else
              model.stationary_sample(reps * nblocks, rng).reshape(reps, nblocks))
 
     def build(lo, head, innov):
         starts = (model.stationary_sample(len(innov) * nblocks, rng).reshape(-1, nblocks)
                   if whole is None else whole[lo: lo + len(innov)])
-        return _replicate_recursive(model, head, innov, starts, q)
+        return _replicate_recursive(model, head, innov, starts, q, buf[: len(innov)])
     return build
 
 
 _REPLICA_STREAM = 0xC0FF   # seeded_rng(seed, _REPLICA_STREAM, tag) draws the replicas
 
 
-def replicate_many(model: ProcessModel, values: np.ndarray,
-                   innovations: np.ndarray, q: int, seed: int,
-                   tag: int = 0) -> np.ndarray:
+def replicate_many(model: ProcessModel, values: np.ndarray, innovations: np.ndarray,
+                   q: int, seed: int, tag: int = 0) -> np.ndarray:
     """Vectorized replica paths from stored paths and innovations (internal)."""
-    build = _replicas(model, values.shape[1], q, len(values),
+    build = _replicas(model, values.shape[1], q, len(values), len(values),
                       seeded_rng(seed, _REPLICA_STREAM, tag))
     return build(0, values[:, :q], innovations)
 
@@ -120,11 +118,12 @@ def replicate_many(model: ProcessModel, values: np.ndarray,
 @contextmanager
 def _coupled_chunks(model: ProcessModel, n: int, q: int, reps: int, seed: int, tag: int):
     """Row chunks ``(lo, innovations, starts, replicas)`` of ``coupled_paths(model, n,
-    q, reps, seed, tag)``, bit for bit, streamed as ``_innovation_chunks`` streams them;
-    ``_path_from(model, innovations, starts, n)`` builds the paths, whose block zero the
-    replicas copy."""
+    q, reps, seed, tag)``, bit for bit, streamed as ``_innovation_chunks`` streams them,
+    the replicas too drawn over once the caller takes the next chunk; ``_path_from(model,
+    innovations, starts, n)`` builds the paths, whose block zero the replicas copy."""
     _check_block_length(n, q)
-    build = _replicas(model, n, q, reps, seeded_rng(seed, _REPLICA_STREAM, tag))
+    build = _replicas(model, n, q, reps, _chunk_rows(model, n, reps),
+                      seeded_rng(seed, _REPLICA_STREAM, tag))
     with _innovation_chunks(model, n, reps, seeded_rng(seed, _PATH_STREAM, tag)) as chunks:
         yield ((lo, innov, starts,
                 build(lo, _path_from(model, innov[:, :q + model.m], starts, q), innov))
@@ -345,6 +344,22 @@ class StrongApproxReport:
     within_bound: bool
 
 
+def _coupling_gaps(model: ProcessModel, members, couplings, n: int, q: int, reps: int,
+                   seed: int) -> np.ndarray:
+    """(reps,) sup over members of |G_n f - coupled Gaussian total|; no chunk outlives it."""
+    gaps = np.empty((len(members), reps))
+    with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
+        for lo, innov, starts, replica in chunks:
+            cols = slice(lo, lo + len(innov))
+            gns = _centered_sums(members, _path_from(model, innov, starts, n))
+            sums = _centered_sums(members, replica.reshape(len(replica), -1, q))
+            for i, (sd, sorted_pool) in enumerate(couplings):
+                # A degenerate member (sd 0) is coupled to the zero Gaussian.
+                total = gaussian_couple(sums[i], sd, sorted_pool) if sd else 0.0
+                gaps[i, cols] = np.abs(gns[i] - total)
+    return gaps.max(axis=0)
+
+
 TAU_REPS = (200, 200)    # outer and inner draws of each class tau estimate
 POOL_SIZE = 20000        # independent reference blocks of each Gaussian coupling
 
@@ -406,20 +421,7 @@ def strong_approx_experiment(model: ProcessModel, members, n_grid, reps: int, se
                 sig_gamma_sum += top and top * float(
                     ((np.abs(pool_sums) / top) ** gamma_order).mean() ** (1.0 / gamma_order))
         del pools, pool_sums   # the sorted copies are all the stream needs
-        gaps = np.empty((len(members), reps))
-        with _coupled_chunks(model, n, q, reps, seed, tag=n) as chunks:
-            for lo, innov, starts, replica in chunks:
-                cols = slice(lo, lo + len(innov))
-                gns = _centered_sums(members, _path_from(model, innov, starts, n))
-                sums = _centered_sums(members, replica.reshape(len(replica), -1, q))
-                for i, (sd, sorted_pool) in enumerate(couplings):
-                    if sd == 0.0:
-                        # Degenerate member: the matching Gaussian has variance zero.
-                        gaps[i, cols] = np.abs(gns[i])
-                    else:
-                        gaps[i, cols] = np.abs(
-                            gns[i] - gaussian_couple(sums[i], sd, sorted_pool))
-        gap_mean, gap_se = mean_se(gaps.max(axis=0))
+        gap_mean, gap_se = mean_se(_coupling_gaps(model, members, couplings, n, q, reps, seed))
         tau = estimate_tau(model, members, q, *TAU_REPS, seed + n)
         finite_dim = (q / n) ** exponent * sig_gamma_sum
         coupling_term = math.sqrt(n) * tau.value

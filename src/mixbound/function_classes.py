@@ -78,7 +78,7 @@ _MEMBER_DEFS: dict[str, tuple[Callable, float | None, float | None]] = {
     "witch": (lambda x: x / (1.0 + x * x), 0.5, 1.0),
     "cosine": (np.cos, 1.0, 1.0),
     "absval": (np.abs, None, 1.0),
-    "sign_centered": (lambda x: np.where(x > 0, 0.5, -0.5), 0.5, None),
+    "sign_centered": (lambda x: (x > 0) - 0.5, 0.5, None),
 }
 _LINEAR_MEMBERS = frozenset({"identity", "negated"})   # x -> +-x
 

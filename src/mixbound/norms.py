@@ -14,7 +14,7 @@ import numpy as np
 
 from .mixing import MixingProfile
 
-_LAG_SLICE = 1 << 16   # lags per slice of the Hoelder factors' level table
+_LAG_SLICE = 1 << 14   # lags per slice of the Hoelder factors' level table
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,21 +44,21 @@ _LANES = 1 << 12        # states ``_recurse`` steps together, so one step stays 
 _TIME_BLOCK = 1 << 17   # innovations per time-major block of ``_recurse``
 
 
-def _by_rows(fn, values: np.ndarray) -> np.ndarray:
-    """``fn(values)``, bit for bit, for a row-local ``fn`` (row i of its result
-    depends on row i of its input only), run over cache-sized slices of the
-    leading axis.  The caller and a thread per further core it may use each
-    take the next slice until none is left, so a core held up takes fewer.
+def _by_rows(fn, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``fn(values)``, bit for bit, into ``out`` if given (``values`` 2-D or more), for a
+    row-local ``fn`` (row i of its result depends on row i of its input only), run over
+    cache-sized slices of the leading axis.  The caller and a thread per further core it
+    may use each take the next slice until none is left, so a core held up takes fewer.
 
     Threads are started per call and joined before it returns (a pool made
     before a fork hangs the child); a worker's exception is raised here.
     """
     rows = values.shape[0] if values.ndim > 1 else 1
     step = max(1, _SLICE * rows // max(values.size, 1))
-    if step >= rows:   # 1-D, or no bigger than one slice
+    if step >= rows and out is None:   # 1-D, or no bigger than one slice
         return fn(values)
     first = fn(values[:step])
-    out = np.empty((rows,) + first.shape[1:], first.dtype)
+    out = np.empty((rows,) + first.shape[1:], first.dtype) if out is None else out
     out[:step] = first
     starts = iter(range(step, rows, step))   # next() on it is one step under the GIL
     errors: list[BaseException] = []
@@ -353,8 +353,8 @@ def _recurse(model: ProcessModel, state: np.ndarray, innov: np.ndarray,
     return final
 
 
-def _ma_sum(weights, innov: np.ndarray, length: int) -> np.ndarray:
-    """(m+1)-tap moving average over the last axis of ``innov``.
+def _ma_sum(weights, innov: np.ndarray, length: int, out=None) -> np.ndarray:
+    """(m+1)-tap moving average over the last axis of ``innov``, into ``out`` if given.
 
     ``innov`` carries m leading innovations before the first output time.
     The taps are added in a fixed order, so every caller gets the same bits;
@@ -368,7 +368,7 @@ def _ma_sum(weights, innov: np.ndarray, length: int) -> np.ndarray:
         for j in range(m + 1):
             vals += w[j] * block[..., m - j: m - j + length]
         return vals
-    return _by_rows(taps, innov)
+    return _by_rows(taps, innov, out)
 
 
 def _fill_innovations(model: ProcessModel, out: np.ndarray,
@@ -415,7 +415,12 @@ def _simulate_core(model: ProcessModel, n: int, reps: int,
 
 
 _PATH_STREAM = 0x51A7   # seeded_rng(seed, _PATH_STREAM, tag) draws the paths
-_CHUNK = 1 << 18        # innovations per streamed row chunk
+_CHUNK = 1 << 17        # innovations per streamed row chunk
+
+
+def _chunk_rows(model: ProcessModel, n: int, reps: int) -> int:
+    """Rows of each chunk ``_innovation_chunks(model, n, reps, rng)`` streams."""
+    return max(1, min(reps, _CHUNK // (n + model.m)))
 
 
 @contextmanager
@@ -431,7 +436,7 @@ def _innovation_chunks(model: ProcessModel, n: int, reps: int,
     The pool is made per call: a pool made before a fork hangs the child.
     """
     starts = _path_starts(model, reps, rng)
-    rows = max(1, min(reps, _CHUNK // (n + model.m)))
+    rows = _chunk_rows(model, n, reps)
     bufs = (np.empty((rows, n + model.m)), np.empty((rows, n + model.m)))
 
     def fill(lo: int) -> np.ndarray:   # one worker: the fills run in order

@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 from mixbound import acceptance as ac
-from mixbound import chaining, cli, grid, norms, rates
+from mixbound import chaining, cli, grid, mixing, norms, rates
 from mixbound import coupling as cp
 from mixbound import processes as pr
 
@@ -277,6 +277,19 @@ def test_a14_strong_approx():
     result = _run("A14")
     gaps = [p["gap_mean"] for p in result.details["points"]]
     assert gaps == sorted(gaps, reverse=True)
+
+
+def test_monte_carlo_criteria_peak_below_the_hoelder_table(traced_peak):
+    # A4's power table of 10^6 floats is the floor of verify's exact checks;
+    # A12 and A14 stream their paths and replicas below it.
+    import scipy.signal   # noqa: F401  the AR(1) paths' lazy import, made untraced
+    qs = sorted(set(int(x) for x in np.geomspace(1, 10**6, 40)))
+    floor = min(traced_peak(norms.holder_factors, qs, 4.0, prof)
+                for prof in (mixing.m_dependent_profile(7), mixing.polynomial_profile(3.0),
+                             mixing.polynomial_profile(2.0), mixing.polynomial_profile(0.5)))
+    for cid in ("A12", "A14"):
+        peak = traced_peak(ac.run_criteria, [cid], SEED)
+        assert peak < floor, f"{cid}: {peak / 2**20:.2f} MiB, A4's table {floor / 2**20:.2f} MiB"
 
 
 def test_a15_determinism_across_runs(tmp_path):

@@ -190,6 +190,36 @@ def test_exact_refuses_large_class():
         ch.complexity_exact(make_class(rng, 9), ch.l2_family())
 
 
+def _uniform_class(table):
+    table = np.asarray(table, dtype=float)
+    return ch.FunctionClass(table=table, weights=np.full(table.shape[1], 1.0 / table.shape[1]))
+
+
+def test_exact_skips_candidates_past_the_float_range():
+    # Every norm is finite; keeping the pair together sums d0 = sqrt(1.25) 1e308
+    # with sqrt(2) d1 and overflows, with no RuntimeWarning, so the separated
+    # pair is the minimum: sqrt(2) d0.
+    cls = _uniform_class([[1.5e308, -1.5e308], [1e308, 0.0]])
+    value, seq = ch.complexity_exact(cls, ch.l2_family())
+    assert seq.levels[1] == ((0,), (1,)) and len(seq.levels) == 2
+    assert value == ch.sequence_value(cls, ch.l2_family(), seq)
+    assert math.isclose(value, math.sqrt(2.5) * 1e308, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("size, high, low, match", [
+    (2, 1.3e308, 0.0, "the partition complexity"),   # sqrt(2) d0 alone overflows
+    (12, 1.3e308, 0.0, "the partition complexity"),
+    (2, 1.5e308, -1.5e308, "a norm"),   # a diameter overflows: its norm is refused
+    (12, 1.5e308, -1.5e308, "a norm"),
+])
+def test_complexity_past_the_float_range_is_refused(size, high, low, match):
+    # Exact up to 8 members, greedy above; a refusal, never a RuntimeWarning.
+    cls = _uniform_class(np.tile([[high, low], [low, high]], (size // 2, 1)))
+    search = ch.complexity_exact if size <= ch.EXACT_SEARCH_LIMIT else ch.complexity_greedy
+    with pytest.raises(ValueError, match=f"^{match} overflows the float range$"):
+        search(cls, ch.l2_family())
+
+
 @given(st.integers(2, 6), st.floats(0.5, 4.0))
 @settings(max_examples=20, deadline=None)
 def test_homogeneity(size, scale):

@@ -360,6 +360,17 @@ def test_norms_refuses_a_norm_past_the_float_range(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_gamma_refuses_a_complexity_past_the_float_range(capsys, tmp_path):
+    class_file = tmp_path / "cls.json"
+    class_file.write_text(json.dumps({"table": [[1.3e308, 0.0], [0.0, 1.3e308]],
+                                      "weights": [0.5, 0.5]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gamma", "--class-file", str(class_file), "--norms", "constant:l2"])
+    assert str(exc.value.code) == (
+        "mixbound: error: the partition complexity overflows the float range")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("family", ["constant:l2", "constant:lr,r=4",
                                     "schedule:n=384,profile=poly:m=1"])
 def test_gamma_of_a_class_whose_powers_overflow(family, capsys, tmp_path):

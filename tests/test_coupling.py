@@ -2,12 +2,8 @@ import dataclasses
 import json
 import math
 import multiprocessing
-import os
-import subprocess
 import sys
 import threading
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,42 +372,27 @@ def test_streamed_pool_matches_whole_pool(model, rows, monkeypatch):
     assert got.shape == (len(members), 100) and np.array_equal(got, expect)
 
 
-def test_strong_approx_holds_no_whole_pool():
+def test_strong_approx_holds_no_whole_pool(traced_peak):
     # At n = 6144 (q = 64) a whole AR(1) pool of paths and innovations is
-    # 2 x 20000 x 64 floats, 19.5 MiB; the streamed pool holds row chunks.
-    code = (
-        "import tracemalloc, scipy.signal\n"
-        "from mixbound import coupling as cp, function_classes as fc, processes as pr\n"
-        "model = pr.ar1_model(0.5)\n"
-        "members = fc.make_class('lipschitz4', model).members\n"
-        "tracemalloc.start()\n"
-        "cp.strong_approx_experiment(model, members, (6144,), reps=30, seed=5)\n"
-        "print(tracemalloc.get_traced_memory()[1])\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                    env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peak = int(proc.stdout.split()[-1])
-    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    # 2 x 20000 x 64 floats, 19.5 MiB; the streamed pool and the coupled
+    # stream hold one row chunk at a time.
+    model = pr.ar1_model(0.5)
+    members = fc.make_class("lipschitz4", model).members
+    cp.strong_approx_experiment(model, members, (96,), reps=30, seed=5)   # the lazy imports
+    peak = traced_peak(cp.strong_approx_experiment, model, members, (6144,), reps=30, seed=5)
+    assert peak <= 6 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_bernstein_check_holds_no_whole_replica_draws():
+def test_bernstein_check_holds_no_whole_replica_draws(traced_peak):
     # A12's AR(1) shape: the replica block starts are 5000 x 192 floats, 7.3 MiB
-    # drawn whole; each row chunk draws its own.
+    # drawn whole; each row chunk draws its own, and the replicas of one chunk
+    # are drawn over by the next.
     model = pr.ar1_model(0.5)
     args = (model, fc.make_class("indicator", model).members[0],
             nm.QuantileCurve.constant(0.5), mx.exponential_profile(0.5))
     cp.bernstein_check(*args, n=96, q=8, k=2, reps=10, seed=7)   # the lazy imports
-    tracemalloc.start()
-    try:
-        cp.bernstein_check(*args, n=1536, q=8, k=2, reps=5000, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    peak = traced_peak(cp.bernstein_check, *args, n=1536, q=8, k=2, reps=5000, seed=7)
+    assert peak <= 5 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_streamed_consumers_do_not_depend_on_chunk_rows(monkeypatch):

@@ -280,6 +280,16 @@ def test_member_sums_raise_a_worker_exception(monkeypatch):
         assert threading.active_count() == threads   # every worker joined
 
 
+def test_sign_centered_is_the_former_where_form():
+    # The comparison minus a half: the same float64 bits on signed zeros,
+    # subnormals, infinities and NaN.
+    tiny, big = 5e-324, np.finfo(float).max
+    x = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, big, -big, np.inf, -np.inf, np.nan])
+    got = fc._MEMBER_DEFS["sign_centered"][0](x)
+    assert got.dtype == float
+    assert got.tobytes() == np.where(x > 0, 0.5, -0.5).tobytes()
+
+
 def test_mean_se_matches_former_inline_form():
     rng = np.random.default_rng(3)
     for size in (2, 3, 40, 1001):
